@@ -18,8 +18,13 @@ from ganitprep.classify import (
     read_annotations,
     score_complexity,
 )
-from ganitprep.cli import _load_simple_corpus
-from ganitprep.corpus import Difficulty, Language, Source, ingest_gsm8k, ingest_math
+from ganitprep.corpus import (
+    Difficulty,
+    Language,
+    ingest_gsm8k,
+    ingest_indimathqa,
+    ingest_math,
+)
 from ganitprep.curriculum import (
     PairKey,
     build_curriculum,
@@ -33,10 +38,8 @@ data = Path(str(resources.files("ganitprep") / "data" / "demo"))
 
 gsm8k = ingest_gsm8k(data / "gsm8k.jsonl")
 math = ingest_math(data / "math.jsonl")
-imqa_en = _load_simple_corpus(data / "indimathqa_en.jsonl", Source.INDIMATHQA,
-                              Language.ENGLISH)
-imqa_hi = _load_simple_corpus(data / "indimathqa_hi.jsonl", Source.INDIMATHQA,
-                              Language.HINDI)
+imqa_en = ingest_indimathqa(data / "indimathqa_en.jsonl", Language.ENGLISH)
+imqa_hi = ingest_indimathqa(data / "indimathqa_hi.jsonl", Language.HINDI)
 
 print("=== complexity scoring ===")
 for problem in (gsm8k.records[0], gsm8k.records[23]):

@@ -24,6 +24,7 @@ from ganitprep.corpus import (
     Source,
     ingest_gsm8k,
     ingest_hawp,
+    ingest_indimathqa,
     ingest_math,
     load_manifest,
     save_manifest,

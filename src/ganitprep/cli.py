@@ -22,18 +22,13 @@ from ganitprep import evaluate as evaluate_mod
 from ganitprep import llm_client
 from ganitprep import structure as structure_mod
 from ganitprep.corpus import (
-    CorpusManifest,
     Language,
     Operation,
-    Problem,
-    Source,
-    SourceFormat,
-    file_created_at,
     ingest_gsm8k,
     ingest_hawp,
+    ingest_indimathqa,
     ingest_math,
     load_manifest,
-    nfc,
     save_manifest,
 )
 from ganitprep.errors import PipelineError
@@ -210,26 +205,20 @@ def _cmd_evaluate(args) -> int:
         print(f"graded={len(grades)} correct={correct} unparseable={unparseable}")
         _summary("evaluate-grade", len(predictions), len(grades))
         return 0
-    if args.action == "report":
-        manifest = load_manifest(args.manifest)
-        grades = []
-        for path in args.grades:
-            grades.extend(evaluate_mod.load_grades(path))
-        report = evaluate_mod.accuracy_report(grades, manifest)
-        rendered = report.render_table() if args.format == "table" else report.to_csv()
-        if args.out:
-            Path(args.out).write_text(rendered, encoding="utf-8")
-            companion = Path(args.out).with_suffix(".csv")
-            companion.write_text(report.to_csv(), encoding="utf-8")
-        else:
-            sys.stdout.write(rendered)
-        _summary("evaluate-report", len(grades), len(report.cells),
-                 stream=sys.stderr if not args.out else None)
-        return 0
-    counts = evaluate_mod.read_counts_matrix(args.counts)
-    kappa = evaluate_mod.fleiss_kappa(counts)
-    print(f"kappa={kappa:.6f}")
-    _summary("evaluate-kappa", len(counts), 1)
+    manifest = load_manifest(args.manifest)
+    grades = []
+    for path in args.grades:
+        grades.extend(evaluate_mod.load_grades(path))
+    report = evaluate_mod.accuracy_report(grades, manifest)
+    rendered = report.render_table() if args.format == "table" else report.to_csv()
+    if args.out:
+        Path(args.out).write_text(rendered, encoding="utf-8")
+        companion = Path(args.out).with_suffix(".csv")
+        companion.write_text(report.to_csv(), encoding="utf-8")
+    else:
+        sys.stdout.write(rendered)
+    _summary("evaluate-report", len(grades), len(report.cells),
+             stream=sys.stderr if not args.out else None)
     return 0
 
 
@@ -260,7 +249,6 @@ class PipelineConfig:
     mode: str = "bilingual"
     cumulative: bool = False
     provider_config: str = ""
-    log_level: str = "INFO"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -298,26 +286,6 @@ def _demo_data_dir() -> Path:
     return Path(str(resources.files("ganitprep") / "data" / "demo"))
 
 
-def _load_simple_corpus(path, source: Source, language: Language) -> CorpusManifest:
-    """Load an id/question/solution JSONL fixture (curated-corpus layout)."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        records.append(Problem(
-            id=data["id"],
-            language=language,
-            source=source,
-            question=nfc(data["question"]),
-            raw_solution=nfc(data["solution"]) if data.get("solution") else None,
-            topic=data.get("topic"),
-        ))
-    fmt = SourceFormat.INDIMATHQA if source is Source.INDIMATHQA else SourceFormat.MIXED
-    return CorpusManifest.from_records(records, fmt,
-                                       created_at=file_created_at(path))
-
-
 def _cmd_demo(args) -> int:
     if args.config:
         config = load_pipeline_config(args.config)
@@ -351,10 +319,8 @@ def _cmd_demo(args) -> int:
     _summary("ingest-math", len(math), len(math))
     hawp = ingest_hawp(config.hawp_path)
     _summary("ingest-hawp", len(hawp), len(hawp))
-    imqa_en = _load_simple_corpus(config.indimathqa_en_path, Source.INDIMATHQA,
-                                  Language.ENGLISH)
-    imqa_hi = _load_simple_corpus(config.indimathqa_hi_path, Source.INDIMATHQA,
-                                  Language.HINDI)
+    imqa_en = ingest_indimathqa(config.indimathqa_en_path, Language.ENGLISH)
+    imqa_hi = ingest_indimathqa(config.indimathqa_hi_path, Language.HINDI)
     _summary("ingest-indimathqa", len(imqa_en) + len(imqa_hi),
              len(imqa_en) + len(imqa_hi))
 
@@ -523,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--format", default="table", choices=["table", "csv"])
     a.add_argument("--out", help="output path; a machine-readable .csv "
                                  "companion is written alongside")
-    a = actions.add_parser("kappa")
-    a.add_argument("--counts", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("kappa", help="rater-agreement statistic from a counts matrix")

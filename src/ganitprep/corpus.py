@@ -1,6 +1,6 @@
 """Problem model, corpus ingestion, and line-delimited manifest persistence.
 
-Three external corpus layouts are supported, all UTF-8 JSONL:
+Four external corpus layouts are supported, all UTF-8 JSONL:
 
 * grade-school QA records: ``{"question", "answer"}`` where the answer text
   ends with a final-answer marker line beginning ``"#### "``;
@@ -8,7 +8,13 @@ Three external corpus layouts are supported, all UTF-8 JSONL:
   level strings like ``"Level 3"``;
 * Hindi word-problem records: ``{"question", "operation"}`` plus an optional
   ``"solution"``, the operation tag being one of add/sub/mul/div
-  (case-insensitive).
+  (case-insensitive);
+* curated bilingual records: ``{"id", "question"}`` plus an optional
+  ``"solution"`` and ``"topic"``, one file per language, the ids carrying
+  over into the manifest.
+
+One loop reads them all, driven by a per-layout table of field names; only
+the marker, level and operation-tag checks are layout-specific.
 
 Internally every corpus is a :class:`CorpusManifest`: an immutable, ordered,
 checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.structure import StructuredSolution
@@ -259,9 +265,11 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 def load_manifest(path) -> CorpusManifest:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise IntegrityError(f"{path}: empty manifest file")
+    # Only "\n" ends a line: str.splitlines() would also split inside
+    # records holding a raw U+2028, U+2029 or U+0085.
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -324,67 +332,51 @@ def _require(record: dict, name: str, path: Path, lineno: int) -> str:
     return value
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """How one external JSONL layout maps onto :class:`Problem` fields.
+
+    Every field named here is consumed; any other field of a record is kept
+    in ``extras``.
+    """
+
+    source: Source
+    source_format: SourceFormat
+    required: tuple[str, ...]  # nonblank string fields, checked in this order
+    question: str
+    solution: str
+    id_prefix: str | None = None  # None: the record's own "id" field
+    topic: str | None = None
+    keep_empty_solution: bool = False  # else an empty solution reads as absent
+    # Layout-specific validation returning extra Problem fields.
+    check: Callable[[dict, Path, int], dict] | None = None
+
+
 _FINAL_MARKER_RE = re.compile(r"^#### ", re.MULTILINE)
 
 
-def ingest_gsm8k(path) -> CorpusManifest:
-    """Load grade-school QA records; each answer must carry a "#### " marker line."""
-    path = Path(path)
-    records = []
-    for lineno, record in _iter_jsonl(path):
-        question = _require(record, "question", path, lineno)
-        answer = _require(record, "answer", path, lineno)
-        if not _FINAL_MARKER_RE.search(answer):
-            raise RecordFormatError(f"{path}: no final-answer marker at line {lineno}")
-        extras = {k: v for k, v in record.items() if k not in ("question", "answer")}
-        records.append(Problem(
-            id=f"gsm8k-{lineno:06d}",
-            language=Language.ENGLISH,
-            source=Source.GSM8K,
-            question=nfc(question),
-            raw_solution=nfc(answer),
-            extras=extras,
-        ))
-    return CorpusManifest.from_records(records, SourceFormat.GSM8K,
-                                       created_at=file_created_at(path))
+def _check_gsm8k(record: dict, path: Path, lineno: int) -> dict:
+    if not _FINAL_MARKER_RE.search(record["answer"]):
+        raise RecordFormatError(f"{path}: no final-answer marker at line {lineno}")
+    return {}
 
 
 _LEVEL_RE = re.compile(r"^\s*Level\s+(\d+)\s*$")
 
 
-def ingest_math(path) -> CorpusManifest:
-    """Load competition records, parsing "Level N" strings to levels 1..5."""
-    path = Path(path)
-    records = []
-    for lineno, record in _iter_jsonl(path):
-        question = _require(record, "problem", path, lineno)
-        level_text = _require(record, "level", path, lineno)
-        solution = _require(record, "solution", path, lineno)
-        topic = record.get("type")
-        match = _LEVEL_RE.match(level_text)
-        if not match:
-            raise RecordFormatError(
-                f"{path}: unparseable level {level_text!r} at line {lineno}"
-            )
-        level = int(match.group(1))
-        if not 1 <= level <= 5:
-            raise RecordFormatError(
-                f"{path}: level {level} outside 1..5 at line {lineno}"
-            )
-        extras = {k: v for k, v in record.items()
-                  if k not in ("problem", "level", "type", "solution")}
-        records.append(Problem(
-            id=f"math-{lineno:06d}",
-            language=Language.ENGLISH,
-            source=Source.MATH,
-            question=nfc(question),
-            raw_solution=nfc(solution),
-            topic=topic,
-            math_level=level,
-            extras=extras,
-        ))
-    return CorpusManifest.from_records(records, SourceFormat.MATH,
-                                       created_at=file_created_at(path))
+def _check_math(record: dict, path: Path, lineno: int) -> dict:
+    level_text = record["level"]
+    match = _LEVEL_RE.match(level_text)
+    if not match:
+        raise RecordFormatError(
+            f"{path}: unparseable level {level_text!r} at line {lineno}"
+        )
+    level = int(match.group(1))
+    if not 1 <= level <= 5:
+        raise RecordFormatError(
+            f"{path}: level {level} outside 1..5 at line {lineno}"
+        )
+    return {"math_level": level}
 
 
 _OPERATION_TAGS = {
@@ -395,34 +387,73 @@ _OPERATION_TAGS = {
 }
 
 
-def ingest_hawp(path) -> CorpusManifest:
-    """Load Hindi single-operator word problems with their operation tags."""
+def _check_hawp(record: dict, path: Path, lineno: int) -> dict:
+    tag = record["operation"]
+    operation = _OPERATION_TAGS.get(tag.strip().lower())
+    if operation is None:
+        valid = ", ".join(sorted(_OPERATION_TAGS))
+        raise RecordFormatError(
+            f"{path}: unknown operation tag {tag!r} at line {lineno} "
+            f"(valid tags: {valid})"
+        )
+    return {"operation": operation}
+
+
+_GSM8K = _Layout(Source.GSM8K, SourceFormat.GSM8K, ("question", "answer"),
+                 question="question", solution="answer", id_prefix="gsm8k",
+                 check=_check_gsm8k)
+_MATH = _Layout(Source.MATH, SourceFormat.MATH, ("problem", "level", "solution"),
+                question="problem", solution="solution", id_prefix="math",
+                topic="type", check=_check_math)
+_HAWP = _Layout(Source.HAWP, SourceFormat.HAWP, ("question", "operation"),
+                question="question", solution="solution", id_prefix="hawp",
+                keep_empty_solution=True, check=_check_hawp)
+_INDIMATHQA = _Layout(Source.INDIMATHQA, SourceFormat.INDIMATHQA, ("id", "question"),
+                      question="question", solution="solution", topic="topic")
+
+
+def _ingest(path, layout: _Layout, language: Language) -> CorpusManifest:
     path = Path(path)
+    consumed = {layout.question, layout.solution, layout.topic, *layout.required}
     records = []
     for lineno, record in _iter_jsonl(path):
-        question = _require(record, "question", path, lineno)
-        tag = _require(record, "operation", path, lineno)
-        operation = _OPERATION_TAGS.get(tag.strip().lower())
-        if operation is None:
-            valid = ", ".join(sorted(_OPERATION_TAGS))
-            raise RecordFormatError(
-                f"{path}: unknown operation tag {tag!r} at line {lineno} "
-                f"(valid tags: {valid})"
-            )
-        solution = record.get("solution")
-        extras = {k: v for k, v in record.items()
-                  if k not in ("question", "operation", "solution")}
+        for name in layout.required:
+            _require(record, name, path, lineno)
+        fields = layout.check(record, path, lineno) if layout.check else {}
+        solution = record.get(layout.solution)
+        if isinstance(solution, str) and (solution or layout.keep_empty_solution):
+            fields["raw_solution"] = nfc(solution)
         records.append(Problem(
-            id=f"hawp-{lineno:06d}",
-            language=Language.HINDI,
-            source=Source.HAWP,
-            question=nfc(question),
-            raw_solution=nfc(solution) if isinstance(solution, str) else None,
-            operation=operation,
-            extras=extras,
+            id=f"{layout.id_prefix}-{lineno:06d}" if layout.id_prefix else record["id"],
+            language=language,
+            source=layout.source,
+            question=nfc(record[layout.question]),
+            topic=record.get(layout.topic) if layout.topic else None,
+            extras={k: v for k, v in record.items() if k not in consumed},
+            **fields,
         ))
-    return CorpusManifest.from_records(records, SourceFormat.HAWP,
+    return CorpusManifest.from_records(records, layout.source_format,
                                        created_at=file_created_at(path))
+
+
+def ingest_gsm8k(path) -> CorpusManifest:
+    """Load grade-school QA records; each answer must carry a "#### " marker line."""
+    return _ingest(path, _GSM8K, Language.ENGLISH)
+
+
+def ingest_math(path) -> CorpusManifest:
+    """Load competition records, parsing "Level N" strings to levels 1..5."""
+    return _ingest(path, _MATH, Language.ENGLISH)
+
+
+def ingest_hawp(path) -> CorpusManifest:
+    """Load Hindi single-operator word problems with their operation tags."""
+    return _ingest(path, _HAWP, Language.HINDI)
+
+
+def ingest_indimathqa(path, language: Language) -> CorpusManifest:
+    """Load curated id/question/solution/topic records written in ``language``."""
+    return _ingest(path, _INDIMATHQA, language)
 
 
 def update_problem(problem: Problem, **changes) -> Problem:

@@ -404,7 +404,7 @@ def save_grades(grades: Sequence[GradeRecord], path) -> None:
 
 def load_grades(path) -> list[GradeRecord]:
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if line.strip():
             records.append(GradeRecord.from_dict(json.loads(line)))
     return records
@@ -492,7 +492,7 @@ def fleiss_kappa(data: KappaInput | Sequence[Sequence[int]]) -> float:
 def read_counts_matrix(path) -> list[list[int]]:
     """Read a rater-counts matrix: one row per item, whitespace or commas."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"),
                                   start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -194,16 +194,14 @@ def test_c05_split_properties(tmp_path):
 def _demo_corpus():
     """The bundled demonstration corpus, assembled the same way `demo` does."""
     from ganitprep.classify import apply_annotations, read_annotations
-    from ganitprep.cli import _demo_data_dir, _load_simple_corpus
-    from ganitprep.corpus import ingest_gsm8k, ingest_math
+    from ganitprep.cli import _demo_data_dir
+    from ganitprep.corpus import ingest_gsm8k, ingest_indimathqa, ingest_math
 
     data = _demo_data_dir()
     gsm8k = rank_bottom_k(ingest_gsm8k(data / "gsm8k.jsonl"), 10)
     math = apply_math_levels(ingest_math(data / "math.jsonl"))
-    imqa_en = _load_simple_corpus(data / "indimathqa_en.jsonl", Source.INDIMATHQA,
-                                  Language.ENGLISH)
-    imqa_hi = _load_simple_corpus(data / "indimathqa_hi.jsonl", Source.INDIMATHQA,
-                                  Language.HINDI)
+    imqa_en = ingest_indimathqa(data / "indimathqa_en.jsonl", Language.ENGLISH)
+    imqa_hi = ingest_indimathqa(data / "indimathqa_hi.jsonl", Language.HINDI)
     annotations = read_annotations(data / "annotations.tsv")
     imqa_en = apply_annotations(
         imqa_en, {k: v for k, v in annotations.items() if k.endswith("-en")}).manifest

@@ -107,6 +107,9 @@ class TestBasicCommands:
         assert main(["kappa", "--counts", str(counts)]) == 0
         assert "kappa=-0.200000" in capsys.readouterr().out
 
+    def test_evaluate_kappa_is_not_a_command(self):
+        assert main(["evaluate", "kappa", "--counts", "counts.txt"]) == 2
+
 
 class TestCurriculumFlow:
     def _classified_manifest(self, tmp_path):

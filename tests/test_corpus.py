@@ -1,4 +1,5 @@
 import json
+import re
 import unicodedata
 
 import pytest
@@ -12,12 +13,15 @@ from ganitprep.corpus import (
     Operation,
     Problem,
     Source,
+    SourceFormat,
     ingest_gsm8k,
     ingest_hawp,
+    ingest_indimathqa,
     ingest_math,
     load_manifest,
     save_manifest,
 )
+from ganitprep.cli import _demo_data_dir
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.structure import StructuredSolution
 from ganitprep.answers import AnswerValue
@@ -123,6 +127,82 @@ class TestIngestHawp:
         write_jsonl(path, [{"question": decomposed, "operation": "add"}])
         manifest = ingest_hawp(path)
         assert manifest.records[0].question == unicodedata.normalize("NFC", decomposed)
+
+
+    def test_empty_solution_kept_empty(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        write_jsonl(path, [{"question": "q?", "operation": "add", "solution": ""}])
+        assert ingest_hawp(path).records[0].raw_solution == ""
+
+
+class TestIngestIndiMathQA:
+    def test_ids_language_and_fields(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        write_jsonl(path, [{"id": "imqa-7-hi", "topic": "sets", "question": "प्रश्न?",
+                            "solution": "अंतिम उत्तर: 5"}])
+        manifest = ingest_indimathqa(path, Language.HINDI)
+        assert manifest.source_format is SourceFormat.INDIMATHQA
+        problem = manifest.records[0]
+        assert (problem.id, problem.language, problem.source, problem.topic) == \
+            ("imqa-7-hi", Language.HINDI, Source.INDIMATHQA, "sets")
+        assert problem.raw_solution == "अंतिम उत्तर: 5"
+        assert problem.extras == {}
+
+    def test_empty_solution_reads_as_absent(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "q?", "solution": ""}])
+        assert ingest_indimathqa(path, Language.ENGLISH).records[0].raw_solution is None
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_in_question_kept(self, tmp_path, char):
+        path = tmp_path / "i.jsonl"
+        write_jsonl(path, [{"id": "a", "question": f"first{char}second?"}])
+        problem = ingest_indimathqa(path, Language.ENGLISH).records[0]
+        assert problem.question == f"first{char}second?"
+
+    @pytest.mark.parametrize("record,field", [
+        ({"question": "q?"}, "id"),
+        ({"id": " ", "question": "q?"}, "id"),
+        ({"id": "b"}, "question"),
+        ({"id": "b", "question": ""}, "question"),
+    ])
+    def test_missing_field_names_path_and_line(self, tmp_path, record, field):
+        path = tmp_path / "i.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "q?"}, record])
+        expected = re.escape(f"{path}: missing field {field!r} at line 2")
+        with pytest.raises(RecordFormatError, match=expected):
+            ingest_indimathqa(path, Language.ENGLISH)
+
+    def test_unknown_field_kept_in_extras(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "q?", "grade": 11}])
+        problem = ingest_indimathqa(path, Language.ENGLISH).records[0]
+        assert problem.extras == {"grade": 11}
+
+
+# Record checksums of the bundled fixtures: a change to any reader's field
+# mapping, ids or normalisation shows here.
+_FIXTURE_CHECKSUMS = {
+    "gsm8k": "sha256:83dfae7e3793edf6fb9f63d5d14102df6f7273d94674683d6fbbd4fb36e5a835",
+    "math": "sha256:4d4f74382a69f73139af6c13d368cdb81ac6d951ddc87730d2ec59fe3448c49e",
+    "hawp": "sha256:acb1597f46c30a0b6d73b8593c2f0646b468efd3db4b2616076e9e8af75ba2d0",
+    "indimathqa_en": "sha256:e195626330bb4b541b9feaff25e55963a82027b9c6db6460a936dfc756b7e65b",
+    "indimathqa_hi": "sha256:73b334ce9cd4660c198f05924e771c4c3c2151d25ea4dd9276bac4d513cfa9e6",
+}
+
+_FIXTURE_READERS = {
+    "gsm8k": ingest_gsm8k,
+    "math": ingest_math,
+    "hawp": ingest_hawp,
+    "indimathqa_en": lambda path: ingest_indimathqa(path, Language.ENGLISH),
+    "indimathqa_hi": lambda path: ingest_indimathqa(path, Language.HINDI),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_CHECKSUMS))
+def test_demo_fixture_checksum(name):
+    manifest = _FIXTURE_READERS[name](_demo_data_dir() / f"{name}.jsonl")
+    assert manifest.checksum == _FIXTURE_CHECKSUMS[name]
 
 
 class TestProblemInvariants:
@@ -259,3 +339,25 @@ def test_round_trip_property(tmp_path_factory, problems):
     path = tmp_path_factory.mktemp("rt") / "m.jsonl"
     save_manifest(manifest, path)
     assert load_manifest(path) == manifest
+
+
+@settings(max_examples=100, deadline=None)
+@given(question=st.text(), solution=st.one_of(st.none(), st.text()),
+       extras=st.dictionaries(st.text(), st.text(), max_size=3))
+def test_round_trip_arbitrary_text(tmp_path_factory, question, solution, extras):
+    # Raw U+2028/U+2029/U+0085 survive json.dumps(ensure_ascii=False);
+    # loading must not split records on them.
+    manifest = make_manifest([make_problem("p", question=question,
+                                           raw_solution=solution, extras=extras)])
+    path = tmp_path_factory.mktemp("rt") / "m.jsonl"
+    save_manifest(manifest, path)
+    assert load_manifest(path) == manifest
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_round_trip_line_separators(tmp_path, char):
+    manifest = make_manifest([make_problem("p", question=f"a{char}b",
+                                           raw_solution=f"c{char}d",
+                                           extras={"k": f"e{char}f"})])
+    save_manifest(manifest, tmp_path / "m.jsonl")
+    assert load_manifest(tmp_path / "m.jsonl") == manifest

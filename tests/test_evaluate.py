@@ -21,6 +21,7 @@ from ganitprep.evaluate import (
     grade_predictions,
     half_up_percent,
     load_grades,
+    read_counts_matrix,
     save_grades,
 )
 
@@ -179,6 +180,15 @@ class TestGradeRecord:
         save_grades(records, path)
         assert load_grades(path) == records
 
+    def test_round_trip_line_separators(self, tmp_path):
+        records = [
+            GradeRecord("p\u20281", "m\u0085", None,
+                        AnswerValue.from_expression("x\u2029+1"), Verdict.UNPARSEABLE),
+        ]
+        path = tmp_path / "grades.jsonl"
+        save_grades(records, path)
+        assert load_grades(path) == records
+
 
 class TestHalfUpPercent:
     @pytest.mark.parametrize("correct,total,expected", [
@@ -280,6 +290,11 @@ class TestGradePredictions:
 
 
 class TestFleissKappa:
+    def test_counts_comment_with_line_separator(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("# raters\u2028 a, b, c\n3 0\n2 1\n", encoding="utf-8")
+        assert read_counts_matrix(path) == [[3, 0], [2, 1]]
+
     def test_unanimous_is_one(self):
         counts = [[4, 0, 0], [0, 4, 0], [4, 0, 0]]
         assert fleiss_kappa(counts) == 1.0
