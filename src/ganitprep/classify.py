@@ -15,11 +15,11 @@ or literals to a question never lowers the corresponding sub-score.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 from ganitprep.answers import map_devanagari_digits
-from ganitprep.corpus import CorpusManifest, Difficulty, Problem, replace_records, update_problem
+from ganitprep.corpus import CorpusManifest, Difficulty, Problem, replace_records
 from ganitprep.errors import PipelineError
 
 
@@ -41,7 +41,7 @@ def map_math_level(level: int) -> Difficulty:
 def apply_math_levels(manifest: CorpusManifest) -> CorpusManifest:
     """Set difficulty from math_level wherever one is present."""
     records = [
-        update_problem(p, difficulty=map_math_level(p.math_level))
+        replace(p, difficulty=map_math_level(p.math_level))
         if p.math_level is not None else p
         for p in manifest
     ]
@@ -205,7 +205,7 @@ def rank_bottom_k(
     )
     selected = {p.id for p in ranked[:k]}
     records = [
-        update_problem(p, difficulty=Difficulty.EASY) if p.id in selected else p
+        replace(p, difficulty=Difficulty.EASY) if p.id in selected else p
         for p in manifest
     ]
     return replace_records(manifest, records)
@@ -225,7 +225,7 @@ def apply_annotations(
     if unknown:
         raise ClassifyError(f"annotations reference unknown ids: {', '.join(unknown)}")
     records = [
-        update_problem(p, difficulty=annotations[p.id]) if p.id in annotations else p
+        replace(p, difficulty=annotations[p.id]) if p.id in annotations else p
         for p in manifest
     ]
     counts: dict[Difficulty, int] = {}

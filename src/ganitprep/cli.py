@@ -248,7 +248,6 @@ class PipelineConfig:
     ratio: float = 0.70
     mode: str = "bilingual"
     cumulative: bool = False
-    provider_config: str = ""
 
     def to_dict(self) -> dict:
         return asdict(self)

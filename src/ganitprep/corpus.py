@@ -19,8 +19,9 @@ the marker, level and operation-tag checks are layout-specific.
 Internally every corpus is a :class:`CorpusManifest`: an immutable, ordered,
 checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
 object per line behind a single JSON header line carrying the format version
-and a sha256 checksum over the record lines, so a stale or corrupted file is
-rejected at load time.
+and a sha256 checksum over the record lines. The checksum is derived from
+the records and computed at most once per manifest; load verifies it over the
+record lines as read, so a stale, corrupted or hand-edited file is rejected.
 
 Question and solution text is normalized to Unicode NFC at ingestion so
 Devanagari text from mixed sources compares stably. Unknown fields in source
@@ -33,9 +34,10 @@ import hashlib
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -160,12 +162,16 @@ def _record_line(problem: Problem) -> str:
                       separators=(",", ":"))
 
 
-def records_checksum(records: Iterable[Problem]) -> str:
+def _lines_checksum(lines: Iterable[str]) -> str:
     digest = hashlib.sha256()
-    for problem in records:
-        digest.update(_record_line(problem).encode("utf-8"))
+    for line in lines:
+        digest.update(line.encode("utf-8"))
         digest.update(b"\n")
     return "sha256:" + digest.hexdigest()
+
+
+def records_checksum(records: Iterable[Problem]) -> str:
+    return _lines_checksum(map(_record_line, records))
 
 
 def _now_iso() -> str:
@@ -195,7 +201,6 @@ def _validate_records(records: tuple[Problem, ...]) -> None:
 class CorpusManifest:
     records: tuple[Problem, ...]
     source_format: SourceFormat
-    checksum: str
     created_at: str
 
     @classmethod
@@ -203,12 +208,8 @@ class CorpusManifest:
                      created_at: str | None = None) -> "CorpusManifest":
         records = tuple(records)
         _validate_records(records)
-        return cls(
-            records=records,
-            source_format=source_format,
-            checksum=records_checksum(records),
-            created_at=created_at or _now_iso(),
-        )
+        return cls(records=records, source_format=source_format,
+                   created_at=created_at or _now_iso())
 
     def __len__(self) -> int:
         return len(self.records)
@@ -216,19 +217,19 @@ class CorpusManifest:
     def __iter__(self) -> Iterator[Problem]:
         return iter(self.records)
 
+    @cached_property
+    def checksum(self) -> str:
+        return records_checksum(self.records)
+
     def by_id(self, problem_id: str) -> Problem:
         try:
             return self._index[problem_id]
         except KeyError:
             raise KeyError(f"no problem with id {problem_id!r}") from None
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, Problem]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {p.id: p for p in self.records}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return {p.id: p for p in self.records}
 
     def difficulty_counts(self) -> dict[Difficulty, int]:
         counts = {d: 0 for d in Difficulty}
@@ -237,14 +238,10 @@ class CorpusManifest:
         return {d: n for d, n in counts.items() if n}
 
 
-def replace_records(manifest: CorpusManifest, records: Iterable[Problem],
-                    source_format: SourceFormat | None = None) -> CorpusManifest:
-    """New manifest with the given records; created_at carries over."""
-    return CorpusManifest.from_records(
-        records,
-        source_format or manifest.source_format,
-        created_at=manifest.created_at,
-    )
+def replace_records(manifest: CorpusManifest, records: Iterable[Problem]) -> CorpusManifest:
+    """New manifest with the given records; source format and created_at carry over."""
+    return CorpusManifest.from_records(records, manifest.source_format,
+                                       created_at=manifest.created_at)
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
@@ -290,18 +287,18 @@ def load_manifest(path) -> CorpusManifest:
         raise IntegrityError(
             f"{path}: header count {header.get('count')} != {len(records)} records"
         )
-    checksum = records_checksum(records)
+    # The record lines as read, not a re-serialisation of the parsed records.
+    checksum = _lines_checksum(line for line in lines[1:] if line.strip())
     if checksum != header.get("checksum"):
         raise IntegrityError(
             f"{path}: checksum mismatch (header {header.get('checksum')}, "
             f"recomputed {checksum})"
         )
-    manifest = CorpusManifest.from_records(
+    return CorpusManifest.from_records(
         records,
         SourceFormat(header["source_format"]),
         created_at=header["created_at"],
     )
-    return manifest
 
 
 def file_created_at(path) -> str:
@@ -454,7 +451,3 @@ def ingest_hawp(path) -> CorpusManifest:
 def ingest_indimathqa(path, language: Language) -> CorpusManifest:
     """Load curated id/question/solution/topic records written in ``language``."""
     return _ingest(path, _INDIMATHQA, language)
-
-
-def update_problem(problem: Problem, **changes) -> Problem:
-    return replace(problem, **changes)

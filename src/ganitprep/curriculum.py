@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -29,9 +29,9 @@ from ganitprep.corpus import (
     Problem,
     Source,
     SourceFormat,
-    update_problem,
 )
 from ganitprep.errors import PipelineError
+from ganitprep.llm_client import passes_review
 from ganitprep.structure import PromptName, get_template, render_prompt, render_structured
 
 STAGE_EASY = "SFT_easy"
@@ -101,13 +101,13 @@ def pair_bilingual(
     for index, (a, b) in enumerate(pairs):
         pair_id = f"pair-{index:06d}"
         if collisions:
-            a = update_problem(a, id=f"{a.id}-en", pair_id=pair_id,
-                               extras={**a.extras, "source_id": a.id})
-            b = update_problem(b, id=f"{b.id}-hi", pair_id=pair_id,
-                               extras={**b.extras, "source_id": b.id})
+            a = replace(a, id=f"{a.id}-en", pair_id=pair_id,
+                        extras={**a.extras, "source_id": a.id})
+            b = replace(b, id=f"{b.id}-hi", pair_id=pair_id,
+                        extras={**b.extras, "source_id": b.id})
         else:
-            a = update_problem(a, pair_id=pair_id)
-            b = update_problem(b, pair_id=pair_id)
+            a = replace(a, pair_id=pair_id)
+            b = replace(b, pair_id=pair_id)
         en_out.append(a)
         hi_out.append(b)
     created = max(en.created_at, hi.created_at)
@@ -244,12 +244,11 @@ def build_curriculum(
     cumulative: bool = False,
 ) -> CurriculumManifest:
     """Assemble the two training stages from a classified, split corpus."""
+    pool = [p for p in manifest if passes_review(p)]  # pending review never trains
     if mode is TrainingMode.MONOLINGUAL_EN:
-        pool = [p for p in manifest if p.language is Language.ENGLISH]
+        pool = [p for p in pool if p.language is Language.ENGLISH]
     elif mode is TrainingMode.MONOLINGUAL_HI:
-        pool = [p for p in manifest if p.language is Language.HINDI]
-    else:
-        pool = list(manifest)
+        pool = [p for p in pool if p.language is Language.HINDI]
 
     def train_ids(difficulty: Difficulty) -> tuple[str, ...]:
         return tuple(

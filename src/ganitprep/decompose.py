@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -24,7 +24,6 @@ from ganitprep.corpus import (
     Operation,
     Problem,
     replace_records,
-    update_problem,
 )
 
 log = logging.getLogger(__name__)
@@ -198,7 +197,7 @@ def extract_operands(problem: Problem) -> OperandPair | None:
         try:
             return OperandPair(int(extras["operand_a"]), int(extras["operand_b"]),
                                problem.operation)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None
     if not problem.raw_solution:
         return None
@@ -227,7 +226,8 @@ def apply_decomposition(
 ) -> DecompositionOutcome:
     """Rewrite Mul/Div problems' solutions as decomposition text.
 
-    Problems whose operands cannot be extracted are flagged and kept
+    Problems whose operands cannot be extracted or decomposed (a zero
+    divisor, a negative operand, one at or past 10^18) are flagged and kept
     unchanged; everything else passes through untouched. Manifest size,
     order, and ids are preserved.
     """
@@ -245,12 +245,16 @@ def apply_decomposition(
             flagged.append(problem.id)
             records.append(problem)
             continue
-        if pair.operation is Operation.MUL:
-            trace = decompose_mul(pair.a, pair.b)
-        else:
-            trace = decompose_div(pair.a, pair.b)
+        decompose = decompose_mul if pair.operation is Operation.MUL else decompose_div
+        try:
+            trace = decompose(pair.a, pair.b)
+        except (ValueError, ZeroDivisionError) as exc:
+            log.warning("decomposition failed for problem %s: %s", problem.id, exc)
+            flagged.append(problem.id)
+            records.append(problem)
+            continue
         text = render_trace(trace, language or problem.language)
-        records.append(update_problem(problem, raw_solution=text))
+        records.append(replace(problem, raw_solution=text))
         rewritten += 1
     return DecompositionOutcome(
         manifest=replace_records(manifest, records),

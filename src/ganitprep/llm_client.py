@@ -3,7 +3,8 @@
 The mock provider answers from a directory of fixture files named by the
 sha256 digest of the prompt, so pipeline runs that route through it are
 byte-reproducible. The HTTP provider posts JSON to a configured endpoint,
-retries transient failures with exponential backoff, enforces a bounded
+retries transient failures (transport errors, HTTP 429 and 5xx) with
+exponential backoff, fails at once on any other 4xx, enforces a bounded
 in-flight window, and reads its credential from an environment variable
 named in the config (never from config values themselves).
 """
@@ -17,7 +18,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ganitprep.corpus import (
@@ -27,7 +28,6 @@ from ganitprep.corpus import (
     SourceFormat,
     nfc,
     replace_records,
-    update_problem,
 )
 from ganitprep.errors import PipelineError
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
@@ -256,7 +256,7 @@ class HttpProvider:
                             latency_ms=(time.perf_counter() - start) * 1000,
                             attempt_count=attempt,
                         )
-                    if status is not None and status < 500:
+                    if status is not None and status < 500 and status != 429:
                         # Provider-reported content error; surfaced verbatim.
                         raise ProviderError(body)
                     if status is not None:
@@ -383,18 +383,19 @@ def set_review_status(manifest: CorpusManifest, statuses: dict[str, str]) -> Cor
         if status not in REVIEW_STATUSES:
             raise AugmentationError(f"unknown review status {status!r}")
     records = [
-        update_problem(p, extras={**p.extras, "review_status": statuses[p.id]})
+        replace(p, extras={**p.extras, "review_status": statuses[p.id]})
         if p.id in statuses else p
         for p in manifest
     ]
     return replace_records(manifest, records)
 
 
+def passes_review(problem: Problem) -> bool:
+    """Approved or corrected; a problem without a review gate passes."""
+    return problem.extras.get("review_status", REVIEW_APPROVED) in (REVIEW_APPROVED,
+                                                                    REVIEW_CORRECTED)
+
+
 def approved_only(manifest: CorpusManifest) -> CorpusManifest:
     """Keep reviewed-and-approved items; problems without a review gate pass."""
-    records = [
-        p for p in manifest
-        if p.extras.get("review_status", REVIEW_APPROVED) in (REVIEW_APPROVED,
-                                                              REVIEW_CORRECTED)
-    ]
-    return replace_records(manifest, records)
+    return replace_records(manifest, filter(passes_review, manifest))

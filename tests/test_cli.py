@@ -247,6 +247,13 @@ class TestPipelineConfig:
         with pytest.raises(PipelineError, match="sneaky"):
             load_pipeline_config(path)
 
+    @pytest.mark.parametrize("key", ["log_level", "provider_config"])
+    def test_deleted_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: ""}), encoding="utf-8")
+        with pytest.raises(PipelineError, match=key):
+            load_pipeline_config(path)
+
 
 class TestDemo:
     def test_demo_runs_clean(self, tmp_path, capsys):

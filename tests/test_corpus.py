@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem, write_jsonl
+from ganitprep import corpus
 from ganitprep.corpus import (
+    CorpusManifest,
     Difficulty,
     Language,
     Operation,
@@ -300,6 +302,47 @@ class TestPersistence:
         save_manifest(manifest, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reordered_keys_rejected(self, tmp_path):
+        # The record still parses to the same problem, but load verifies the
+        # line as written, not a re-serialisation of it.
+        path = tmp_path / "m.jsonl"
+        save_manifest(self._sample_manifest(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        record = json.loads(lines[1])
+        lines[1] = json.dumps(dict(reversed(list(record.items()))),
+                              ensure_ascii=False, separators=(",", ":"))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            load_manifest(path)
+
+    def test_load_does_not_reserialise(self, tmp_path, monkeypatch):
+        manifest = self._sample_manifest()
+        path = tmp_path / "m.jsonl"
+        save_manifest(manifest, path)
+        calls = []
+        original = corpus.records_checksum
+        monkeypatch.setattr(corpus, "records_checksum",
+                            lambda records: calls.append(1) or original(records))
+        loaded = load_manifest(path)
+        assert calls == []
+        assert loaded.checksum == _header_checksum(path)  # derived on first access
+        assert loaded.checksum == manifest.checksum  # then cached
+        assert len(calls) == 1
+
+    def test_direct_construction_saves_loadable_file(self, tmp_path):
+        manifest = CorpusManifest(records=self._sample_manifest().records,
+                                  source_format=SourceFormat.MIXED,
+                                  created_at="2024-01-01T00:00:00+00:00")
+        save_manifest(manifest, tmp_path / "m.jsonl")
+        loaded = load_manifest(tmp_path / "m.jsonl")
+        assert loaded == manifest
+        assert loaded.checksum == manifest.checksum
+
+
+def _header_checksum(path) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return json.loads(handle.readline())["checksum"]
+
 
 _text = st.text(
     alphabet=st.characters(
@@ -338,7 +381,9 @@ def test_round_trip_property(tmp_path_factory, problems):
     manifest = make_manifest(problems)
     path = tmp_path_factory.mktemp("rt") / "m.jsonl"
     save_manifest(manifest, path)
-    assert load_manifest(path) == manifest
+    loaded = load_manifest(path)
+    assert loaded == manifest
+    assert loaded.checksum == manifest.checksum == _header_checksum(path)
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,7 +396,9 @@ def test_round_trip_arbitrary_text(tmp_path_factory, question, solution, extras)
                                            raw_solution=solution, extras=extras)])
     path = tmp_path_factory.mktemp("rt") / "m.jsonl"
     save_manifest(manifest, path)
-    assert load_manifest(path) == manifest
+    loaded = load_manifest(path)
+    assert loaded == manifest
+    assert loaded.checksum == manifest.checksum == _header_checksum(path)
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])

@@ -11,6 +11,7 @@ from ganitprep.curriculum import (
     PairKey,
     STAGE_EASY,
     STAGE_EASY_MEDIUM,
+    SplitAssignment,
     TrainingMode,
     build_curriculum,
     export_stage,
@@ -312,6 +313,24 @@ class TestBuildCurriculum:
         path = tmp_path / "curriculum.json"
         save_curriculum(built, path)
         assert load_curriculum(path) == built
+
+    def test_pending_review_never_trains(self):
+        problems = [
+            make_problem(f"{status or 'none'}-{difficulty.value}", source=Source.SYNTHETIC,
+                         difficulty=difficulty, raw_solution="#### 1",
+                         extras={"review_status": status} if status else {})
+            for difficulty in (Difficulty.EASY, Difficulty.MEDIUM)
+            for status in ("pending", "approved", "corrected", "")
+        ]
+        manifest = make_manifest(problems)
+        everything = SplitAssignment(seed=0, ratio=0.7, strata={},
+                                     assignments={p.id: Assign.TRAIN for p in manifest})
+        built = build_curriculum(manifest, everything, cumulative=True)
+        assert built.stage(STAGE_EASY).train_ids == (
+            "approved-Easy", "corrected-Easy", "none-Easy")
+        assert built.stage(STAGE_EASY_MEDIUM).train_ids == (
+            "approved-Easy", "corrected-Easy", "none-Easy",
+            "approved-Medium", "corrected-Medium", "none-Medium")
 
 
 class TestExportStage:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
 from ganitprep.answers import format_exact
@@ -238,6 +240,34 @@ class TestApplyDecomposition:
     def test_language_override(self):
         outcome = apply_decomposition(self._manifest(), language=Language.ENGLISH)
         assert "Final Answer:" in outcome.manifest.by_id("p-mul").raw_solution
+
+    @pytest.mark.parametrize("problem", [
+        _hawp_problem("p-bad", Operation.DIV, "5 ÷ 0 = 0"),
+        _hawp_problem("p-bad", Operation.MUL, f"{10**18} × 2 = {2 * 10**18}"),
+        make_problem("p-bad", operation=Operation.MUL,
+                     extras={"operand_a": -3, "operand_b": 4}),
+        make_problem("p-bad", operation=Operation.MUL,
+                     extras={"operand_a": float("inf"), "operand_b": 4}),
+    ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras"])
+    def test_undecomposable_flagged_and_kept(self, problem):
+        manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
+                                  problem])
+        outcome = apply_decomposition(manifest)
+        assert (outcome.rewritten, outcome.skipped) == (1, 1)
+        assert outcome.flagged_ids == ("p-bad",)
+        assert outcome.manifest.by_id("p-bad") == problem
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([Operation.MUL, Operation.DIV]),
+                          st.integers(), st.integers()), max_size=6))
+def test_apply_decomposition_never_raises(operand_pairs):
+    manifest = make_manifest([
+        make_problem(f"p{i}", operation=op, extras={"operand_a": a, "operand_b": b})
+        for i, (op, a, b) in enumerate(operand_pairs)
+    ])
+    outcome = apply_decomposition(manifest)
+    assert outcome.rewritten + outcome.skipped == len(operand_pairs)
 
 
 class TestExtractOperands:

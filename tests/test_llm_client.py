@@ -124,6 +124,15 @@ class TestHttpProvider:
             provider.generate(GenerationRequest(prompt="p"))
         assert len(calls) == 1
 
+    def test_rate_limited_retried(self):
+        replies = [(429, "slow down"), (200, json.dumps({"text": "ok"}))]
+        sleeps = []
+        provider = HttpProvider(_http_config(), transport=lambda *_: replies.pop(0),
+                                sleep=sleeps.append)
+        result = provider.generate(GenerationRequest(prompt="p"))
+        assert (result.text, result.attempt_count) == ("ok", 2)
+        assert sleeps == [1.0]
+
     def test_credential_header_from_env(self, monkeypatch):
         seen = {}
 
