@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import threading
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -244,8 +246,26 @@ def replace_records(manifest: CorpusManifest, records: Iterable[Problem]) -> Cor
                                        created_at=manifest.created_at)
 
 
-def save_manifest(manifest: CorpusManifest, path) -> None:
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) in one rename.
+
+    The text goes to a temp file beside ``path`` first, so a crash or error
+    mid-write leaves the previous file, or none, never a truncated one. The
+    temp name is unique per process and thread, so concurrent writers never
+    share one.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_manifest(manifest: CorpusManifest, path) -> None:
     header = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -256,7 +276,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
     }
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
     lines.extend(_record_line(p) for p in manifest.records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_manifest(path) -> CorpusManifest:

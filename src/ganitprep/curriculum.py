@@ -29,6 +29,7 @@ from ganitprep.corpus import (
     Problem,
     Source,
     SourceFormat,
+    write_text_atomic,
 )
 from ganitprep.errors import PipelineError
 from ganitprep.llm_client import passes_review
@@ -333,7 +334,7 @@ def export_stage(
         json.dumps(row, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         for row in rows
     )
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(out_path, "\n".join(lines) + "\n")
     return ExportOutcome(exported=len(rows), skipped=len(flagged),
                          flagged_ids=tuple(flagged))
 
@@ -348,10 +349,8 @@ def save_split(assignment: SplitAssignment, path) -> None:
             for (s, d, l), (t, e) in sorted(assignment.strata.items())
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                                       indent=1) + "\n")
 
 
 def load_split(path) -> SplitAssignment:
@@ -381,10 +380,8 @@ def save_curriculum(curriculum: CurriculumManifest, path) -> None:
             for stage in curriculum.stages
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                                       indent=1) + "\n")
 
 
 def load_curriculum(path) -> CurriculumManifest:

@@ -31,7 +31,14 @@ from ganitprep.answers import (
     map_devanagari_digits,
     parse_value,
 )
-from ganitprep.corpus import CorpusManifest, Difficulty, Language, Problem, Source
+from ganitprep.corpus import (
+    CorpusManifest,
+    Difficulty,
+    Language,
+    Problem,
+    Source,
+    write_text_atomic,
+)
 from ganitprep.errors import PipelineError
 
 RELATIVE_TOLERANCE = Fraction(1, 10**6)
@@ -399,7 +406,7 @@ def accuracy_report(grades: Sequence[GradeRecord], manifest: CorpusManifest) -> 
 def save_grades(grades: Sequence[GradeRecord], path) -> None:
     lines = [json.dumps(g.to_dict(), sort_keys=True, ensure_ascii=False,
                         separators=(",", ":")) for g in grades]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_grades(path) -> list[GradeRecord]:

@@ -7,6 +7,10 @@ retries transient failures (transport errors, HTTP 429 and 5xx) with
 exponential backoff, fails at once on any other 4xx, enforces a bounded
 in-flight window, and reads its credential from an environment variable
 named in the config (never from config values themselves).
+
+The same window, ``ClientConfig.concurrency``, sets how many augmentation
+requests overlap. Results are consumed in seed order whatever order they
+arrive in, so the synthetic manifest's order and bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -112,7 +117,7 @@ class ClientConfig:
     kind: str = "mock"  # mock | http
     endpoint: str = ""
     credential_env: str = ""
-    concurrency: int = 4
+    concurrency: int = 4  # in-flight cap; also how many augment requests overlap
     rate_per_second: float = 0.0  # 0 disables rate limiting
     retry: RetryPolicy = RetryPolicy()
     fixtures_dir: str = ""
@@ -323,54 +328,71 @@ def augment_batch(
     question/answer block or it is discarded and counted. New problems get
     fresh prefixed ids, inherit the seed's language/difficulty/topic, and
     carry ``review_status="pending"`` plus the seed id in extras.
+
+    Up to ``client.config.concurrency`` requests are in flight at once (one
+    for a client without a config). Results are consumed strictly in seed
+    order, and no request is sent while the ones in flight could still
+    reach ``target_count``, so the prompts sent, the outcome and the output
+    bytes are those of a one-at-a-time loop. Only on an abort (low yield or
+    a provider error) may up to ``concurrency - 1`` further requests already
+    be in flight; they are waited for and their results dropped.
     """
+    # Imported here: loading it would add to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
     if template.name is not PromptName.AUGMENT:
         raise AugmentationError(f"augmentation requires the {PromptName.AUGMENT.value} "
                                 f"template, got {template.name.value}")
     seeds = [p for p in manifest if p.raw_solution or p.structured_solution]
     if not seeds and target_count > 0:
         raise AugmentationError("no seed problems with solutions to augment from")
+    window = getattr(getattr(client, "config", None), "concurrency", 1)
     generated: list[Problem] = []
     attempts = 0
     discarded = 0
     failures: list[str] = []
     index = 0
-    while len(generated) < target_count:
-        seed = seeds[index % len(seeds)]
-        index += 1
-        attempts += 1
-        solution = seed.raw_solution or ""
-        prompt = render_prompt(template, {
-            "Example": seed.question,
-            "refined_solution": solution,
-            "Question": "",
-        })
-        result = client.generate(GenerationRequest(prompt=prompt))
-        parsed = parse_generated_problem(result.text)
-        if parsed is None:
-            discarded += 1
-            failures.append(f"seed {seed.id}: unparseable generation")
-            log.warning("discarded unparseable generation for seed %s", seed.id)
-        else:
-            question, answer = parsed
-            number = len(generated) + 1
-            generated.append(Problem(
-                id=f"{id_prefix}{number:06d}",
-                language=seed.language,
-                source=Source.SYNTHETIC,
-                question=nfc(question),
-                raw_solution=nfc(answer),
-                difficulty=seed.difficulty,
-                topic=seed.topic,
-                extras={"seed_id": seed.id, "review_status": REVIEW_PENDING},
-            ))
-        if attempts >= _MIN_ATTEMPTS_BEFORE_YIELD_CHECK:
-            yield_rate = (attempts - discarded) / attempts
-            if yield_rate < _MIN_YIELD:
-                raise AugmentationError(
-                    f"parse yield {yield_rate:.0%} after {attempts} attempts; "
-                    f"recent failures: {'; '.join(failures[-3:])}"
-                )
+    pending = deque()  # (seed, future), oldest first
+    with ThreadPoolExecutor(max_workers=window) as pool:
+        while len(generated) < target_count:
+            while len(pending) < window and len(generated) + len(pending) < target_count:
+                seed = seeds[index % len(seeds)]
+                index += 1
+                prompt = render_prompt(template, {
+                    "Example": seed.question,
+                    "refined_solution": seed.raw_solution or "",
+                    "Question": "",
+                })
+                pending.append((seed, pool.submit(client.generate,
+                                                  GenerationRequest(prompt=prompt))))
+            seed, future = pending.popleft()
+            result = future.result()
+            attempts += 1
+            parsed = parse_generated_problem(result.text)
+            if parsed is None:
+                discarded += 1
+                failures.append(f"seed {seed.id}: unparseable generation")
+                log.warning("discarded unparseable generation for seed %s", seed.id)
+            else:
+                question, answer = parsed
+                number = len(generated) + 1
+                generated.append(Problem(
+                    id=f"{id_prefix}{number:06d}",
+                    language=seed.language,
+                    source=Source.SYNTHETIC,
+                    question=nfc(question),
+                    raw_solution=nfc(answer),
+                    difficulty=seed.difficulty,
+                    topic=seed.topic,
+                    extras={"seed_id": seed.id, "review_status": REVIEW_PENDING},
+                ))
+            if attempts >= _MIN_ATTEMPTS_BEFORE_YIELD_CHECK:
+                yield_rate = (attempts - discarded) / attempts
+                if yield_rate < _MIN_YIELD:
+                    raise AugmentationError(
+                        f"parse yield {yield_rate:.0%} after {attempts} attempts; "
+                        f"recent failures: {'; '.join(failures[-3:])}"
+                    )
     out = CorpusManifest.from_records(generated, SourceFormat.SYNTHETIC,
                                       created_at=manifest.created_at)
     return AugmentOutcome(manifest=out, attempts=attempts, discarded=discarded,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl
 from ganitprep.cli import PipelineConfig, load_pipeline_config, main, save_pipeline_config
 from ganitprep.corpus import Difficulty, load_manifest, save_manifest
@@ -289,3 +294,15 @@ class TestDemo:
         rc = main(["demo", "--out", str(tmp_path / "o"), "--config", str(config_path)])
         assert rc == 1
         assert "missing input paths" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # augment_batch imports concurrent.futures lazily; loading it at import
+    # time would add to the start of every CLI stage.
+    src = str(Path(ganitprep.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ganitprep.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

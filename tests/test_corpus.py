@@ -24,6 +24,15 @@ from ganitprep.corpus import (
     save_manifest,
 )
 from ganitprep.cli import _demo_data_dir
+from ganitprep.curriculum import (
+    STAGE_EASY,
+    build_curriculum,
+    export_stage,
+    save_curriculum,
+    save_split,
+    split,
+)
+from ganitprep.evaluate import GradeRecord, Verdict, save_grades
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.structure import StructuredSolution
 from ganitprep.answers import AnswerValue
@@ -408,3 +417,68 @@ def test_round_trip_line_separators(tmp_path, char):
                                            extras={"k": f"e{char}f"})])
     save_manifest(manifest, tmp_path / "m.jsonl")
     assert load_manifest(tmp_path / "m.jsonl") == manifest
+
+
+def _small_curriculum():
+    problems = [
+        make_problem(f"{band.value[0]}{i}", difficulty=band, raw_solution="#### 1")
+        for band in (Difficulty.EASY, Difficulty.MEDIUM) for i in range(6)
+    ]
+    manifest = make_manifest(problems)
+    assignment = split(manifest, seed=1)
+    return manifest, assignment, build_curriculum(manifest, assignment)
+
+
+_WRITERS = ["manifest", "export", "split", "curriculum", "grades"]
+
+
+def _write_each(kind, path):
+    manifest, assignment, built = _small_curriculum()
+    if kind == "manifest":
+        save_manifest(manifest, path)
+    elif kind == "export":
+        export_stage(built, STAGE_EASY, manifest, path)
+    elif kind == "split":
+        save_split(assignment, path)
+    elif kind == "curriculum":
+        save_curriculum(built, path)
+    else:
+        one = AnswerValue.from_rational(1)
+        save_grades([GradeRecord("e0", "m", one, one, Verdict.CORRECT)], path)
+
+
+class TestAtomicWrite:
+    def test_unencodable_text_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "grades.jsonl"
+        one = AnswerValue.from_rational(1)
+        save_grades([GradeRecord("a", "m", one, one, Verdict.CORRECT)], path)
+        before = path.read_bytes()
+        # A lone surrogate passes json.dumps but cannot be encoded as UTF-8,
+        # so the write itself raises once the file is open.
+        with pytest.raises(UnicodeEncodeError):
+            save_grades([GradeRecord("a", "m\ud800", one, one, Verdict.CORRECT)], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["grades.jsonl"]
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "out"
+        path.write_text("previous\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(corpus.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _write_each(kind, path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    def test_replaces_existing_file(self, tmp_path, kind):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        path.write_text("previous\n", encoding="utf-8")
+        _write_each(kind, path)
+        _write_each(kind, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]

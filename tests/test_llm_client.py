@@ -1,8 +1,13 @@
 import json
+import re
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
 from ganitprep.corpus import Difficulty, Source
@@ -297,6 +302,135 @@ class TestAugmentBatch:
         with pytest.raises(AugmentationError, match="augment"):
             augment_batch(manifest, get_template(PromptName.FINE_TUNE), 1,
                           MockProvider(tmp_path))
+
+
+_AUGMENT = get_template(PromptName.AUGMENT)
+_SEED_NUMBER = re.compile(r"What is (\d+) \+")
+
+
+class _SeedTransport:
+    """Fake provider whose replies depend on the seed number and attempt only.
+
+    Seeds in ``refuse`` get a 400, seeds in ``busy`` a 503 on their first
+    attempt, seeds in ``garble`` unparseable text; ``delay(seed)`` sets how
+    long each call takes, so replies can arrive out of seed order.
+    """
+
+    def __init__(self, garble=(), busy=(), refuse=(), delay=lambda seed: 0.0):
+        self.garble, self.busy, self.refuse = set(garble), set(busy), set(refuse)
+        self.delay = delay
+        self.calls = Counter()
+        self.finished = []
+        self._lock = threading.Lock()
+
+    def __call__(self, endpoint, payload, headers):
+        seed = int(_SEED_NUMBER.search(payload["prompt"]).group(1))
+        with self._lock:
+            self.calls[seed] += 1
+            attempt = self.calls[seed]
+        time.sleep(self.delay(seed))
+        with self._lock:
+            self.finished.append(seed)
+        if seed in self.refuse:
+            return 400, f"refused seed {seed}"
+        if seed in self.busy and attempt == 1:
+            return 503, "busy"
+        if seed in self.garble:
+            return 200, json.dumps({"text": "garbled"})
+        return 200, json.dumps({"text": f"Question: Seed {seed} again?\nAnswer: #### {seed}"})
+
+
+def _overlap_client(concurrency, transport):
+    config = _http_config(concurrency=concurrency,
+                          retry=RetryPolicy(base_seconds=0.0, max_attempts=3))
+    return HttpProvider(config, transport=transport, sleep=lambda s: None)
+
+
+def _run(manifest, target, client):
+    """Everything augment_batch reports, or the message it aborts with."""
+    try:
+        outcome = augment_batch(manifest, _AUGMENT, target, client)
+    except AugmentationError as exc:
+        return str(exc)
+    return (outcome.manifest.checksum, outcome.attempts, outcome.discarded,
+            outcome.failures)
+
+
+class TestAugmentOverlap:
+    def test_out_of_order_replies_keep_seed_order(self):
+        manifest = _seed_manifest(8)
+        transport = _SeedTransport(delay=lambda seed: 0.2 if seed == 0 else 0.0)
+        outcome = augment_batch(manifest, _AUGMENT, 8, _overlap_client(4, transport))
+        assert transport.finished[0] != 0
+        assert [p.id for p in outcome.manifest] == [f"syn-{n:06d}" for n in range(1, 9)]
+        assert [p.extras["seed_id"] for p in outcome.manifest] == [p.id for p in manifest]
+        sequential = augment_batch(manifest, _AUGMENT, 8,
+                                   _overlap_client(1, _SeedTransport()))
+        assert outcome.manifest.checksum == sequential.manifest.checksum
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    def test_peak_in_flight_reaches_cap(self, cap):
+        client = _overlap_client(cap, _SeedTransport(delay=lambda seed: 0.05))
+        augment_batch(_seed_manifest(2 * cap), _AUGMENT, 2 * cap, client)
+        assert client.peak_in_flight == cap
+
+    def test_sends_exactly_the_prompts_it_consumes(self):
+        transport = _SeedTransport(garble={1, 4})
+        outcome = augment_batch(_seed_manifest(12), _AUGMENT, 6,
+                                _overlap_client(4, transport))
+        assert (outcome.attempts, outcome.discarded) == (8, 2)
+        assert transport.calls == Counter(range(outcome.attempts))
+
+    def test_low_yield_aborts_same_with_overlap(self):
+        messages = [_run(_seed_manifest(10), 5,
+                         _overlap_client(cap, _SeedTransport(garble=range(10))))
+                    for cap in (1, 2)]
+        assert "yield" in messages[0]
+        assert messages[0] == messages[1]
+
+    def test_provider_error_propagates_and_joins_threads(self):
+        before = threading.active_count()
+        transport = _SeedTransport(refuse={3}, delay=lambda seed: 0.01)
+        with pytest.raises(ProviderError, match="refused seed 3"):
+            augment_batch(_seed_manifest(10), _AUGMENT, 10, _overlap_client(4, transport))
+        assert threading.active_count() == before
+
+    def test_rate_slots_spaced_under_overlap(self):
+        sleeps = []
+        provider = HttpProvider(
+            _http_config(concurrency=2, rate_per_second=2.0),
+            transport=_SeedTransport(delay=lambda seed: 0.005),
+            sleep=sleeps.append,
+            clock=lambda: 0.0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            augment_batch(_seed_manifest(12), _AUGMENT, 12, provider)
+        finally:
+            sys.setswitchinterval(interval)
+        assert provider.peak_in_flight == 2
+        # The clock stands still, so each wait is its reserved slot's offset;
+        # a lost update would reserve one slot twice.
+        assert sorted(sleeps) == [0.5 * k for k in range(1, 12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(garble=st.lists(st.booleans(), max_size=30),
+       busy=st.lists(st.booleans(), max_size=30),
+       concurrency=st.integers(1, 4),
+       target=st.integers(0, 12))
+def test_overlap_matches_one_at_a_time(garble, busy, concurrency, target):
+    # 40 seeds: no prompt repeats before the target or the yield abort.
+    manifest = _seed_manifest(40)
+
+    def transport():
+        return _SeedTransport(garble=[i for i, g in enumerate(garble) if g],
+                              busy=[i for i, b in enumerate(busy) if b],
+                              delay=lambda seed: 0.001 if seed % 3 == 0 else 0.0)
+
+    assert (_run(manifest, target, _overlap_client(concurrency, transport()))
+            == _run(manifest, target, _overlap_client(1, transport())))
 
 
 class TestReviewGate:
