@@ -12,14 +12,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from importlib import resources
 from pathlib import Path
 
-from ganitprep import classify as classify_mod
-from ganitprep import curriculum as curriculum_mod
-from ganitprep import decompose as decompose_mod
-from ganitprep import evaluate as evaluate_mod
-from ganitprep import llm_client
 from ganitprep import structure as structure_mod
 from ganitprep.corpus import (
     Language,
@@ -30,6 +24,7 @@ from ganitprep.corpus import (
     ingest_math,
     load_manifest,
     save_manifest,
+    write_text_atomic,
 )
 from ganitprep.errors import PipelineError
 
@@ -46,6 +41,9 @@ def _parse_language(value: str) -> Language | None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each handler imports the stage modules it runs, so a stage process loads
+# only those; ``corpus`` and ``structure`` are needed by every stage.
 
 
 def _cmd_ingest(args) -> int:
@@ -57,6 +55,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from ganitprep import classify as classify_mod
+
     manifest = load_manifest(args.infile)
     if args.math_levels:
         result = classify_mod.apply_math_levels(manifest)
@@ -77,6 +77,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from ganitprep import decompose as decompose_mod
+
     manifest = load_manifest(args.infile)
     operations = []
     for name in args.ops.split(","):
@@ -130,12 +132,14 @@ def _cmd_structure(args) -> int:
 
 def _write_or_print(text: str, out_path) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        write_text_atomic(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _cmd_curriculum(args) -> int:
+    from ganitprep import curriculum as curriculum_mod
+
     if args.action == "pair":
         en = load_manifest(args.en)
         hi = load_manifest(args.hi)
@@ -184,6 +188,8 @@ def _cmd_curriculum(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from ganitprep import llm_client
+
     manifest = load_manifest(args.infile)
     config = llm_client.load_client_config(args.config)
     client = llm_client.make_client(config)
@@ -195,6 +201,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from ganitprep import evaluate as evaluate_mod
+
     if args.action == "grade":
         manifest = load_manifest(args.manifest)
         predictions = evaluate_mod.read_predictions(args.pred)
@@ -212,9 +220,8 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_mod.accuracy_report(grades, manifest)
     rendered = report.render_table() if args.format == "table" else report.to_csv()
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        companion = Path(args.out).with_suffix(".csv")
-        companion.write_text(report.to_csv(), encoding="utf-8")
+        write_text_atomic(args.out, rendered)
+        write_text_atomic(Path(args.out).with_suffix(".csv"), report.to_csv())
     else:
         sys.stdout.write(rendered)
     _summary("evaluate-report", len(grades), len(report.cells),
@@ -223,6 +230,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
+    from ganitprep import evaluate as evaluate_mod
+
     counts = evaluate_mod.read_counts_matrix(args.counts)
     kappa = evaluate_mod.fleiss_kappa(counts)
     print(f"kappa={kappa:.6f}")
@@ -273,8 +282,7 @@ def load_pipeline_config(path) -> PipelineConfig:
 
 
 def save_pipeline_config(config: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text_atomic(path, json.dumps(config.to_dict(), indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +290,17 @@ def save_pipeline_config(config: PipelineConfig, path) -> None:
 
 
 def _demo_data_dir() -> Path:
+    from importlib import resources
+
     return Path(str(resources.files("ganitprep") / "data" / "demo"))
 
 
 def _cmd_demo(args) -> int:
+    from ganitprep import classify as classify_mod
+    from ganitprep import curriculum as curriculum_mod
+    from ganitprep import decompose as decompose_mod
+    from ganitprep import evaluate as evaluate_mod
+
     if args.config:
         config = load_pipeline_config(args.config)
     else:
@@ -372,8 +387,8 @@ def _cmd_demo(args) -> int:
     grades = evaluate_mod.grade_predictions(predictions, merged, "demo-model")
     evaluate_mod.save_grades(grades, out_dir / "grades.jsonl")
     report = evaluate_mod.accuracy_report(grades, merged)
-    (out_dir / "report.txt").write_text(report.render_table(), encoding="utf-8")
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    write_text_atomic(out_dir / "report.txt", report.render_table())
+    write_text_atomic(out_dir / "report.csv", report.to_csv())
     sys.stdout.write(report.render_table())
     _summary("evaluate", len(grades), len(report.cells))
     return 0

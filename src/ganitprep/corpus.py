@@ -159,6 +159,19 @@ class Problem:
         )
 
 
+# Review gate on synthetic problems, kept in ``extras["review_status"]``.
+REVIEW_PENDING = "pending"
+REVIEW_APPROVED = "approved"
+REVIEW_CORRECTED = "corrected"
+REVIEW_STATUSES = (REVIEW_PENDING, REVIEW_APPROVED, REVIEW_CORRECTED)
+
+
+def passes_review(problem: Problem) -> bool:
+    """Approved or corrected; a problem without a review gate passes."""
+    return problem.extras.get("review_status", REVIEW_APPROVED) in (REVIEW_APPROVED,
+                                                                    REVIEW_CORRECTED)
+
+
 def _record_line(problem: Problem) -> str:
     return json.dumps(problem.to_dict(), sort_keys=True, ensure_ascii=False,
                       separators=(",", ":"))

@@ -29,10 +29,10 @@ from ganitprep.corpus import (
     Problem,
     Source,
     SourceFormat,
+    passes_review,
     write_text_atomic,
 )
 from ganitprep.errors import PipelineError
-from ganitprep.llm_client import passes_review
 from ganitprep.structure import PromptName, get_template, render_prompt, render_structured
 
 STAGE_EASY = "SFT_easy"

@@ -27,22 +27,23 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ganitprep.corpus import (
+    REVIEW_APPROVED,
+    REVIEW_CORRECTED,
+    REVIEW_PENDING,
+    REVIEW_STATUSES,
     CorpusManifest,
     Problem,
     Source,
     SourceFormat,
     nfc,
+    passes_review,
     replace_records,
+    write_text_atomic,
 )
 from ganitprep.errors import PipelineError
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 log = logging.getLogger(__name__)
-
-REVIEW_PENDING = "pending"
-REVIEW_APPROVED = "approved"
-REVIEW_CORRECTED = "corrected"
-REVIEW_STATUSES = (REVIEW_PENDING, REVIEW_APPROVED, REVIEW_CORRECTED)
 
 
 class ProviderError(PipelineError):
@@ -178,7 +179,7 @@ def write_mock_fixture(fixtures_dir, prompt: str, text: str) -> Path:
     """Store a canned response for a prompt; returns the fixture path."""
     path = Path(fixtures_dir) / f"{prompt_digest(prompt)}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    write_text_atomic(path, text)
     return path
 
 
@@ -410,12 +411,6 @@ def set_review_status(manifest: CorpusManifest, statuses: dict[str, str]) -> Cor
         for p in manifest
     ]
     return replace_records(manifest, records)
-
-
-def passes_review(problem: Problem) -> bool:
-    """Approved or corrected; a problem without a review gate passes."""
-    return problem.extras.get("review_status", REVIEW_APPROVED) in (REVIEW_APPROVED,
-                                                                    REVIEW_CORRECTED)
 
 
 def approved_only(manifest: CorpusManifest) -> CorpusManifest:

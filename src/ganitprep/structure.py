@@ -266,6 +266,6 @@ TRAINING_CONFIG = (
 
 def emit_training_config(path) -> None:
     """Write the fine-tuning sampling configuration as key=value lines."""
-    text = "".join(f"{key}={value}\n" for key, value in TRAINING_CONFIG)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    from ganitprep.corpus import write_text_atomic  # local import to avoid a cycle
+
+    write_text_atomic(path, "".join(f"{key}={value}\n" for key, value in TRAINING_CONFIG))

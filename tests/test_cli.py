@@ -296,13 +296,37 @@ class TestDemo:
         assert "missing input paths" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_thread_pool_unloaded():
-    # augment_batch imports concurrent.futures lazily; loading it at import
-    # time would add to the start of every CLI stage.
+def _modules_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
     src = str(Path(ganitprep.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ganitprep.cli; print('concurrent.futures' in sys.modules)"
+    code += "; import sys; print(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # augment_batch imports concurrent.futures lazily; loading it at import
+    # time would add to the start of every CLI stage.
+    assert "concurrent.futures" not in _modules_after("import ganitprep.cli")
+
+
+# Every CLI stage process pays for what it imports; each handler loads its own.
+_STAGE_MODULES = {"ganitprep.classify", "ganitprep.curriculum", "ganitprep.decompose",
+                  "ganitprep.evaluate", "ganitprep.llm_client"}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_after("import ganitprep")
+    assert {name for name in loaded if name.startswith("ganitprep.")} == set()
+
+
+def test_parser_leaves_stage_modules_unloaded():
+    loaded = _modules_after("import ganitprep.cli; ganitprep.cli.build_parser()")
+    assert loaded & _STAGE_MODULES == set()
+
+
+def test_curriculum_import_leaves_llm_client_unloaded():
+    assert "ganitprep.llm_client" not in _modules_after("import ganitprep.curriculum")

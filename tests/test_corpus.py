@@ -1,6 +1,7 @@
 import json
 import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from ganitprep.corpus import (
     load_manifest,
     save_manifest,
 )
-from ganitprep.cli import _demo_data_dir
+from ganitprep.cli import PipelineConfig, _demo_data_dir, build_parser, save_pipeline_config
 from ganitprep.curriculum import (
     STAGE_EASY,
     build_curriculum,
@@ -34,7 +35,8 @@ from ganitprep.curriculum import (
 )
 from ganitprep.evaluate import GradeRecord, Verdict, save_grades
 from ganitprep.errors import IntegrityError, RecordFormatError
-from ganitprep.structure import StructuredSolution
+from ganitprep.llm_client import prompt_digest, write_mock_fixture
+from ganitprep.structure import StructuredSolution, emit_training_config, get_template
 from ganitprep.answers import AnswerValue
 
 
@@ -429,7 +431,8 @@ def _small_curriculum():
     return manifest, assignment, build_curriculum(manifest, assignment)
 
 
-_WRITERS = ["manifest", "export", "split", "curriculum", "grades"]
+_WRITERS = ["manifest", "export", "split", "curriculum", "grades", "training_config",
+            "pipeline_config"]
 
 
 def _write_each(kind, path):
@@ -442,6 +445,10 @@ def _write_each(kind, path):
         save_split(assignment, path)
     elif kind == "curriculum":
         save_curriculum(built, path)
+    elif kind == "training_config":
+        emit_training_config(path)
+    elif kind == "pipeline_config":
+        save_pipeline_config(PipelineConfig(), path)
     else:
         one = AnswerValue.from_rational(1)
         save_grades([GradeRecord("e0", "m", one, one, Verdict.CORRECT)], path)
@@ -482,3 +489,67 @@ class TestAtomicWrite:
         _write_each(kind, fresh)
         assert path.read_bytes() == fresh.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
+# Writers whose target name is fixed or that read inputs of their own.
+_TEXT_WRITERS = ["write_or_print", "report", "demo_report", "mock_fixture"]
+
+
+def _run_cli(*argv):
+    # The handler itself, without main()'s error line, so its exception shows.
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+def _text_writer(kind, in_dir, out_dir):
+    """(files the writer replaces, a call that writes them), inputs made in ``in_dir``."""
+    if kind == "write_or_print":
+        bindings = in_dir / "bindings.json"
+        bindings.write_text(json.dumps(dict.fromkeys(get_template("augment").placeholders, "1")),
+                            encoding="utf-8")
+        out = out_dir / "prompt.txt"
+        return [out], lambda: _run_cli("structure", "prompt", "--template", "augment",
+                                       "--bindings", bindings, "--out", out)
+    if kind == "report":
+        manifest = _small_curriculum()[0]
+        save_manifest(manifest, in_dir / "m.jsonl")
+        one = AnswerValue.from_rational(1)
+        save_grades([GradeRecord(manifest.records[0].id, "m", one, one, Verdict.CORRECT)],
+                    in_dir / "grades.jsonl")
+        out = out_dir / "report.txt"
+        return [out, out_dir / "report.csv"], lambda: _run_cli(
+            "evaluate", "report", "--grades", in_dir / "grades.jsonl",
+            "--manifest", in_dir / "m.jsonl", "--out", out)
+    if kind == "demo_report":
+        return [out_dir / "report.txt", out_dir / "report.csv"], lambda: _run_cli(
+            "demo", "--out", out_dir)
+    return [out_dir / f"{prompt_digest('p')}.txt"], lambda: write_mock_fixture(
+        out_dir, "p", "reply")
+
+
+class TestAtomicTextWriters:
+    @pytest.mark.parametrize("kind", _TEXT_WRITERS)
+    def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch, kind):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        out_dir.mkdir()
+        targets, write = _text_writer(kind, in_dir, out_dir)
+        for target in targets:
+            target.write_text("previous\n", encoding="utf-8")
+        real_replace = corpus.os.replace
+
+        def refuse(src, dst):
+            # Only the files under test; the demo's other artifacts still land.
+            if Path(dst) in targets:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(corpus.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write()
+        assert [t.read_text(encoding="utf-8") for t in targets] == ["previous\n"] * len(targets)
+        assert not [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")]
+
+        monkeypatch.undo()
+        write()
+        assert all(t.read_text(encoding="utf-8") != "previous\n" for t in targets)

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep.corpus import Difficulty, Language, Source
+from ganitprep.corpus import REVIEW_STATUSES, Difficulty, Language, Source
 from ganitprep.curriculum import (
     Assign,
     CurriculumError,
@@ -23,6 +25,7 @@ from ganitprep.curriculum import (
     save_split,
     split,
 )
+from ganitprep.llm_client import approved_only
 
 
 def _mono(count, language, source=Source.INDIMATHQA, difficulty=Difficulty.EASY,
@@ -331,6 +334,27 @@ class TestBuildCurriculum:
         assert built.stage(STAGE_EASY_MEDIUM).train_ids == (
             "approved-Easy", "corrected-Easy", "none-Easy",
             "approved-Medium", "corrected-Medium", "none-Medium")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.sampled_from(REVIEW_STATUSES), st.text(max_size=12)),
+                    max_size=8))
+    def test_review_gate_matches_approved_only(self, statuses):
+        # Absent (None), known and unknown statuses; two ungated anchors keep
+        # both training strata nonempty.
+        problems = [make_problem(f"anchor-{d.value}", difficulty=d, raw_solution="#### 1")
+                    for d in (Difficulty.EASY, Difficulty.MEDIUM)]
+        problems += [
+            make_problem(f"s{i}", source=Source.SYNTHETIC, raw_solution="#### 1",
+                         difficulty=(Difficulty.EASY, Difficulty.MEDIUM)[i % 2],
+                         extras={} if status is None else {"review_status": status})
+            for i, status in enumerate(statuses)
+        ]
+        manifest = make_manifest(problems)
+        everything = SplitAssignment(seed=0, ratio=0.7, strata={},
+                                     assignments={p.id: Assign.TRAIN for p in manifest})
+        built = build_curriculum(manifest, everything, cumulative=True)
+        assert sorted(built.stage(STAGE_EASY_MEDIUM).train_ids) == sorted(
+            p.id for p in approved_only(manifest))
 
 
 class TestExportStage:
