@@ -213,10 +213,14 @@ def _cmd_evaluate(args) -> int:
         print(f"graded={len(grades)} correct={correct} unparseable={unparseable}")
         _summary("evaluate-grade", len(predictions), len(grades))
         return 0
+    if (args.out and args.format == "table"
+            and Path(args.out).with_suffix(".csv") == Path(args.out)):
+        raise PipelineError(f"{args.out}: the table and its .csv companion would be "
+                            "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
     grades = []
     for path in args.grades:
-        grades.extend(evaluate_mod.load_grades(path))
+        grades.extend(evaluate_mod.read_verdicts(path))
     report = evaluate_mod.accuracy_report(grades, manifest)
     rendered = report.render_table() if args.format == "table" else report.to_csv()
     if args.out:

@@ -20,8 +20,11 @@ Internally every corpus is a :class:`CorpusManifest`: an immutable, ordered,
 checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
 object per line behind a single JSON header line carrying the format version
 and a sha256 checksum over the record lines. The checksum is derived from
-the records and computed at most once per manifest; load verifies it over the
-record lines as read, so a stale, corrupted or hand-edited file is rejected.
+the records and computed at most once per manifest: save serialises each
+record once and hashes the lines it writes, and load verifies the checksum
+over the record lines as read, so a stale, corrupted or hand-edited file is
+rejected. Every JSON artifact goes through one canonical encoder (sorted
+keys, raw UTF-8, no spaces).
 
 Question and solution text is normalized to Unicode NFC at ingestion so
 Devanagari text from mixed sources compares stably. Unknown fields in source
@@ -87,6 +90,19 @@ class SourceFormat(Enum):
     MIXED = "mixed"
 
 
+# value -> member for each enum a record persists; a plain dict lookup costs
+# a fraction of an ``Enum(value)`` call.
+_MEMBERS = {enum: {member.value: member for member in enum}
+            for enum in (Language, Source, Difficulty, Operation)}
+
+
+def _decode(enum: type[Enum], value):
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):  # unknown or unhashable value
+        return enum(value)  # raises the Enum's own ValueError
+
+
 def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
@@ -144,16 +160,16 @@ class Problem:
         return cls(
             id=data["id"],
             pair_id=data.get("pair_id", ""),
-            language=Language(data["language"]),
-            source=Source(data["source"]),
+            language=_decode(Language, data["language"]),
+            source=_decode(Source, data["source"]),
             question=data["question"],
             raw_solution=data.get("raw_solution"),
             structured_solution=(
                 StructuredSolution.from_dict(structured) if structured else None
             ),
-            difficulty=Difficulty(data.get("difficulty", "Unclassified")),
+            difficulty=_decode(Difficulty, data.get("difficulty", "Unclassified")),
             topic=data.get("topic"),
-            operation=Operation(data.get("operation", "None")),
+            operation=_decode(Operation, data.get("operation", "None")),
             math_level=data.get("math_level"),
             extras=data.get("extras", {}),
         )
@@ -173,8 +189,7 @@ def passes_review(problem: Problem) -> bool:
 
 
 def _record_line(problem: Problem) -> str:
-    return json.dumps(problem.to_dict(), sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"))
+    return canonical_json(problem.to_dict())
 
 
 def _lines_checksum(lines: Iterable[str]) -> str:
@@ -278,18 +293,27 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+# Sorted keys, raw UTF-8, no spaces. One encoder for every call: json.dumps
+# with keyword arguments builds a new JSONEncoder each time.
+canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                  separators=(",", ":")).encode
+
+
 def save_manifest(manifest: CorpusManifest, path) -> None:
+    # Each record is serialised once: the header checksum hashes the very
+    # lines written, and becomes the manifest's cached checksum.
+    lines = [_record_line(p) for p in manifest.records]
+    checksum = _lines_checksum(lines)
+    manifest.__dict__["checksum"] = checksum
     header = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "source_format": manifest.source_format.value,
         "created_at": manifest.created_at,
-        "count": len(manifest.records),
-        "checksum": manifest.checksum,
+        "count": len(lines),
+        "checksum": checksum,
     }
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
-    lines.extend(_record_line(p) for p in manifest.records)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join([canonical_json(header), *lines]) + "\n")
 
 
 def load_manifest(path) -> CorpusManifest:
@@ -313,8 +337,14 @@ def load_manifest(path) -> CorpusManifest:
         if not line.strip():
             continue
         try:
-            records.append(Problem.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
+        if not isinstance(data, dict):
+            raise IntegrityError(f"{path}:{lineno}: record is not an object")
+        try:
+            records.append(Problem.from_dict(data))
+        except (KeyError, ValueError) as exc:
             raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
     if header.get("count") != len(records):
         raise IntegrityError(

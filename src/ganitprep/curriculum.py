@@ -29,6 +29,7 @@ from ganitprep.corpus import (
     Problem,
     Source,
     SourceFormat,
+    canonical_json,
     passes_review,
     write_text_atomic,
 )
@@ -329,11 +330,8 @@ def export_stage(
         "seed": seed,
         "count": len(rows),
     }
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(row, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        for row in rows
-    )
+    lines = [canonical_json(header)]
+    lines.extend(map(canonical_json, rows))
     write_text_atomic(out_path, "\n".join(lines) + "\n")
     return ExportOutcome(exported=len(rows), skipped=len(flagged),
                          flagged_ids=tuple(flagged))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ganitprep.answers import (
     AnswerKind,
@@ -37,6 +37,7 @@ from ganitprep.corpus import (
     Language,
     Problem,
     Source,
+    canonical_json,
     write_text_atomic,
 )
 from ganitprep.errors import PipelineError
@@ -380,8 +381,13 @@ class EvaluationReport:
         return buffer.getvalue()
 
 
-def accuracy_report(grades: Sequence[GradeRecord], manifest: CorpusManifest) -> EvaluationReport:
-    """Aggregate grade records into per-cell accuracy statistics."""
+def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
+                    manifest: CorpusManifest) -> EvaluationReport:
+    """Aggregate grade records into per-cell accuracy statistics.
+
+    Only ``problem_id``, ``model_name`` and ``verdict`` are read, so the rows
+    of :func:`read_verdicts` serve as well as full grade records.
+    """
     tallies: dict[CellKey, list[int]] = {}
     for record in grades:
         try:
@@ -404,17 +410,61 @@ def accuracy_report(grades: Sequence[GradeRecord], manifest: CorpusManifest) -> 
 
 
 def save_grades(grades: Sequence[GradeRecord], path) -> None:
-    lines = [json.dumps(g.to_dict(), sort_keys=True, ensure_ascii=False,
-                        separators=(",", ":")) for g in grades]
+    lines = [canonical_json(g.to_dict()) for g in grades]
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _grade_objects(path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each nonblank line of a grades file."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"),
+                                  start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EvaluationError(f"{path}:{lineno}: unreadable grade: {exc}") from exc
+        if not isinstance(data, dict):
+            raise EvaluationError(f"{path}:{lineno}: record is not an object")
+        yield lineno, data
+
+
 def load_grades(path) -> list[GradeRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
-        if line.strip():
-            records.append(GradeRecord.from_dict(json.loads(line)))
-    return records
+    return [GradeRecord.from_dict(data) for _, data in _grade_objects(path)]
+
+
+class VerdictRow(NamedTuple):
+    """The fields of a grade record that an accuracy report reads."""
+
+    problem_id: str
+    model_name: str
+    verdict: Verdict
+
+
+_VERDICTS = {verdict.value: verdict for verdict in Verdict}
+
+
+def read_verdicts(path) -> list[VerdictRow]:
+    """Read a grades file as verdict rows, leaving the answers undecoded.
+
+    The verdict checks of :class:`GradeRecord` still hold: a known verdict,
+    and Unparseable exactly when the prediction is absent.
+    """
+    rows = []
+    for lineno, data in _grade_objects(path):
+        value = data.get("verdict")
+        try:
+            verdict = _VERDICTS[value]
+        except (KeyError, TypeError):  # unknown or unhashable value
+            raise EvaluationError(f"{path}:{lineno}: unknown verdict {value!r}") from None
+        if (verdict is Verdict.UNPARSEABLE) == bool(data.get("predicted")):
+            raise EvaluationError(f"{path}:{lineno}: Unparseable verdict must pair "
+                                  "with an absent prediction")
+        try:
+            rows.append(VerdictRow(data["problem_id"], data["model_name"], verdict))
+        except KeyError as exc:
+            raise EvaluationError(f"{path}:{lineno}: missing field {exc}") from None
+    return rows
 
 
 def read_predictions(path) -> list[tuple[str, str]]:

@@ -238,6 +238,73 @@ class TestEvaluateAndAugmentCommands:
         assert [p.id for p in synthetic] == ["syn-000001", "syn-000002", "syn-000003"]
 
 
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("demo")
+    assert main(["demo", "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+class TestEvaluateReport:
+    def _report(self, demo_dir, out, *extra, grades=None):
+        return main(["evaluate", "report", "--grades", str(grades or demo_dir / "grades.jsonl"),
+                     "--manifest", str(demo_dir / "merged.jsonl"), "--out", str(out), *extra])
+
+    def test_matches_library_report(self, demo_dir, tmp_path):
+        from ganitprep.evaluate import accuracy_report, load_grades
+
+        assert self._report(demo_dir, tmp_path / "report.txt") == 0
+        report = accuracy_report(load_grades(demo_dir / "grades.jsonl"),
+                                 load_manifest(demo_dir / "merged.jsonl"))
+        assert (tmp_path / "report.txt").read_bytes() == report.render_table().encode()
+        assert (tmp_path / "report.csv").read_bytes() == report.to_csv().encode()
+        # The demo writes the same two files through the library.
+        assert (tmp_path / "report.txt").read_bytes() == (demo_dir / "report.txt").read_bytes()
+        assert (tmp_path / "report.csv").read_bytes() == (demo_dir / "report.csv").read_bytes()
+
+    def test_table_onto_csv_path_refused(self, demo_dir, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert self._report(demo_dir, out, "--format", "table") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error=") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_onto_csv_path_kept(self, demo_dir, tmp_path):
+        out = tmp_path / "r.csv"
+        assert self._report(demo_dir, out, "--format", "csv") == 0
+        assert out.read_bytes() == (demo_dir / "report.csv").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"verdict": "Maybe"}, "unknown verdict 'Maybe'"),
+        ({"verdict": "Unparseable"}, "Unparseable verdict must pair"),
+    ])
+    def test_bad_grade_line_exits_1(self, demo_dir, tmp_path, capsys, changes, message):
+        lines = (demo_dir / "grades.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        assert record["predicted"] is not None
+        record.update(changes)
+        lines[1] = json.dumps(record)
+        grades = tmp_path / "grades.jsonl"
+        grades.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._report(demo_dir, tmp_path / "report.txt", grades=grades) == 1
+        assert f"{grades}:2: {message}" in json.loads(capsys.readouterr().err[len("error="):])
+        assert not (tmp_path / "report.txt").exists()
+
+
+def test_non_object_manifest_line_exits_1(tmp_path, capsys):
+    manifest_path = tmp_path / "m.jsonl"
+    save_manifest(make_manifest([make_problem("p", raw_solution="#### 1")]), manifest_path)
+    text = manifest_path.read_text(encoding="utf-8")
+    manifest_path.write_text(text + "[]\n", encoding="utf-8")
+    rc = main(["curriculum", "split", "--in", str(manifest_path),
+               "--out", str(tmp_path / "split.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=") and err.count("\n") == 1
+    assert f"{manifest_path}:3: record is not an object" in json.loads(err[len("error="):])
+
+
 class TestPipelineConfig:
     def test_round_trip(self, tmp_path):
         config = PipelineConfig(seed=13, ratio=0.8, cumulative=True,

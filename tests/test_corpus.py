@@ -22,6 +22,7 @@ from ganitprep.corpus import (
     ingest_indimathqa,
     ingest_math,
     load_manifest,
+    records_checksum,
     save_manifest,
 )
 from ganitprep.cli import PipelineConfig, _demo_data_dir, build_parser, save_pipeline_config
@@ -410,6 +411,80 @@ def test_round_trip_arbitrary_text(tmp_path_factory, question, solution, extras)
     loaded = load_manifest(path)
     assert loaded == manifest
     assert loaded.checksum == manifest.checksum == _header_checksum(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_problems())
+def test_save_hashes_the_lines_it_writes(tmp_path_factory, problems):
+    manifest = make_manifest(problems)
+    assert "checksum" not in manifest.__dict__  # not yet derived
+    path = tmp_path_factory.mktemp("save") / "m.jsonl"
+    save_manifest(manifest, path)
+    assert _header_checksum(path) == records_checksum(problems)
+    assert manifest.__dict__["checksum"] == _header_checksum(path)  # cached by the save
+    assert manifest.checksum == _header_checksum(path)
+
+
+def test_save_serialises_each_record_once(tmp_path, monkeypatch):
+    manifest = make_manifest([make_problem(f"p{i}") for i in range(5)])
+    calls = []
+    original = Problem.to_dict
+    monkeypatch.setattr(Problem, "to_dict",
+                        lambda self: calls.append(self.id) or original(self))
+    save_manifest(manifest, tmp_path / "m.jsonl")
+    assert calls == [p.id for p in manifest]
+    monkeypatch.undo()
+    assert load_manifest(tmp_path / "m.jsonl") == manifest
+
+
+def _write_record_lines(path, lines) -> None:
+    """A manifest file holding ``lines`` as records, under a valid header."""
+    header = {"format": corpus.MANIFEST_FORMAT, "version": corpus.MANIFEST_VERSION,
+              "source_format": "mixed", "created_at": "2024-01-01T00:00:00+00:00",
+              "count": len(lines), "checksum": corpus._lines_checksum(lines)}
+    path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+
+
+class TestRecordDecoding:
+    def _record(self, **changes) -> dict:
+        record = make_problem("p", raw_solution="#### 1").to_dict()
+        record.update(changes)
+        return record
+
+    @pytest.mark.parametrize("key,value,enum", [
+        ("language", "French", "Language"),
+        ("source", "Khan", "Source"),
+        ("difficulty", "Trivial", "Difficulty"),
+        ("operation", "Pow", "Operation"),
+        ("operation", None, "Operation"),
+        ("language", ["English"], "Language"),
+    ])
+    def test_unknown_enum_value_names_path_and_line(self, tmp_path, key, value, enum):
+        path = tmp_path / "m.jsonl"
+        good = json.dumps(self._record(), ensure_ascii=False)
+        bad = json.dumps(self._record(id="q", **{key: value}), ensure_ascii=False)
+        _write_record_lines(path, [good, bad])
+        message = f"{path}:3: unreadable record: {value!r} is not a valid {enum}"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            load_manifest(path)
+
+    def test_absent_difficulty_and_operation_take_defaults(self, tmp_path):
+        record = self._record()
+        del record["difficulty"], record["operation"]
+        path = tmp_path / "m.jsonl"
+        _write_record_lines(path, [json.dumps(record, ensure_ascii=False)])
+        (problem,) = load_manifest(path)
+        assert problem.difficulty is Difficulty.UNCLASSIFIED
+        assert problem.operation is Operation.NONE
+        assert problem == make_problem("p", raw_solution="#### 1")
+
+    @pytest.mark.parametrize("line", ["[]", "1", '"text"', "null"])
+    def test_non_object_record_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        _write_record_lines(path, [json.dumps(self._record()), line])
+        with pytest.raises(IntegrityError,
+                           match=re.escape(f"{path}:3: record is not an object")):
+            load_manifest(path)
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])

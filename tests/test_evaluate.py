@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ganitprep.evaluate import (
     half_up_percent,
     load_grades,
     read_counts_matrix,
+    read_verdicts,
     save_grades,
 )
 
@@ -188,6 +190,70 @@ class TestGradeRecord:
         path = tmp_path / "grades.jsonl"
         save_grades(records, path)
         assert load_grades(path) == records
+
+
+def _grade_line(**changes) -> str:
+    record = GradeRecord("p1", "m", AnswerValue.from_rational(2),
+                         AnswerValue.from_rational(2), Verdict.CORRECT).to_dict()
+    record.update(changes)
+    return json.dumps(record, ensure_ascii=False)
+
+
+class TestReadVerdicts:
+    def test_matches_full_records(self, tmp_path):
+        records = [
+            GradeRecord("p1", "m", AnswerValue.from_rational(Fraction(1, 2)),
+                        AnswerValue.from_rational(Fraction(1, 3)), Verdict.INCORRECT),
+            GradeRecord("p\u20282", "m\u0085", None,
+                        AnswerValue.from_expression("x+1"), Verdict.UNPARSEABLE),
+            GradeRecord("p3", "n", AnswerValue.from_expression("y"),
+                        AnswerValue.from_expression("y"), Verdict.CORRECT),
+        ]
+        path = tmp_path / "grades.jsonl"
+        save_grades(records, path)
+        assert [tuple(row) for row in read_verdicts(path)] == [
+            (g.problem_id, g.model_name, g.verdict) for g in load_grades(path)]
+
+    def test_answers_are_not_decoded(self, tmp_path):
+        # A reference no AnswerValue can be built from does not stop a report.
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line(reference={"kind": "Bogus"}) + "\n", encoding="utf-8")
+        assert [row.verdict for row in read_verdicts(path)] == [Verdict.CORRECT]
+        with pytest.raises(ValueError):
+            load_grades(path)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"verdict": "Maybe"}, "unknown verdict 'Maybe'"),
+        ({"verdict": ["Correct"]}, "unknown verdict ['Correct']"),
+        ({"verdict": "Unparseable"}, "Unparseable verdict must pair"),
+        ({"predicted": None}, "Unparseable verdict must pair"),
+        ({"model_name": None}, "missing field 'model_name'"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, changes, message):
+        record = json.loads(_grade_line(**changes))
+        if record.get("model_name") is None:
+            del record["model_name"]
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n\n" + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: {message}")):
+            read_verdicts(path)
+
+    @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
+    @pytest.mark.parametrize("line", ["[]", "1", "null"])
+    def test_non_object_line_names_path_and_line(self, tmp_path, reader, line):
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"{path}:2: record is not an object")):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
+    def test_invalid_json_names_path_and_line(self, tmp_path, reader):
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n{oops\n", encoding="utf-8")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: unreadable grade")):
+            reader(path)
 
 
 class TestHalfUpPercent:
