@@ -344,7 +344,8 @@ def load_manifest(path) -> CorpusManifest:
             raise IntegrityError(f"{path}:{lineno}: record is not an object")
         try:
             records.append(Problem.from_dict(data))
-        except (KeyError, ValueError) as exc:
+        # TypeError and AttributeError: a field holding the wrong JSON type.
+        except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
     if header.get("count") != len(records):
         raise IntegrityError(

@@ -426,11 +426,22 @@ def _grade_objects(path) -> Iterator[tuple[int, dict]]:
             raise EvaluationError(f"{path}:{lineno}: unreadable grade: {exc}") from exc
         if not isinstance(data, dict):
             raise EvaluationError(f"{path}:{lineno}: record is not an object")
+        for key in ("problem_id", "model_name"):
+            if not isinstance(data.get(key, ""), str):
+                raise EvaluationError(f"{path}:{lineno}: {key} is not a string")
         yield lineno, data
 
 
 def load_grades(path) -> list[GradeRecord]:
-    return [GradeRecord.from_dict(data) for _, data in _grade_objects(path)]
+    grades = []
+    for lineno, data in _grade_objects(path):
+        try:
+            grades.append(GradeRecord.from_dict(data))
+        # TypeError and AttributeError: a field holding the wrong JSON type.
+        except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError,
+                EvaluationError) as exc:
+            raise EvaluationError(f"{path}:{lineno}: unreadable grade: {exc}") from exc
+    return grades
 
 
 class VerdictRow(NamedTuple):

@@ -8,9 +8,10 @@ exponential backoff, fails at once on any other 4xx, enforces a bounded
 in-flight window, and reads its credential from an environment variable
 named in the config (never from config values themselves).
 
-The same window, ``ClientConfig.concurrency``, sets how many augmentation
-requests overlap. Results are consumed in seed order whatever order they
-arrive in, so the synthetic manifest's order and bytes do not depend on it.
+``ClientConfig.concurrency`` caps the requests in flight. Augmentation keeps
+one more window of requests queued behind them, so a freed slot starts its
+next request at once. Results are consumed in seed order whatever order they
+arrive in, so the synthetic manifest's order and bytes depend on neither.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class ClientConfig:
     kind: str = "mock"  # mock | http
     endpoint: str = ""
     credential_env: str = ""
-    concurrency: int = 4  # in-flight cap; also how many augment requests overlap
+    concurrency: int = 4  # in-flight cap; augment queues one more window behind it
     rate_per_second: float = 0.0  # 0 disables rate limiting
     retry: RetryPolicy = RetryPolicy()
     fixtures_dir: str = ""
@@ -310,6 +311,11 @@ class AugmentOutcome:
     failures: list[str] = field(default_factory=list)
 
 
+# One window of requests runs while one more waits in the executor's queue,
+# so a worker that finishes takes its next request without waiting for the
+# consumer to parse a reply and render the next prompt.
+_QUEUED_WINDOWS = 2
+
 # Below half of the attempted generations parsing, something is wrong with
 # the provider or template; keep aborting deterministic.
 _MIN_ATTEMPTS_BEFORE_YIELD_CHECK = 10
@@ -331,12 +337,17 @@ def augment_batch(
     carry ``review_status="pending"`` plus the seed id in extras.
 
     Up to ``client.config.concurrency`` requests are in flight at once (one
-    for a client without a config). Results are consumed strictly in seed
-    order, and no request is sent while the ones in flight could still
-    reach ``target_count``, so the prompts sent, the outcome and the output
-    bytes are those of a one-at-a-time loop. Only on an abort (low yield or
-    a provider error) may up to ``concurrency - 1`` further requests already
-    be in flight; they are waited for and their results dropped.
+    for a client without a config), and one more window of them waits
+    queued behind those. Results are consumed strictly in seed order, and
+    no request is submitted while the ones pending could still reach
+    ``target_count``, so the prompts sent, the outcome and the output bytes
+    are those of a one-at-a-time loop. On an abort (low yield or a provider
+    error) the requests still queued are cancelled, and the ones a worker
+    has already started are waited for and their results dropped. While the
+    later requests run slower than the consumer, a freed worker takes at
+    most one of them, so up to ``concurrency`` are sent past the abort
+    point; if they all finish before the failing one, the whole queue,
+    ``2 * concurrency - 1`` requests, has been sent.
     """
     # Imported here: loading it would add to every CLI start.
     from concurrent.futures import ThreadPoolExecutor
@@ -354,9 +365,11 @@ def augment_batch(
     failures: list[str] = []
     index = 0
     pending = deque()  # (seed, future), oldest first
-    with ThreadPoolExecutor(max_workers=window) as pool:
+    queued = _QUEUED_WINDOWS * window
+    pool = ThreadPoolExecutor(max_workers=window)
+    try:
         while len(generated) < target_count:
-            while len(pending) < window and len(generated) + len(pending) < target_count:
+            while len(pending) < queued and len(generated) + len(pending) < target_count:
                 seed = seeds[index % len(seeds)]
                 index += 1
                 prompt = render_prompt(template, {
@@ -394,6 +407,10 @@ def augment_batch(
                         f"parse yield {yield_rate:.0%} after {attempts} attempts; "
                         f"recent failures: {'; '.join(failures[-3:])}"
                     )
+    finally:
+        # Only an abort leaves requests queued: cancel them rather than send
+        # them, and wait for the ones already sent.
+        pool.shutdown(cancel_futures=True)
     out = CorpusManifest.from_records(generated, SourceFormat.SYNTHETIC,
                                       created_at=manifest.created_at)
     return AugmentOutcome(manifest=out, attempts=attempts, discarded=discarded,

@@ -292,6 +292,38 @@ class TestEvaluateReport:
         assert not (tmp_path / "report.txt").exists()
 
 
+    @pytest.mark.parametrize("key,value", [("problem_id", [1]), ("model_name", None)])
+    def test_non_string_grade_id_exits_1(self, demo_dir, tmp_path, capsys, key, value):
+        lines = (demo_dir / "grades.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record[key] = value
+        lines[1] = json.dumps(record)
+        grades = tmp_path / "grades.jsonl"
+        grades.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._report(demo_dir, tmp_path / "report.txt", grades=grades) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error=") and err.count("\n") == 1
+        assert f"{grades}:2: {key} is not a string" in json.loads(err[len("error="):])
+        assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("structured", ["text", [1]])
+def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
+    manifest_path = tmp_path / "m.jsonl"
+    problem = make_problem("p", raw_solution="#### 1")
+    save_manifest(make_manifest([problem]), manifest_path)
+    record = {**problem.to_dict(), "id": "q", "structured_solution": structured}
+    with manifest_path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+    rc = main(["curriculum", "split", "--in", str(manifest_path),
+               "--out", str(tmp_path / "split.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=") and err.count("\n") == 1
+    assert f"{manifest_path}:3: unreadable record: " in json.loads(err[len("error="):])
+    assert not (tmp_path / "split.json").exists()
+
+
 def test_non_object_manifest_line_exits_1(tmp_path, capsys):
     manifest_path = tmp_path / "m.jsonl"
     save_manifest(make_manifest([make_problem("p", raw_solution="#### 1")]), manifest_path)

@@ -37,7 +37,12 @@ from ganitprep.curriculum import (
 from ganitprep.evaluate import GradeRecord, Verdict, save_grades
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.llm_client import prompt_digest, write_mock_fixture
-from ganitprep.structure import StructuredSolution, emit_training_config, get_template
+from ganitprep.structure import (
+    SECTION_FIELDS,
+    StructuredSolution,
+    emit_training_config,
+    get_template,
+)
 from ganitprep.answers import AnswerValue
 
 
@@ -445,6 +450,9 @@ def _write_record_lines(path, lines) -> None:
     path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
 
 
+_SECTIONS = dict.fromkeys(SECTION_FIELDS, "x")
+
+
 class TestRecordDecoding:
     def _record(self, **changes) -> dict:
         record = make_problem("p", raw_solution="#### 1").to_dict()
@@ -477,6 +485,21 @@ class TestRecordDecoding:
         assert problem.difficulty is Difficulty.UNCLASSIFIED
         assert problem.operation is Operation.NONE
         assert problem == make_problem("p", raw_solution="#### 1")
+
+    @pytest.mark.parametrize("structured", [
+        "text",
+        [1],
+        {**_SECTIONS, "data_identification": 1},
+        {**_SECTIONS, "final_answer": "7"},
+        {**_SECTIONS, "final_answer": {"kind": "Rational", "rational": "1/0"}},
+    ])
+    def test_wrong_typed_field_names_path_and_line(self, tmp_path, structured):
+        path = tmp_path / "m.jsonl"
+        bad = self._record(id="q", structured_solution=structured)
+        _write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
+        with pytest.raises(IntegrityError,
+                           match=re.escape(f"{path}:3: unreadable record: ")):
+            load_manifest(path)
 
     @pytest.mark.parametrize("line", ["[]", "1", '"text"', "null"])
     def test_non_object_record_names_path_and_line(self, tmp_path, line):

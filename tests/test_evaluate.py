@@ -219,7 +219,8 @@ class TestReadVerdicts:
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line(reference={"kind": "Bogus"}) + "\n", encoding="utf-8")
         assert [row.verdict for row in read_verdicts(path)] == [Verdict.CORRECT]
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"{path}:1: unreadable grade: 'Bogus' is not a valid AnswerKind")):
             load_grades(path)
 
     @pytest.mark.parametrize("changes,message", [
@@ -238,6 +239,33 @@ class TestReadVerdicts:
                         encoding="utf-8")
         with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: {message}")):
             read_verdicts(path)
+
+    @pytest.mark.parametrize("changes", [
+        {"reference": "text"},
+        {"predicted": "7"},
+        {"reference": {"kind": "Rational", "rational": "x"}},
+        {"reference": {"kind": "Rational", "rational": 5}},
+        {"reference": {"kind": "Rational", "rational": "1/0"}},
+        {"reference": None},
+    ])
+    def test_wrong_typed_answer_names_path_and_line(self, tmp_path, changes):
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n" + _grade_line(**changes) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"{path}:2: unreadable grade: ")):
+            load_grades(path)
+
+    @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
+    @pytest.mark.parametrize("key,value", [
+        ("problem_id", 5), ("problem_id", [1]), ("model_name", None), ("model_name", 3)])
+    def test_non_string_id_names_path_and_line(self, tmp_path, reader, key, value):
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n" + _grade_line(**{key: value}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"{path}:2: {key} is not a string")):
+            reader(path)
 
     @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
     @pytest.mark.parametrize("line", ["[]", "1", "null"])

@@ -87,6 +87,33 @@ def _http_config(**kwargs):
     return ClientConfig(**defaults)
 
 
+class _InterleavingSlotProvider(HttpProvider):
+    """The first read of the next free rate slot waits up to 0.5 s for a
+    second thread to read it too.
+
+    Under the provider's lock the second thread cannot get there, so the wait
+    times out; without it, both threads read the slot before either moves it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._first_read = threading.Lock()
+        self._second_read = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    @property
+    def _next_slot(self):
+        value = self._slot
+        if self._first_read.acquire(blocking=False):
+            self._second_read.wait(0.5)
+        else:
+            self._second_read.set()
+        return value
+
+    @_next_slot.setter
+    def _next_slot(self, value):
+        self._slot = value
+
+
 class TestHttpProvider:
     def test_two_failures_then_success(self):
         calls = []
@@ -194,6 +221,25 @@ class TestHttpProvider:
             provider.generate(GenerationRequest(prompt="p"))
         # second and third calls must each wait half a second of budget
         assert sleeps == [0.5, 1.0]
+
+    def test_rate_slot_reservation_is_atomic(self):
+        sleeps = []
+        provider = _InterleavingSlotProvider(
+            _http_config(concurrency=2, rate_per_second=2.0),
+            transport=lambda endpoint, payload, headers: (200, json.dumps({"text": "ok"})),
+            sleep=sleeps.append,
+            clock=lambda: 0.0,
+        )
+        threads = [threading.Thread(target=provider.generate,
+                                    args=(GenerationRequest(prompt="p"),))
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # Slots 0.0 and 0.5: the second request waits half a second. Two
+        # unguarded reservations would both take slot 0.0 and never wait.
+        assert sleeps == [0.5]
 
     def test_requires_endpoint(self):
         with pytest.raises(ProviderError, match="endpoint"):
@@ -373,6 +419,33 @@ class TestAugmentOverlap:
         client = _overlap_client(cap, _SeedTransport(delay=lambda seed: 0.05))
         augment_batch(_seed_manifest(2 * cap), _AUGMENT, 2 * cap, client)
         assert client.peak_in_flight == cap
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    def test_free_slots_work_through_the_queued_window(self, cap):
+        # While the consumer waits on seed 0, the other slots take every
+        # request queued behind it: one window in flight, one more queued.
+        transport = _SeedTransport(delay=lambda seed: 0.2 if seed == 0 else 0.0)
+        client = _overlap_client(cap, transport)
+        augment_batch(_seed_manifest(4 * cap), _AUGMENT, 4 * cap, client)
+        assert transport.finished.index(0) == 2 * cap - 1
+        assert client.peak_in_flight <= cap
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    @pytest.mark.parametrize("abort_at,outcome,error", [
+        (9, {"garble": range(40)}, AugmentationError),  # yield check at attempt 10
+        (3, {"refuse": {3}}, ProviderError),
+    ])
+    def test_abort_cancels_the_queued_requests(self, cap, abort_at, outcome, error):
+        # Requests after the abort point take 0.2 s, so each slot starts at
+        # most one of them before the abort is seen; the rest of the queue
+        # must be cancelled, not sent while the pool shuts down.
+        transport = _SeedTransport(**outcome,
+                                   delay=lambda seed: 0.2 if seed > abort_at else 0.0)
+        before = threading.active_count()
+        with pytest.raises(error):
+            augment_batch(_seed_manifest(40), _AUGMENT, 20, _overlap_client(cap, transport))
+        assert max(transport.calls) <= abort_at + cap
+        assert threading.active_count() == before
 
     def test_sends_exactly_the_prompts_it_consumes(self):
         transport = _SeedTransport(garble={1, 4})
