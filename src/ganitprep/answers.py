@@ -1,15 +1,14 @@
 """Final-answer values shared by solution rendering and grading.
 
-A value is one of three kinds:
+A value is one of two kinds:
 
 * ``RATIONAL``: an exact ``fractions.Fraction``. Integers, terminating
-  decimals and simple ``a/b`` fractions all normalize here.
-* ``DECIMAL``: a digit string kept verbatim (used for truncated decimal
-  source forms); numerically it compares as the exact fraction it spells.
+  decimals and simple ``a/b`` fractions all normalize here, so
+  ``from_decimal("0.5")`` equals ``from_rational(Fraction(1, 2))``.
 * ``EXPRESSION``: anything symbolic, stored as normalized text.
 
-Numeric kinds compare by exact value, so ``Decimal("0.5")`` equals
-``Rational(1, 2)``.
+Grades persisted with the retired ``"Decimal"`` kind load as the equal
+rational.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ def map_devanagari_digits(text: str) -> str:
 
 class AnswerKind(Enum):
     RATIONAL = "Rational"
-    DECIMAL = "Decimal"
     EXPRESSION = "Expression"
 
 
@@ -121,20 +119,16 @@ def normalize_expression(text: str) -> str:
     return _WS_RE.sub(" ", s).strip()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AnswerValue:
     kind: AnswerKind
     rational: Fraction | None = None
-    decimal_text: str | None = None
     expression: str | None = None
 
     def __post_init__(self):
         if self.kind is AnswerKind.RATIONAL:
             if not isinstance(self.rational, Fraction):
                 raise ValueError("rational kind requires a Fraction")
-        elif self.kind is AnswerKind.DECIMAL:
-            if not self.decimal_text or as_fraction(self.decimal_text) is None:
-                raise ValueError(f"not a decimal digit string: {self.decimal_text!r}")
         elif not self.expression:
             raise ValueError("expression kind requires nonempty text")
 
@@ -144,63 +138,36 @@ class AnswerValue:
 
     @classmethod
     def from_decimal(cls, text: str) -> "AnswerValue":
-        return cls(kind=AnswerKind.DECIMAL, decimal_text=text.strip())
+        value = as_fraction(text)
+        if value is None:
+            raise ValueError(f"not a decimal digit string: {text.strip()!r}")
+        return cls.from_rational(value)
 
     @classmethod
     def from_expression(cls, text: str) -> "AnswerValue":
         return cls(kind=AnswerKind.EXPRESSION, expression=normalize_expression(text))
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in (AnswerKind.RATIONAL, AnswerKind.DECIMAL)
-
-    @property
-    def numeric_value(self) -> Fraction:
-        if self.kind is AnswerKind.RATIONAL:
-            return self.rational
-        if self.kind is AnswerKind.DECIMAL:
-            return as_fraction(self.decimal_text)
-        raise ValueError("expression values have no numeric value")
-
     def render(self) -> str:
         if self.kind is AnswerKind.RATIONAL:
             return format_exact(self.rational)
-        if self.kind is AnswerKind.DECIMAL:
-            return self.decimal_text
         return self.expression
-
-    def __eq__(self, other):
-        if not isinstance(other, AnswerValue):
-            return NotImplemented
-        if self.is_numeric and other.is_numeric:
-            return self.numeric_value == other.numeric_value
-        if self.kind is AnswerKind.EXPRESSION and other.kind is AnswerKind.EXPRESSION:
-            return self.expression == other.expression
-        return False
-
-    def __hash__(self):
-        if self.is_numeric:
-            return hash(("num", self.numeric_value))
-        return hash(("expr", self.expression))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
         if self.kind is AnswerKind.RATIONAL:
             out["rational"] = f"{self.rational.numerator}/{self.rational.denominator}"
-        elif self.kind is AnswerKind.DECIMAL:
-            out["decimal_text"] = self.decimal_text
         else:
             out["expression"] = self.expression
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnswerValue":
+        if data["kind"] == "Decimal":  # the retired kind, read as its rational
+            return cls.from_decimal(data["decimal_text"])
         kind = AnswerKind(data["kind"])
         if kind is AnswerKind.RATIONAL:
             num, den = data["rational"].split("/")
             return cls.from_rational(Fraction(int(num), int(den)))
-        if kind is AnswerKind.DECIMAL:
-            return cls.from_decimal(data["decimal_text"])
         return cls.from_expression(data["expression"])
 
 

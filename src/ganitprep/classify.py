@@ -57,10 +57,11 @@ CRITERIA = (
 )
 
 DEFAULT_WEIGHTS = {name: 0.2 for name in CRITERIA}
+_WEIGHT_NORM = sum(DEFAULT_WEIGHTS.values())
 
-# Topic tiers, lowest conceptual load first; user-editable via the
-# topic_tiers argument.
-DEFAULT_TOPIC_TIERS = {
+# Topic tiers by lowercased topic, lowest conceptual load first; an unlisted
+# topic is tier 1.
+TOPIC_TIERS = {
     "prealgebra": 1,
     "arithmetic": 1,
     "algebra": 2,
@@ -115,11 +116,9 @@ def _count_words(text: str, words) -> int:
     return sum(text.count(word) for word in words)
 
 
-def extract_features(problem: Problem, topic_tiers: Mapping[str, int] | None = None) -> RawFeatures:
+def extract_features(problem: Problem) -> RawFeatures:
     text = map_devanagari_digits(problem.question)
     lowered = text.lower()
-    tiers = {k.lower(): v for k, v in (topic_tiers or DEFAULT_TOPIC_TIERS).items()}
-    tier = tiers.get((problem.topic or "").lower(), 1)
     return RawFeatures(
         token_count=len(text.split()),
         sentence_count=max(1, len(_SENTENCE_RE.findall(text))),
@@ -129,7 +128,7 @@ def extract_features(problem: Problem, topic_tiers: Mapping[str, int] | None = N
         step_cue_count=_count_words(lowered, _STEP_WORDS),
         identifier_count=len(set(_IDENTIFIER_RE.findall(lowered))),
         literal_count=len(_NUMBER_RE.findall(text)),
-        topic_tier=min(5, max(1, tier)),
+        topic_tier=TOPIC_TIERS.get((problem.topic or "").lower(), 1),
     )
 
 
@@ -152,17 +151,13 @@ class ComplexityScore:
         return {name: getattr(self, name) for name in CRITERIA}
 
 
-def score_complexity(
-    problem: Problem,
-    weights: Mapping[str, float] | None = None,
-    topic_tiers: Mapping[str, int] | None = None,
-) -> ComplexityScore:
+def score_complexity(problem: Problem) -> ComplexityScore:
     """Score a problem on the five criteria, each on a 1..5 scale.
 
-    The total is the weighted mean of the sub-scores (equal weights by
-    default). Degenerate text floors every scale at 1.
+    The total is the mean of the sub-scores under ``DEFAULT_WEIGHTS`` (equal
+    weights). Degenerate text floors every scale at 1.
     """
-    raw = extract_features(problem, topic_tiers)
+    raw = extract_features(problem)
     subs = {
         "language_understanding": 1 + 4 * (
             0.7 * _unit(raw.token_count, 8, 72) + 0.3 * _unit(raw.sentence_count, 1, 5)),
@@ -174,25 +169,11 @@ def score_complexity(
             0.6 * _unit(raw.identifier_count, 0, 4) + 0.4 * _unit(raw.literal_count, 2, 6)),
         "conceptual_complexity": float(raw.topic_tier),
     }
-    table = dict(DEFAULT_WEIGHTS)
-    if weights:
-        unknown = set(weights) - set(CRITERIA)
-        if unknown:
-            raise ClassifyError(f"unknown criteria in weights: {sorted(unknown)}")
-        table.update(weights)
-    norm = sum(table.values())
-    if norm <= 0:
-        raise ClassifyError("weights must sum to a positive value")
-    total = sum(table[name] * subs[name] for name in CRITERIA) / norm
+    total = sum(DEFAULT_WEIGHTS[name] * subs[name] for name in CRITERIA) / _WEIGHT_NORM
     return ComplexityScore(total=total, features=raw._asdict(), **subs)
 
 
-def rank_bottom_k(
-    manifest: CorpusManifest,
-    k: int,
-    weights: Mapping[str, float] | None = None,
-    topic_tiers: Mapping[str, int] | None = None,
-) -> CorpusManifest:
+def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
     """Mark the k lowest-complexity problems Easy; leave the rest untouched.
 
     Ties break by id, so the selection is invariant under input order.
@@ -201,7 +182,7 @@ def rank_bottom_k(
         raise ClassifyError(f"k must be in 0..{len(manifest)}, got {k}")
     ranked = sorted(
         manifest,
-        key=lambda p: (score_complexity(p, weights, topic_tiers).total, p.id),
+        key=lambda p: (score_complexity(p).total, p.id),
     )
     selected = {p.id for p in ranked[:k]}
     records = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
@@ -102,39 +102,25 @@ def _read_bindings(path) -> dict:
 
 
 def _cmd_structure(args) -> int:
-    if args.action == "parse":
-        text = Path(args.infile).read_text(encoding="utf-8")
-        solution = structure_mod.parse_structured(text)
-        rendered = structure_mod.render_structured(
-            solution, _parse_language(args.lang) or Language.ENGLISH)
-        _write_or_print(rendered, args.out)
-        _summary("structure", 1, 1, stream=sys.stderr if not args.out else None)
-        return 0
-    if args.action == "render":
-        data = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-        solution = structure_mod.StructuredSolution.from_dict(data)
-        rendered = structure_mod.render_structured(
-            solution, _parse_language(args.lang) or Language.ENGLISH)
-        _write_or_print(rendered, args.out)
-        _summary("structure", 1, 1, stream=sys.stderr if not args.out else None)
+    if args.action == "emit-config":
+        structure_mod.emit_training_config(args.out)
+        _summary("structure", 0, 1)
         return 0
     if args.action == "prompt":
         template = structure_mod.get_template(args.template)
-        bindings = _read_bindings(args.bindings)
-        rendered = structure_mod.render_prompt(template, bindings)
-        _write_or_print(rendered, args.out)
-        _summary("structure", 1, 1, stream=sys.stderr if not args.out else None)
-        return 0
-    structure_mod.emit_training_config(args.out)
-    _summary("structure", 0, 1)
-    return 0
-
-
-def _write_or_print(text: str, out_path) -> None:
-    if out_path:
-        write_text_atomic(out_path, text)
+        rendered = structure_mod.render_prompt(template, _read_bindings(args.bindings))
     else:
-        sys.stdout.write(text)
+        text = Path(args.infile).read_text(encoding="utf-8")
+        solution = (structure_mod.parse_structured(text) if args.action == "parse" else
+                    structure_mod.StructuredSolution.from_dict(json.loads(text)))
+        rendered = structure_mod.render_structured(
+            solution, _parse_language(args.lang) or Language.ENGLISH)
+    if args.out:
+        write_text_atomic(args.out, rendered)
+    else:
+        sys.stdout.write(rendered)
+    _summary("structure", 1, 1, stream=sys.stderr if not args.out else None)
+    return 0
 
 
 def _cmd_curriculum(args) -> int:
@@ -262,9 +248,6 @@ class PipelineConfig:
     mode: str = "bilingual"
     cumulative: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -283,10 +266,6 @@ class PipelineConfig:
 
 def load_pipeline_config(path) -> PipelineConfig:
     return PipelineConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def save_pipeline_config(config: PipelineConfig, path) -> None:
-    write_text_atomic(path, json.dumps(config.to_dict(), indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,66 @@
+"""The enums every record carries and the two artifact writers.
+
+This module imports only the standard library, so any other module can
+import from it at module level without forming a cycle.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import threading
+from enum import Enum
+from pathlib import Path
+
+
+class Language(Enum):
+    ENGLISH = "English"
+    HINDI = "Hindi"
+
+
+class Source(Enum):
+    GSM8K = "GSM8K"
+    MATH = "MATH"
+    HAWP = "HAWP"
+    INDIMATHQA = "IndiMathQA"
+    SYNTHETIC = "Synthetic"
+
+
+class Difficulty(Enum):
+    EASY = "Easy"
+    MEDIUM = "Medium"
+    HARD = "Hard"
+    UNCLASSIFIED = "Unclassified"
+
+
+class Operation(Enum):
+    ADD = "Add"
+    SUB = "Sub"
+    MUL = "Mul"
+    DIV = "Div"
+    NONE = "None"
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) in one rename.
+
+    The text goes to a temp file beside ``path`` first, so a crash or error
+    mid-write leaves the previous file, or none, never a truncated one. The
+    temp name is unique per process and thread, so concurrent writers never
+    share one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# Sorted keys, raw UTF-8, no spaces. One encoder for every call: json.dumps
+# with keyword arguments builds a new JSONEncoder each time.
+canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                  separators=(",", ":")).encode

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
-import threading
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -46,39 +44,19 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from ganitprep.common import (
+    Difficulty,
+    Language,
+    Operation,
+    Source,
+    canonical_json,
+    write_text_atomic,
+)
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.structure import StructuredSolution
 
 MANIFEST_FORMAT = "ganitprep/manifest"
 MANIFEST_VERSION = 1
-
-
-class Language(Enum):
-    ENGLISH = "English"
-    HINDI = "Hindi"
-
-
-class Source(Enum):
-    GSM8K = "GSM8K"
-    MATH = "MATH"
-    HAWP = "HAWP"
-    INDIMATHQA = "IndiMathQA"
-    SYNTHETIC = "Synthetic"
-
-
-class Difficulty(Enum):
-    EASY = "Easy"
-    MEDIUM = "Medium"
-    HARD = "Hard"
-    UNCLASSIFIED = "Unclassified"
-
-
-class Operation(Enum):
-    ADD = "Add"
-    SUB = "Sub"
-    MUL = "Mul"
-    DIV = "Div"
-    NONE = "None"
 
 
 class SourceFormat(Enum):
@@ -101,6 +79,13 @@ def _decode(enum: type[Enum], value):
         return _MEMBERS[enum][value]
     except (KeyError, TypeError):  # unknown or unhashable value
         return enum(value)  # raises the Enum's own ValueError
+
+
+# (field, JSON type, may be null) for each scalar field a record persists,
+# checked at load; the exact type, so a bool is no int.
+_FIELD_TYPES = (("id", str, False), ("question", str, False), ("pair_id", str, False),
+                ("raw_solution", str, True), ("topic", str, True),
+                ("math_level", int, True), ("extras", dict, False))
 
 
 def nfc(text: str) -> str:
@@ -156,6 +141,13 @@ class Problem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Problem":
+        for name, kind, nullable in _FIELD_TYPES:
+            if name in data:
+                value = data[name]
+                if type(value) is not kind and not (nullable and value is None):
+                    raise TypeError(f"field {name!r} must be {kind.__name__}"
+                                    f"{' or null' if nullable else ''}, "
+                                    f"not {type(value).__name__}")
         structured = data.get("structured_solution")
         return cls(
             id=data["id"],
@@ -272,31 +264,6 @@ def replace_records(manifest: CorpusManifest, records: Iterable[Problem]) -> Cor
     """New manifest with the given records; source format and created_at carry over."""
     return CorpusManifest.from_records(records, manifest.source_format,
                                        created_at=manifest.created_at)
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) in one rename.
-
-    The text goes to a temp file beside ``path`` first, so a crash or error
-    mid-write leaves the previous file, or none, never a truncated one. The
-    temp name is unique per process and thread, so concurrent writers never
-    share one.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-# Sorted keys, raw UTF-8, no spaces. One encoder for every call: json.dumps
-# with keyword arguments builds a new JSONEncoder each time.
-canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
-                                  separators=(",", ":")).encode
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:

@@ -129,11 +129,10 @@ def _value_from_line(remainder: str) -> AnswerValue | None:
     return value
 
 
-def extract_answer(text: str, language: Language | None = None) -> AnswerValue | None:
+def extract_answer(text: str) -> AnswerValue | None:
     """Extract the final answer value from free-form solution text.
 
-    ``language`` is accepted as a hint for symmetry with the rest of the
-    pipeline; markers for both languages are always recognized.
+    Markers for both languages are always recognized.
     """
     if not text or not text.strip():
         return None
@@ -169,8 +168,8 @@ def grade(predicted: AnswerValue | None, reference: AnswerValue) -> Verdict:
     """Grade one prediction against its reference value."""
     if predicted is None:
         return Verdict.UNPARSEABLE
-    if predicted.is_numeric and reference.is_numeric:
-        a, b = predicted.numeric_value, reference.numeric_value
+    if predicted.kind is AnswerKind.RATIONAL and reference.kind is AnswerKind.RATIONAL:
+        a, b = predicted.rational, reference.rational
         if a == b:
             return Verdict.CORRECT
         scale = max(abs(a), abs(b))
@@ -224,11 +223,11 @@ def reference_answer(problem: Problem) -> AnswerValue | None:
     if structured is not None:
         if structured.final_answer is not None:
             return structured.final_answer
-        value = extract_answer(structured.answer, problem.language)
+        value = extract_answer(structured.answer)
         if value is not None:
             return value
     if problem.raw_solution:
-        return extract_answer(problem.raw_solution, problem.language)
+        return extract_answer(problem.raw_solution)
     return None
 
 
@@ -244,7 +243,7 @@ def grade_predictions(
         reference = reference_answer(problem)
         if reference is None:
             raise EvaluationError(f"{problem_id}: no extractable reference answer")
-        predicted = extract_answer(output, problem.language)
+        predicted = extract_answer(output)
         records.append(GradeRecord(
             problem_id=problem_id,
             model_name=model_name,

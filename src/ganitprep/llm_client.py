@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ganitprep.corpus import (
-    REVIEW_APPROVED,
-    REVIEW_CORRECTED,
     REVIEW_PENDING,
     REVIEW_STATUSES,
     CorpusManifest,

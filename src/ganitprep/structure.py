@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ganitprep.answers import AnswerValue
+from ganitprep.common import Language, write_text_atomic
 from ganitprep.errors import PipelineError
 
 
@@ -148,8 +149,6 @@ def _canonical_key(name: str) -> str:
 
 def render_structured(solution: StructuredSolution, language=None) -> str:
     """Canonical rendering: heading lines and section bodies, in fixed order."""
-    from ganitprep.corpus import Language  # local import to avoid a cycle
-
     headings = HEADINGS_HI if language is Language.HINDI else HEADINGS_EN
     blocks = [f"{heading}:\n{body}"
               for heading, body in zip(headings, solution.sections())]
@@ -266,6 +265,4 @@ TRAINING_CONFIG = (
 
 def emit_training_config(path) -> None:
     """Write the fine-tuning sampling configuration as key=value lines."""
-    from ganitprep.corpus import write_text_atomic  # local import to avoid a cycle
-
     write_text_atomic(path, "".join(f"{key}={value}\n" for key, value in TRAINING_CONFIG))

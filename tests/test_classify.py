@@ -3,6 +3,7 @@ import pytest
 from conftest import make_manifest, make_problem
 from ganitprep.classify import (
     CRITERIA,
+    DEFAULT_WEIGHTS,
     ClassifyError,
     apply_annotations,
     apply_math_levels,
@@ -85,20 +86,17 @@ class TestScoreComplexity:
     def test_total_is_weighted_combination(self):
         problem = make_problem("p", question="Solve for x: 3x + 4 = 19, then "
                                               "double the result.")
-        weights = {name: w for name, w in zip(CRITERIA, (1, 0, 0, 0, 0))}
-        score = score_complexity(problem, weights=weights)
-        assert score.total == pytest.approx(score.language_understanding)
+        score = score_complexity(problem)
+        combined = sum(DEFAULT_WEIGHTS[name] * getattr(score, name) for name in CRITERIA)
+        assert score.total == combined / sum(DEFAULT_WEIGHTS.values())
 
-    def test_unknown_weight_key_rejected(self):
-        with pytest.raises(ClassifyError, match="unknown criteria"):
-            score_complexity(make_problem("p"), weights={"bogus": 1.0})
-
-    def test_topic_tier_table_override(self):
+    def test_unknown_topic_scores_tier_one(self):
         problem = make_problem("p", question="short", topic="origami")
-        default = score_complexity(problem)
-        boosted = score_complexity(problem, topic_tiers={"origami": 5})
-        assert default.conceptual_complexity == 1.0
-        assert boosted.conceptual_complexity == 5.0
+        assert score_complexity(problem).conceptual_complexity == 1.0
+
+    def test_listed_topic_scores_its_tier(self):
+        problem = make_problem("p", question="short", topic="Precalculus")
+        assert score_complexity(problem).conceptual_complexity == 5.0
 
 
 class TestRankBottomK:

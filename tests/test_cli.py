@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import ganitprep
-from conftest import make_manifest, make_problem, write_jsonl
-from ganitprep.cli import PipelineConfig, load_pipeline_config, main, save_pipeline_config
+from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
+from ganitprep.cli import PipelineConfig, load_pipeline_config, main
 from ganitprep.corpus import Difficulty, load_manifest, save_manifest
 from ganitprep.errors import PipelineError
 
@@ -324,6 +324,26 @@ def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
     assert not (tmp_path / "split.json").exists()
 
 
+@pytest.mark.parametrize("key,value,argv", [
+    ("question", 5, ["classify", "--score", "--bottom-k", "1"]),
+    ("id", 7, ["curriculum", "split"]),
+    ("extras", [1], ["classify", "--math-levels"]),
+])
+def test_wrong_typed_scalar_field_exits_1(tmp_path, capsys, key, value, argv):
+    # The header checksum matches, so only the record check stops the stage.
+    manifest_path, out = tmp_path / "m.jsonl", tmp_path / "out"
+    good = make_problem("p", raw_solution="#### 1").to_dict()
+    bad = {**good, "id": "q", key: value}
+    write_record_lines(manifest_path, [json.dumps(good), json.dumps(bad)])
+    rc = main([*argv, "--in", str(manifest_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error=") and err.count("\n") == 1
+    assert (f"{manifest_path}:3: unreadable record: field {key!r}"
+            in json.loads(err[len("error="):]))
+    assert not out.exists()
+
+
 def test_non_object_manifest_line_exits_1(tmp_path, capsys):
     manifest_path = tmp_path / "m.jsonl"
     save_manifest(make_manifest([make_problem("p", raw_solution="#### 1")]), manifest_path)
@@ -339,11 +359,11 @@ def test_non_object_manifest_line_exits_1(tmp_path, capsys):
 
 class TestPipelineConfig:
     def test_round_trip(self, tmp_path):
-        config = PipelineConfig(seed=13, ratio=0.8, cumulative=True,
-                                out_dir="somewhere")
         path = tmp_path / "config.json"
-        save_pipeline_config(config, path)
-        assert load_pipeline_config(path) == config
+        path.write_text(json.dumps({"seed": 13, "ratio": 0.8, "cumulative": True,
+                                    "out_dir": "somewhere"}), encoding="utf-8")
+        assert load_pipeline_config(path) == PipelineConfig(
+            seed=13, ratio=0.8, cumulative=True, out_dir="somewhere")
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -387,9 +407,9 @@ class TestDemo:
             assert (out_dir / name).read_bytes() == before, name
 
     def test_missing_config_path_validated(self, tmp_path, capsys):
-        config = PipelineConfig(gsm8k_path=str(tmp_path / "nope.jsonl"))
         config_path = tmp_path / "c.json"
-        save_pipeline_config(config, config_path)
+        config_path.write_text(json.dumps({"gsm8k_path": str(tmp_path / "nope.jsonl")}),
+                               encoding="utf-8")
         rc = main(["demo", "--out", str(tmp_path / "o"), "--config", str(config_path)])
         assert rc == 1
         assert "missing input paths" in capsys.readouterr().err

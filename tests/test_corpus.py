@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import unicodedata
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_manifest, make_problem, write_jsonl
+from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
 from ganitprep import corpus
 from ganitprep.corpus import (
     CorpusManifest,
@@ -25,7 +26,7 @@ from ganitprep.corpus import (
     records_checksum,
     save_manifest,
 )
-from ganitprep.cli import PipelineConfig, _demo_data_dir, build_parser, save_pipeline_config
+from ganitprep.cli import _demo_data_dir, build_parser
 from ganitprep.curriculum import (
     STAGE_EASY,
     build_curriculum,
@@ -442,14 +443,6 @@ def test_save_serialises_each_record_once(tmp_path, monkeypatch):
     assert load_manifest(tmp_path / "m.jsonl") == manifest
 
 
-def _write_record_lines(path, lines) -> None:
-    """A manifest file holding ``lines`` as records, under a valid header."""
-    header = {"format": corpus.MANIFEST_FORMAT, "version": corpus.MANIFEST_VERSION,
-              "source_format": "mixed", "created_at": "2024-01-01T00:00:00+00:00",
-              "count": len(lines), "checksum": corpus._lines_checksum(lines)}
-    path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
-
-
 _SECTIONS = dict.fromkeys(SECTION_FIELDS, "x")
 
 
@@ -471,7 +464,7 @@ class TestRecordDecoding:
         path = tmp_path / "m.jsonl"
         good = json.dumps(self._record(), ensure_ascii=False)
         bad = json.dumps(self._record(id="q", **{key: value}), ensure_ascii=False)
-        _write_record_lines(path, [good, bad])
+        write_record_lines(path, [good, bad])
         message = f"{path}:3: unreadable record: {value!r} is not a valid {enum}"
         with pytest.raises(IntegrityError, match=re.escape(message)):
             load_manifest(path)
@@ -480,7 +473,7 @@ class TestRecordDecoding:
         record = self._record()
         del record["difficulty"], record["operation"]
         path = tmp_path / "m.jsonl"
-        _write_record_lines(path, [json.dumps(record, ensure_ascii=False)])
+        write_record_lines(path, [json.dumps(record, ensure_ascii=False)])
         (problem,) = load_manifest(path)
         assert problem.difficulty is Difficulty.UNCLASSIFIED
         assert problem.operation is Operation.NONE
@@ -496,15 +489,35 @@ class TestRecordDecoding:
     def test_wrong_typed_field_names_path_and_line(self, tmp_path, structured):
         path = tmp_path / "m.jsonl"
         bad = self._record(id="q", structured_solution=structured)
-        _write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
+        write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
         with pytest.raises(IntegrityError,
                            match=re.escape(f"{path}:3: unreadable record: ")):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("id", 7, "str, not int"),
+        ("question", 5, "str, not int"),
+        ("pair_id", None, "str, not NoneType"),
+        ("raw_solution", 3, "str or null, not int"),
+        ("topic", ["x"], "str or null, not list"),
+        ("math_level", "3", "int or null, not str"),
+        ("math_level", True, "int or null, not bool"),
+        ("extras", [1], "dict, not list"),
+        ("extras", None, "dict, not NoneType"),
+    ])
+    def test_wrong_typed_scalar_names_field_path_and_line(self, tmp_path, key, value,
+                                                          expected):
+        path = tmp_path / "m.jsonl"
+        bad = self._record(**{"id": "q", key: value})
+        write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
+        message = f"{path}:3: unreadable record: field {key!r} must be {expected}"
+        with pytest.raises(IntegrityError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize("line", ["[]", "1", '"text"', "null"])
     def test_non_object_record_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "m.jsonl"
-        _write_record_lines(path, [json.dumps(self._record()), line])
+        write_record_lines(path, [json.dumps(self._record()), line])
         with pytest.raises(IntegrityError,
                            match=re.escape(f"{path}:3: record is not an object")):
             load_manifest(path)
@@ -529,8 +542,7 @@ def _small_curriculum():
     return manifest, assignment, build_curriculum(manifest, assignment)
 
 
-_WRITERS = ["manifest", "export", "split", "curriculum", "grades", "training_config",
-            "pipeline_config"]
+_WRITERS = ["manifest", "export", "split", "curriculum", "grades", "training_config"]
 
 
 def _write_each(kind, path):
@@ -545,8 +557,6 @@ def _write_each(kind, path):
         save_curriculum(built, path)
     elif kind == "training_config":
         emit_training_config(path)
-    elif kind == "pipeline_config":
-        save_pipeline_config(PipelineConfig(), path)
     else:
         one = AnswerValue.from_rational(1)
         save_grades([GradeRecord("e0", "m", one, one, Verdict.CORRECT)], path)
@@ -573,7 +583,7 @@ class TestAtomicWrite:
         def refuse(src, dst):
             raise OSError("rename refused")
 
-        monkeypatch.setattr(corpus.os, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             _write_each(kind, path)
         assert path.read_text(encoding="utf-8") == "previous\n"
@@ -634,7 +644,7 @@ class TestAtomicTextWriters:
         targets, write = _text_writer(kind, in_dir, out_dir)
         for target in targets:
             target.write_text("previous\n", encoding="utf-8")
-        real_replace = corpus.os.replace
+        real_replace = os.replace
 
         def refuse(src, dst):
             # Only the files under test; the demo's other artifacts still land.
@@ -642,7 +652,7 @@ class TestAtomicTextWriters:
                 raise OSError("rename refused")
             real_replace(src, dst)
 
-        monkeypatch.setattr(corpus.os, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             write()
         assert [t.read_text(encoding="utf-8") for t in targets] == ["previous\n"] * len(targets)

@@ -223,6 +223,16 @@ class TestReadVerdicts:
                 f"{path}:1: unreadable grade: 'Bogus' is not a valid AnswerKind")):
             load_grades(path)
 
+    def test_retired_decimal_kind_loads_as_rational(self, tmp_path):
+        path = tmp_path / "grades.jsonl"
+        decimal = {"kind": "Decimal", "decimal_text": "0.50"}
+        path.write_text(_grade_line(predicted=decimal, reference=decimal) + "\n",
+                        encoding="utf-8")
+        half = AnswerValue.from_rational(Fraction(1, 2))
+        [record] = load_grades(path)
+        assert (record.predicted, record.reference) == (half, half)
+        assert read_verdicts(path) == [("p1", "m", Verdict.CORRECT)]
+
     @pytest.mark.parametrize("changes,message", [
         ({"verdict": "Maybe"}, "unknown verdict 'Maybe'"),
         ({"verdict": ["Correct"]}, "unknown verdict ['Correct']"),
@@ -246,6 +256,7 @@ class TestReadVerdicts:
         {"reference": {"kind": "Rational", "rational": "x"}},
         {"reference": {"kind": "Rational", "rational": 5}},
         {"reference": {"kind": "Rational", "rational": "1/0"}},
+        {"reference": {"kind": "Decimal", "decimal_text": "abc"}},
         {"reference": None},
     ])
     def test_wrong_typed_answer_names_path_and_line(self, tmp_path, changes):

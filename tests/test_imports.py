@@ -1,0 +1,53 @@
+"""The package's own import graph, read from the source with ``ast``."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import ganitprep
+
+PACKAGE_DIR = Path(ganitprep.__file__).resolve().parent
+MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+LEAF = "common"  # the shared enums and writers: imports no package module
+
+
+def _imported_modules(node: ast.AST) -> set[str]:
+    """Package modules named by one import statement."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ("ganitprep." + (node.module or "")).rstrip(".") if node.level \
+            else node.module or ""
+        names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+    else:
+        return set()
+    return {name.split(".")[1] for name in names if name.startswith("ganitprep.")} & MODULES
+
+
+def _import_graph() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """(module-level imports, imports inside functions) per package module."""
+    top, local = {}, {}
+    for name in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        in_functions = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_functions.update(id(inner) for inner in ast.walk(node))
+        top[name], local[name] = set(), set()
+        for node in ast.walk(tree):
+            (local if id(node) in in_functions else top)[name] |= _imported_modules(node)
+    return top, local
+
+
+def test_module_level_imports_are_acyclic():
+    top, _ = _import_graph()
+    list(TopologicalSorter(top).static_order())  # a cycle raises CycleError naming it
+    assert top[LEAF] == set()
+
+
+def test_only_cli_imports_inside_functions():
+    # cli imports each stage module in the handler that runs it, so a stage
+    # process loads only what it needs; nothing else defers an import.
+    _, local = _import_graph()
+    assert {name for name, targets in local.items() if targets} == {"cli"}
+
