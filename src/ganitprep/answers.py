@@ -19,10 +19,17 @@ from enum import Enum
 from fractions import Fraction
 
 _DEVANAGARI_DIGITS = {0x0966 + i: ord("0") + i for i in range(10)}
+_DEVANAGARI_DIGIT_RE = re.compile("[\u0966-\u096f]")
 
 
 def map_devanagari_digits(text: str) -> str:
-    """Translate the ten digit codepoints U+0966..U+096F to ASCII 0-9."""
+    """Translate the ten digit codepoints U+0966..U+096F to ASCII 0-9.
+
+    Text that holds none of them (all English text, most Hindi text) is
+    returned as it is, without the per-character table lookup.
+    """
+    if _DEVANAGARI_DIGIT_RE.search(text) is None:
+        return text
     return text.translate(_DEVANAGARI_DIGITS)
 
 
@@ -38,6 +45,7 @@ _MIXED_RE = re.compile(r"(\d+)\s*\+\s*(\d+)\s*/\s*(\d+)$")
 _LATEX_FRACTION_RE = re.compile(
     r"([-+]?)\\[dt]?frac\s*\{\s*(-?\d+)\s*\}\s*\{\s*(-?\d+)\s*\}$"
 )
+_DIGIT_RE = re.compile(r"\d")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -45,13 +53,18 @@ def as_fraction(text: str) -> Fraction | None:
     """Parse ``text`` as an exact rational, or return None.
 
     Accepts integers (with thousands commas), terminating decimals,
-    ``a/b`` and ``\\frac{a}{b}`` forms.
+    ``a/b`` and ``\\frac{a}{b}`` forms. Text with no digit is rejected
+    before any form is tried; integers and decimals are built from ints,
+    not by parsing the string a second time in ``Fraction``.
     """
     s = text.strip()
-    if not s:
+    if _DIGIT_RE.search(s) is None:
         return None
-    if _INT_RE.fullmatch(s) or _DECIMAL_RE.fullmatch(s):
-        return Fraction(s.replace(",", ""))
+    if _INT_RE.fullmatch(s):
+        return Fraction(int(s.replace(",", "")))
+    if _DECIMAL_RE.fullmatch(s):
+        whole, _, frac = s.replace(",", "").partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac))
     m = _SLASH_FRACTION_RE.fullmatch(s)
     if m:
         num, den = int(m.group(1)), int(m.group(2))
@@ -73,17 +86,21 @@ def format_exact(value: Fraction | int) -> str:
 
     Integers render bare, terminating decimals as decimal strings
     ("121/2" -> "60.5"), anything else as a fraction with the whole part
-    split off ("10/3" -> "3 + 1/3").
+    split off ("10/3" -> "3 + 1/3"). An ``int`` or integral ``Fraction``
+    renders straight from its integer, with no ``Fraction`` arithmetic.
     """
-    value = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
     if value < 0:
         positive = format_exact(-value)
         if " + " in positive:
             # "-3 + 1/3" would read as addition; keep negatives as one fraction.
             return f"{value.numerator}/{value.denominator}"
         return "-" + positive
-    if value.denominator == 1:
-        return str(value.numerator)
     den = value.denominator
     twos = fives = 0
     d = den
@@ -134,7 +151,9 @@ class AnswerValue:
 
     @classmethod
     def from_rational(cls, value) -> "AnswerValue":
-        return cls(kind=AnswerKind.RATIONAL, rational=Fraction(value))
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return cls(kind=AnswerKind.RATIONAL, rational=value)
 
     @classmethod
     def from_decimal(cls, text: str) -> "AnswerValue":
@@ -171,16 +190,28 @@ class AnswerValue:
         return cls.from_expression(data["expression"])
 
 
-def parse_value(candidate: str) -> AnswerValue | None:
-    """Parse a candidate answer string into a value, numeric when possible."""
-    s = map_devanagari_digits(candidate)
-    s = normalize_expression(s)
-    s = s.rstrip("।").rstrip()
-    if s.endswith(".") and as_fraction(s[:-1]) is not None:
-        s = s[:-1]
+def parse_candidate(candidate: str) -> Fraction | str | None:
+    """The exact rational a candidate answer spells, else its cleaned text.
+
+    None when nothing is left after cleaning. A number may end in one
+    sentence period ("14661." is 14661).
+    """
+    s = normalize_expression(map_devanagari_digits(candidate)).rstrip("।").rstrip()
     if not s:
         return None
+    if s.endswith("."):
+        frac = as_fraction(s[:-1])
+        if frac is not None:
+            return frac
     frac = as_fraction(s)
-    if frac is not None:
-        return AnswerValue.from_rational(frac)
-    return AnswerValue.from_expression(s)
+    return s if frac is None else frac
+
+
+def parse_value(candidate: str) -> AnswerValue | None:
+    """Parse a candidate answer string into a value, numeric when possible."""
+    parsed = parse_candidate(candidate)
+    if parsed is None:
+        return None
+    if isinstance(parsed, str):
+        return AnswerValue.from_expression(parsed)
+    return AnswerValue.from_rational(parsed)

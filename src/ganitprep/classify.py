@@ -80,24 +80,30 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _IDENTIFIER_RE = re.compile(r"(?<![0-9A-Za-z])([b-hj-z])(?![0-9A-Za-z])")
 _CLAUSE_RE = re.compile(r"[,;:]")
 
-_OPERATOR_WORDS = (
+
+def _by_script(words: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(the ASCII words, all the words): ASCII text holds none of the rest."""
+    return tuple(word for word in words if word.isascii()), words
+
+
+_OPERATOR_WORDS = _by_script((
     "plus", "minus", "times", "divided", "sum", "difference", "product",
     "quotient", "percent", "ratio", "जोड़", "घटा", "गुणा", "भाग", "योग", "अंतर",
-)
-_CONCEPT_WORDS = (
+))
+_CONCEPT_WORDS = _by_script((
     "sqrt", "square root", "log", "sin", "cos", "tan", "integral",
     "derivative", "factorial", "probability", "equation", "matrix", "vector",
     "polynomial", "prime", "प्रायिकता", "समीकरण", "वर्गमूल",
-)
-_CLAUSE_WORDS = (
+))
+_CLAUSE_WORDS = _by_script((
     " and ", " but ", " if ", " because ", " while ", " और ", " लेकिन ",
     " अगर ", " यदि ", " तो ",
-)
-_STEP_WORDS = (
+))
+_STEP_WORDS = _by_script((
     "first", "then", "next", "after", "finally", "total", "remain", "left",
     "each", "every", "per", "how many", "कितने", "कितना", "पहले", "फिर",
     "बाद", "कुल", "प्रत्येक",
-)
+))
 
 
 class RawFeatures(NamedTuple):
@@ -112,8 +118,9 @@ class RawFeatures(NamedTuple):
     topic_tier: int
 
 
-def _count_words(text: str, words) -> int:
-    return sum(text.count(word) for word in words)
+def _count_words(text: str, words: tuple[tuple[str, ...], tuple[str, ...]]) -> int:
+    # One non-overlapping str.count per word: "cosin" holds both cos and sin.
+    return sum(map(text.count, words[0] if text.isascii() else words[1]))
 
 
 def extract_features(problem: Problem) -> RawFeatures:
@@ -151,6 +158,25 @@ class ComplexityScore:
         return {name: getattr(self, name) for name in CRITERIA}
 
 
+def _sub_scores(raw: RawFeatures) -> tuple[float, ...]:
+    """The five sub-scores, in ``CRITERIA`` order."""
+    return (
+        1 + 4 * (0.7 * _unit(raw.token_count, 8, 72) + 0.3 * _unit(raw.sentence_count, 1, 5)),
+        1 + 4 * (0.7 * _unit(raw.operator_count, 1, 7) + 0.3 * _unit(raw.concept_count, 0, 4)),
+        1 + 4 * (0.6 * _unit(raw.clause_count, 0, 6) + 0.4 * _unit(raw.step_cue_count, 0, 6)),
+        1 + 4 * (0.6 * _unit(raw.identifier_count, 0, 4)
+                 + 0.4 * _unit(raw.literal_count, 2, 6)),
+        float(raw.topic_tier),
+    )
+
+
+_WEIGHTS = tuple(DEFAULT_WEIGHTS[name] for name in CRITERIA)
+
+
+def _total(subs: tuple[float, ...]) -> float:
+    return sum(weight * sub for weight, sub in zip(_WEIGHTS, subs)) / _WEIGHT_NORM
+
+
 def score_complexity(problem: Problem) -> ComplexityScore:
     """Score a problem on the five criteria, each on a 1..5 scale.
 
@@ -158,19 +184,8 @@ def score_complexity(problem: Problem) -> ComplexityScore:
     weights). Degenerate text floors every scale at 1.
     """
     raw = extract_features(problem)
-    subs = {
-        "language_understanding": 1 + 4 * (
-            0.7 * _unit(raw.token_count, 8, 72) + 0.3 * _unit(raw.sentence_count, 1, 5)),
-        "mathematical_complexity": 1 + 4 * (
-            0.7 * _unit(raw.operator_count, 1, 7) + 0.3 * _unit(raw.concept_count, 0, 4)),
-        "reasoning_complexity": 1 + 4 * (
-            0.6 * _unit(raw.clause_count, 0, 6) + 0.4 * _unit(raw.step_cue_count, 0, 6)),
-        "num_variables": 1 + 4 * (
-            0.6 * _unit(raw.identifier_count, 0, 4) + 0.4 * _unit(raw.literal_count, 2, 6)),
-        "conceptual_complexity": float(raw.topic_tier),
-    }
-    total = sum(DEFAULT_WEIGHTS[name] * subs[name] for name in CRITERIA) / _WEIGHT_NORM
-    return ComplexityScore(total=total, features=raw._asdict(), **subs)
+    subs = _sub_scores(raw)
+    return ComplexityScore(*subs, total=_total(subs), features=raw._asdict())
 
 
 def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
@@ -180,9 +195,10 @@ def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
     """
     if k < 0 or k > len(manifest):
         raise ClassifyError(f"k must be in 0..{len(manifest)}, got {k}")
+    # The total alone, without the ComplexityScore and features dict.
     ranked = sorted(
         manifest,
-        key=lambda p: (score_complexity(p).total, p.id),
+        key=lambda p: (_total(_sub_scores(extract_features(p))), p.id),
     )
     selected = {p.id for p in ranked[:k]}
     records = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
@@ -26,7 +26,7 @@ from ganitprep.corpus import (
     save_manifest,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, check_json_object
 
 
 def _summary(stage: str, count_in: int, count_out: int, flagged: int = 0,
@@ -250,8 +250,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        # Every field's default has the type its JSON value must decode to.
+        types = {f.name: type(f.default) for f in fields(cls)}
+        check_json_object(data, types)
+        unknown = set(data) - set(types)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -306,6 +308,8 @@ def _cmd_demo(args) -> int:
     missing = [p for p in config.input_paths() if not Path(p).exists()]
     if missing:
         raise PipelineError(f"missing input paths: {', '.join(missing)}")
+    mode = curriculum_mod.TrainingMode(config.mode)
+    curriculum_mod.check_ratio(config.ratio)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,7 +354,7 @@ def _cmd_demo(args) -> int:
 
     built = curriculum_mod.build_curriculum(
         merged, assignment,
-        mode=curriculum_mod.TrainingMode(config.mode),
+        mode=mode,
         cumulative=config.cumulative,
     )
     curriculum_mod.save_curriculum(built, out_dir / "curriculum.json")

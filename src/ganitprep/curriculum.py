@@ -175,14 +175,19 @@ def _stratum_seed(seed: int, label: tuple[str, ...]) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
+def check_ratio(ratio: float) -> None:
+    """Reject a train share outside the open interval (0, 1)."""
+    if not 0 < ratio < 1:
+        raise CurriculumError(f"ratio must be in (0, 1), got {ratio}")
+
+
 def split(manifest: CorpusManifest, seed: int, ratio: float = 0.70) -> SplitAssignment:
     """Stratified, pair-co-assigned train/test split.
 
     Deterministic given (manifest, seed, ratio); the train share per
     stratum is round(ratio * size) up to the pairing constraint.
     """
-    if not 0 < ratio < 1:
-        raise CurriculumError(f"ratio must be in (0, 1), got {ratio}")
+    check_ratio(ratio)
     groups: dict[str, list[Problem]] = {}
     for problem in manifest:
         key = problem.pair_id or f"solo:{problem.id}"

@@ -152,23 +152,26 @@ def render_trace(trace: DecompositionTrace, language: Language = Language.ENGLIS
     words = _WORDING[language]
     mul = trace.kind is TraceKind.MULTIPLICATION
     symbol = "×" if mul else "÷"
+    b = trace.operand_b
     total = format_exact(trace.total)
+    segments = [str(segment) for segment, _ in trace.components]
+    partials = [format_exact(partial) for _, partial in trace.components]
     lines = [
         words.breakdown.format(a=trace.operand_a),
         "",
-        f"{trace.operand_a} = " + " + ".join(str(s) for s in trace.segments),
+        f"{trace.operand_a} = " + " + ".join(segments),
         "",
-        (words.step_mul if mul else words.step_div).format(b=trace.operand_b),
+        (words.step_mul if mul else words.step_div).format(b=b),
         "",
     ]
-    for segment, partial in trace.components:
-        lines.append(f"{segment} {symbol} {trace.operand_b} = {format_exact(partial)}")
+    for segment, partial in zip(segments, partials):
+        lines.append(f"{segment} {symbol} {b} = {partial}")
         lines.append("")
     lines.append(words.sum_mul if mul else words.sum_div)
-    lines.append(" + ".join(format_exact(p) for p in trace.partials) + f" = {total}")
+    lines.append(" + ".join(partials) + f" = {total}")
     lines.append("")
     lines.append((words.final_mul if mul else words.final_div).format(
-        a=trace.operand_a, b=trace.operand_b, total=total))
+        a=trace.operand_a, b=b, total=total))
     return "\n".join(lines) + "\n"
 
 

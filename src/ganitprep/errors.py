@@ -11,3 +11,29 @@ class RecordFormatError(PipelineError):
 
 class IntegrityError(PipelineError):
     """A persisted artifact fails its checksum or an invariant check."""
+
+
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def check_json_object(data, types: dict, error: type = PipelineError,
+                      what: str = "config") -> None:
+    """Raise ``error`` unless ``data`` is a JSON object whose keys hold their types.
+
+    ``types`` maps a key to the Python type its decoded value must have;
+    absent keys and keys not in ``types`` pass. A bool is not an int, and an
+    int is accepted for a float.
+    """
+    if type(data) is not dict:
+        raise error(f"{what} must be a JSON object, not {_json_name(data)}")
+    for key, kind in types.items():
+        if key in data:
+            value = data[key]
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise error(f"{what} key {key!r} must be {_JSON_NAMES[kind]}, "
+                            f"not {_json_name(value)}")
+
+
+def _json_name(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)

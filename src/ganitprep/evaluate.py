@@ -29,6 +29,7 @@ from ganitprep.answers import (
     AnswerValue,
     as_fraction,
     map_devanagari_digits,
+    parse_candidate,
     parse_value,
 )
 from ganitprep.corpus import (
@@ -68,10 +69,11 @@ _ANY_NUMBER_RE = re.compile(
     r"|[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
 )
 _TOKEN_TRIM = ".,;:!?()[]{}%₹$€"
+_BOXED_RE = re.compile(r"\\boxed")
 
 
 def _last_boxed(text: str) -> str | None:
-    starts = [m.start() for m in re.finditer(r"\\boxed", text)]
+    starts = [m.start() for m in _BOXED_RE.finditer(text)]
     for idx in reversed(starts):
         scan = idx + len("\\boxed")
         while scan < len(text) and text[scan].isspace():
@@ -93,8 +95,10 @@ def _last_boxed(text: str) -> str | None:
 
 
 def _is_word(token: str) -> bool:
-    # Letters plus combining marks; isalpha() alone rejects Devanagari matras.
-    return all(unicodedata.category(ch)[0] in ("L", "M") for ch in token)
+    # Letters plus combining marks; isalpha() alone rejects Devanagari matras,
+    # but is a sound fast yes: it holds only when every character is a letter.
+    return token.isalpha() or all(unicodedata.category(ch)[0] in ("L", "M")
+                                  for ch in token)
 
 
 def _prose_tail_number(text: str) -> Fraction | None:
@@ -119,14 +123,14 @@ def _prose_tail_number(text: str) -> Fraction | None:
 
 
 def _value_from_line(remainder: str) -> AnswerValue | None:
-    value = parse_value(remainder)
-    if value is None:
-        return None
-    if value.kind is AnswerKind.EXPRESSION:
-        tail = _prose_tail_number(map_devanagari_digits(remainder))
-        if tail is not None:
-            return AnswerValue.from_rational(tail)
-    return value
+    # ``remainder`` comes from digit-mapped text, so it needs no mapping here.
+    parsed = parse_candidate(remainder)
+    if isinstance(parsed, str):
+        tail = _prose_tail_number(remainder)
+        if tail is None:
+            return AnswerValue.from_expression(parsed)
+        parsed = tail
+    return None if parsed is None else AnswerValue.from_rational(parsed)
 
 
 def extract_answer(text: str) -> AnswerValue | None:
@@ -138,11 +142,13 @@ def extract_answer(text: str) -> AnswerValue | None:
         return None
     mapped = map_devanagari_digits(text)
 
-    boxed = _last_boxed(mapped)
-    if boxed is not None:
-        return parse_value(boxed)
+    if "\\boxed" in mapped:
+        boxed = _last_boxed(mapped)
+        if boxed is not None:
+            return parse_value(boxed)
 
-    for line in reversed(mapped.splitlines()):
+    lines = mapped.splitlines()
+    for line in reversed(lines):
         match = _MARKER_LINE_RE.match(line)
         if match:
             value = _value_from_line(match.group(1))
@@ -150,7 +156,7 @@ def extract_answer(text: str) -> AnswerValue | None:
                 return value
             break
 
-    for line in reversed(mapped.splitlines()):
+    for line in reversed(lines):
         match = _HASH_LINE_RE.match(line)
         if match:
             value = parse_value(match.group(1))

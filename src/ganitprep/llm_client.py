@@ -24,7 +24,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ganitprep.corpus import (
@@ -39,7 +39,7 @@ from ganitprep.corpus import (
     replace_records,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, check_json_object
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 log = logging.getLogger(__name__)
@@ -131,7 +131,12 @@ class ClientConfig:
 
 def load_client_config(path) -> ClientConfig:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    # Every field's default has the type its JSON value must decode to.
+    types = {f.name: type(f.default) for f in fields(ClientConfig)}
+    check_json_object(data, {**types, "retry": dict}, ProviderError, "client config")
     retry = data.get("retry", {})
+    check_json_object(retry, {f.name: type(f.default) for f in fields(RetryPolicy)},
+                      ProviderError, "client config retry")
     return ClientConfig(
         kind=data.get("kind", "mock"),
         endpoint=data.get("endpoint", ""),

@@ -378,6 +378,66 @@ class TestPipelineConfig:
         with pytest.raises(PipelineError, match=key):
             load_pipeline_config(path)
 
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ratio": 1}), encoding="utf-8")
+        assert load_pipeline_config(path).ratio == 1
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "config must be a JSON object, not an array"),
+        ({"seed": True}, "'seed' must be an integer, not a boolean"),
+        ({"cumulative": 1}, "'cumulative' must be a boolean, not an integer"),
+        ({"out_dir": None}, "'out_dir' must be a string, not null"),
+    ])
+    def test_wrong_shape_or_type_rejected(self, tmp_path, data, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(PipelineError, match=message):
+            load_pipeline_config(path)
+
+
+def _single_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error=") and err.count("\n") == 1
+    return json.loads(err[len("error="):])
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"ratio": "0.7"}, "config key 'ratio' must be a number, not a string"),
+    ({"seed": [1]}, "config key 'seed' must be an integer, not an array"),
+    ({"ratio": 1.5}, "ratio must be in (0, 1), got 1.5"),
+    ({"mode": "fr"}, "'fr' is not a valid TrainingMode"),
+])
+def test_demo_bad_config_writes_nothing(tmp_path, capsys, config, message):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["demo", "--out", str(out_dir), "--config", str(config_path)])
+    assert rc == 1
+    assert _single_error(capsys) == message
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    ([], "client config must be a JSON object, not an array"),
+    ({"concurrency": "2"}, "client config key 'concurrency' must be an integer, "
+                           "not a string"),
+    ({"retry": [1]}, "client config key 'retry' must be an object, not an array"),
+    ({"retry": {"max_attempts": True}},
+     "client config retry key 'max_attempts' must be an integer, not a boolean"),
+])
+def test_augment_bad_config_writes_nothing(tmp_path, capsys, config, message):
+    manifest_path = tmp_path / "seeds.jsonl"
+    save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest_path)
+    config_path = tmp_path / "provider.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_path = tmp_path / "synthetic.jsonl"
+    rc = main(["augment", "--in", str(manifest_path), "--target", "1",
+               "--config", str(config_path), "--out", str(out_path)])
+    assert rc == 1
+    assert _single_error(capsys) == message
+    assert not out_path.exists()
+
 
 class TestDemo:
     def test_demo_runs_clean(self, tmp_path, capsys):
