@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
@@ -26,7 +26,7 @@ from ganitprep.corpus import (
     save_manifest,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_json_object
+from ganitprep.errors import PipelineError, check_fields
 
 
 def _summary(stage: str, count_in: int, count_out: int, flagged: int = 0,
@@ -250,12 +250,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        # Every field's default has the type its JSON value must decode to.
-        types = {f.name: type(f.default) for f in fields(cls)}
-        check_json_object(data, types)
-        unknown = set(data) - set(types)
-        if unknown:
-            raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        check_fields(data, cls)
         return cls(**data)
 
     def input_paths(self) -> list[str]:

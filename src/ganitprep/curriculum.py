@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -33,7 +34,7 @@ from ganitprep.corpus import (
     passes_review,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, check_json_object
 from ganitprep.structure import PromptName, get_template, render_prompt, render_structured
 
 STAGE_EASY = "SFT_easy"
@@ -356,17 +357,36 @@ def save_split(assignment: SplitAssignment, path) -> None:
                                        indent=1) + "\n")
 
 
-def load_split(path) -> SplitAssignment:
+@contextmanager
+def _json_file(path, what: str, types: dict):
+    """Yield the JSON object in ``path``, whose keys hold ``types``.
+
+    A missing key or a wrong type met while reading it becomes a
+    ``CurriculumError`` naming the path.
+    """
+    what = f"{path}: {what}"
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SplitAssignment(
-        seed=payload["seed"],
-        ratio=payload["ratio"],
-        assignments={pid: Assign(a) for pid, a in payload["assignments"].items()},
-        strata={
-            (row["source"], row["difficulty"], row["language"]): (row["train"], row["test"])
-            for row in payload["strata"]
-        },
-    )
+    check_json_object(payload, types, CurriculumError, what)
+    try:
+        yield payload
+    except KeyError as exc:
+        raise CurriculumError(f"{what} has no key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise CurriculumError(f"{what} is malformed: {exc}") from exc
+
+
+def load_split(path) -> SplitAssignment:
+    types = {"seed": int, "ratio": float, "assignments": dict, "strata": list}
+    with _json_file(path, "split file", types) as payload:
+        return SplitAssignment(
+            seed=payload["seed"],
+            ratio=payload["ratio"],
+            assignments={pid: Assign(a) for pid, a in payload["assignments"].items()},
+            strata={
+                (row["source"], row["difficulty"], row["language"]): (row["train"], row["test"])
+                for row in payload["strata"]
+            },
+        )
 
 
 def save_curriculum(curriculum: CurriculumManifest, path) -> None:
@@ -388,17 +408,18 @@ def save_curriculum(curriculum: CurriculumManifest, path) -> None:
 
 
 def load_curriculum(path) -> CurriculumManifest:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return CurriculumManifest(
-        stages=tuple(
-            Stage(
-                name=row["name"],
-                train_ids=tuple(row["train_ids"]),
-                parent_checkpoint=row["parent_checkpoint"],
-                checkpoint_name=row["checkpoint_name"],
-            )
-            for row in payload["stages"]
-        ),
-        mode=TrainingMode(payload["mode"]),
-        cumulative=payload["cumulative"],
-    )
+    types = {"stages": list, "mode": str, "cumulative": bool}
+    with _json_file(path, "curriculum file", types) as payload:
+        return CurriculumManifest(
+            stages=tuple(
+                Stage(
+                    name=row["name"],
+                    train_ids=tuple(row["train_ids"]),
+                    parent_checkpoint=row["parent_checkpoint"],
+                    checkpoint_name=row["checkpoint_name"],
+                )
+                for row in payload["stages"]
+            ),
+            mode=TrainingMode(payload["mode"]),
+            cumulative=payload["cumulative"],
+        )

@@ -1,5 +1,7 @@
 """Shared exception hierarchy."""
 
+from dataclasses import fields
+
 
 class PipelineError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -33,6 +35,20 @@ def check_json_object(data, types: dict, error: type = PipelineError,
             if type(value) is not kind and not (kind is float and type(value) is int):
                 raise error(f"{what} key {key!r} must be {_JSON_NAMES[kind]}, "
                             f"not {_json_name(value)}")
+
+
+def check_fields(data, cls, error: type = PipelineError, what: str = "config",
+                 **types) -> None:
+    """Raise ``error`` unless ``data`` is a JSON object of dataclass ``cls``'s fields.
+
+    A field's default has the type its JSON value must decode to, unless
+    ``types`` gives another; a key that names no field is rejected.
+    """
+    types = {f.name: type(f.default) for f in fields(cls)} | types
+    check_json_object(data, types, error, what)
+    unknown = set(data) - set(types)
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _json_name(value) -> str:

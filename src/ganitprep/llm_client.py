@@ -1,6 +1,7 @@
 """Pluggable text-generation client with a deterministic mock provider.
 
-The mock provider answers from a directory of fixture files named by the
+A provider's ``generate`` takes a prompt and returns the generated text. The
+mock provider answers from a directory of fixture files named by the
 sha256 digest of the prompt, so pipeline runs that route through it are
 byte-reproducible. The HTTP provider posts JSON to a configured endpoint,
 retries transient failures (transport errors, HTTP 429 and 5xx) with
@@ -24,7 +25,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ganitprep.corpus import (
@@ -39,7 +40,7 @@ from ganitprep.corpus import (
     replace_records,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_json_object
+from ganitprep.errors import PipelineError, check_fields
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 log = logging.getLogger(__name__)
@@ -57,52 +58,10 @@ class AugmentationError(PipelineError):
     pass
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    sampling: bool = True
-    top_k: int = 40
-    temperature: float = 0.8
-    top_p: float = 0.90
-    max_length: int = 4096
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {self.max_length}")
-
-    def to_dict(self) -> dict:
-        return {
-            "sampling": self.sampling,
-            "top_k": self.top_k,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_length": self.max_length,
-        }
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    params: GenerationParams = GenerationParams()
-
-    def __post_init__(self):
-        if not self.prompt:
-            raise ValueError("prompt must be nonempty")
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    text: str
-    provider_id: str
-    latency_ms: float
-    attempt_count: int
-
-    def __post_init__(self):
-        if self.attempt_count < 1:
-            raise ValueError("attempt_count must be >= 1")
+# Sampling settings sent with every request; the same values as the sampling
+# entries of ``structure.TRAINING_CONFIG``.
+SAMPLING_PARAMS = {"sampling": True, "top_k": 40, "temperature": 0.8, "top_p": 0.90,
+                   "max_length": 4096}
 
 
 @dataclass(frozen=True)
@@ -110,6 +69,12 @@ class RetryPolicy:
     base_seconds: float = 1.0
     factor: float = 2.0
     max_attempts: int = 5
+
+    def __post_init__(self):
+        for name, least in (("max_attempts", 1), ("base_seconds", 0), ("factor", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ProviderError(f"retry {name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -131,25 +96,10 @@ class ClientConfig:
 
 def load_client_config(path) -> ClientConfig:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    # Every field's default has the type its JSON value must decode to.
-    types = {f.name: type(f.default) for f in fields(ClientConfig)}
-    check_json_object(data, {**types, "retry": dict}, ProviderError, "client config")
+    check_fields(data, ClientConfig, ProviderError, "client config", retry=dict)
     retry = data.get("retry", {})
-    check_json_object(retry, {f.name: type(f.default) for f in fields(RetryPolicy)},
-                      ProviderError, "client config retry")
-    return ClientConfig(
-        kind=data.get("kind", "mock"),
-        endpoint=data.get("endpoint", ""),
-        credential_env=data.get("credential_env", ""),
-        concurrency=data.get("concurrency", 4),
-        rate_per_second=data.get("rate_per_second", 0.0),
-        retry=RetryPolicy(
-            base_seconds=retry.get("base_seconds", 1.0),
-            factor=retry.get("factor", 2.0),
-            max_attempts=retry.get("max_attempts", 5),
-        ),
-        fixtures_dir=data.get("fixtures_dir", ""),
-    )
+    check_fields(retry, RetryPolicy, ProviderError, "client config retry")
+    return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
 
 
 def prompt_digest(prompt: str) -> str:
@@ -159,24 +109,15 @@ def prompt_digest(prompt: str) -> str:
 class MockProvider:
     """Deterministic provider: fixture text keyed by prompt digest."""
 
-    provider_id = "mock"
-
     def __init__(self, fixtures_dir):
         self.fixtures_dir = Path(fixtures_dir)
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        digest = prompt_digest(request.prompt)
+    def generate(self, prompt: str) -> str:
+        digest = prompt_digest(prompt)
         path = self.fixtures_dir / f"{digest}.txt"
         if not path.exists():
             raise ProviderError(f"no mock fixture for prompt digest {digest}")
-        start = time.perf_counter()
-        text = path.read_text(encoding="utf-8")
-        return GenerationResult(
-            text=text,
-            provider_id=self.provider_id,
-            latency_ms=(time.perf_counter() - start) * 1000,
-            attempt_count=1,
-        )
+        return path.read_text(encoding="utf-8")
 
 
 def write_mock_fixture(fixtures_dir, prompt: str, text: str) -> Path:
@@ -200,8 +141,6 @@ class HttpProvider:
     ``transport(endpoint, payload, headers) -> (status, body)`` is injectable
     for testing; exceptions from it count as transient failures.
     """
-
-    provider_id = "http"
 
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep,
                  clock=time.monotonic):
@@ -236,10 +175,9 @@ class HttpProvider:
         if wait > 0:
             self._sleep(wait)
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        payload = {"prompt": request.prompt, "params": request.params.to_dict()}
+    def generate(self, prompt: str) -> str:
+        payload = {"prompt": prompt, "params": dict(SAMPLING_PARAMS)}
         policy = self.config.retry
-        start = time.perf_counter()
         with self._gate:
             with self._lock:
                 self._in_flight += 1
@@ -256,16 +194,10 @@ class HttpProvider:
                         status, body = None, None
                     if status is not None and status < 400:
                         try:
-                            text = json.loads(body)["text"]
+                            return json.loads(body)["text"]
                         except (json.JSONDecodeError, KeyError, TypeError) as exc:
                             raise ProviderError(
                                 f"malformed provider response: {exc}") from exc
-                        return GenerationResult(
-                            text=text,
-                            provider_id=self.provider_id,
-                            latency_ms=(time.perf_counter() - start) * 1000,
-                            attempt_count=attempt,
-                        )
                     if status is not None and status < 500 and status != 429:
                         # Provider-reported content error; surfaced verbatim.
                         raise ProviderError(body)
@@ -330,13 +262,12 @@ def augment_batch(
     template: PromptTemplate,
     target_count: int,
     client,
-    id_prefix: str = "syn-",
 ) -> AugmentOutcome:
     """Generate synthetic problems seeded by the input corpus.
 
     Seeds are cycled in manifest order; each generation must parse into a
     question/answer block or it is discarded and counted. New problems get
-    fresh prefixed ids, inherit the seed's language/difficulty/topic, and
+    fresh ``syn-`` ids, inherit the seed's language/difficulty/topic, and
     carry ``review_status="pending"`` plus the seed id in extras.
 
     Up to ``client.config.concurrency`` requests are in flight at once (one
@@ -380,12 +311,10 @@ def augment_batch(
                     "refined_solution": seed.raw_solution or "",
                     "Question": "",
                 })
-                pending.append((seed, pool.submit(client.generate,
-                                                  GenerationRequest(prompt=prompt))))
+                pending.append((seed, pool.submit(client.generate, prompt)))
             seed, future = pending.popleft()
-            result = future.result()
             attempts += 1
-            parsed = parse_generated_problem(result.text)
+            parsed = parse_generated_problem(future.result())
             if parsed is None:
                 discarded += 1
                 failures.append(f"seed {seed.id}: unparseable generation")
@@ -394,7 +323,7 @@ def augment_batch(
                 question, answer = parsed
                 number = len(generated) + 1
                 generated.append(Problem(
-                    id=f"{id_prefix}{number:06d}",
+                    id=f"syn-{number:06d}",
                     language=seed.language,
                     source=Source.SYNTHETIC,
                     question=nfc(question),

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
-from ganitprep.cli import PipelineConfig, load_pipeline_config, main
+from ganitprep.cli import PipelineConfig, build_parser, load_pipeline_config, main
 from ganitprep.corpus import Difficulty, load_manifest, save_manifest
 from ganitprep.errors import PipelineError
 
@@ -144,6 +145,37 @@ class TestCurriculumFlow:
         assert "exported=7 skipped=0" in out
         lines = stage_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 8  # header + 7 records
+
+    @pytest.mark.parametrize("payload,message", [
+        ([], "split file must be a JSON object, not an array"),
+        ({"seed": 1, "ratio": 0.7, "assignments": {}}, "split file has no key 'strata'"),
+        ({"seed": 1, "ratio": 0.7, "assignments": {}, "strata": [5]},
+         "split file is malformed: 'int' object is not subscriptable"),
+    ])
+    def test_build_bad_split_file_exits_1(self, tmp_path, capsys, payload, message):
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["curriculum", "build", "--in", str(self._classified_manifest(tmp_path)),
+                   "--split", str(split_path), "--out", str(tmp_path / "c.json")])
+        assert rc == 1
+        assert _single_error(capsys) == f"{split_path}: {message}"
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"stages": 5, "mode": "en", "cumulative": False},
+         "curriculum file key 'stages' must be an array, not an integer"),
+        ({"stages": [{"name": "SFT_easy"}], "mode": "en", "cumulative": False},
+         "curriculum file has no key 'train_ids'"),
+        ({"stages": [], "mode": "fr", "cumulative": False},
+         "curriculum file is malformed: 'fr' is not a valid TrainingMode"),
+    ])
+    def test_export_bad_curriculum_file_exits_1(self, tmp_path, capsys, payload, message):
+        curriculum_path = tmp_path / "curriculum.json"
+        curriculum_path.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["curriculum", "export", "--curriculum", str(curriculum_path),
+                   "--manifest", str(self._classified_manifest(tmp_path)),
+                   "--stage", "SFT_easy", "--out", str(tmp_path / "stage.jsonl")])
+        assert rc == 1
+        assert _single_error(capsys) == f"{curriculum_path}: {message}"
 
     def test_build_without_classify_errors(self, tmp_path, capsys):
         problems = [make_problem(f"u{i}", raw_solution="#### 1") for i in range(10)]
@@ -425,8 +457,21 @@ def test_demo_bad_config_writes_nothing(tmp_path, capsys, config, message):
     ({"retry": [1]}, "client config key 'retry' must be an object, not an array"),
     ({"retry": {"max_attempts": True}},
      "client config retry key 'max_attempts' must be an integer, not a boolean"),
+    ({"concurency": 8}, "unknown client config keys: ['concurency']"),
+    ({"retry": {"max_attempt": 2}}, "unknown client config retry keys: ['max_attempt']"),
+    ({"kind": "http", "endpoint": "http://example.test", "retry": {"max_attempts": 0}},
+     "retry max_attempts must be >= 1, got 0"),
+    ({"kind": "http", "endpoint": "http://example.test", "retry": {"base_seconds": -1.0}},
+     "retry base_seconds must be >= 0, got -1.0"),
+    ({"kind": "http", "endpoint": "http://example.test", "retry": {"factor": -2}},
+     "retry factor must be >= 0, got -2"),
 ])
-def test_augment_bad_config_writes_nothing(tmp_path, capsys, config, message):
+def test_augment_bad_config_writes_nothing(tmp_path, capsys, monkeypatch, config, message):
+    from ganitprep import llm_client
+
+    calls = []
+    monkeypatch.setattr(llm_client, "_requests_transport",
+                        lambda *request: calls.append(request) or (503, "busy"))
     manifest_path = tmp_path / "seeds.jsonl"
     save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest_path)
     config_path = tmp_path / "provider.json"
@@ -437,6 +482,7 @@ def test_augment_bad_config_writes_nothing(tmp_path, capsys, config, message):
     assert rc == 1
     assert _single_error(capsys) == message
     assert not out_path.exists()
+    assert calls == []
 
 
 class TestDemo:
@@ -484,6 +530,21 @@ def _modules_after(code: str) -> set[str]:
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     return set(done.stdout.split())
+
+
+def test_readme_cli_examples_parse():
+    # Every ``ganitprep ...`` line in the code blocks of README's CLI section.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for block in section.split("```")[1::2]
+             for line in block.splitlines() if line.startswith("ganitprep ")]
+    assert len(lines) > 15
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_cli_import_leaves_thread_pool_unloaded():

@@ -14,8 +14,6 @@ from ganitprep.corpus import Difficulty, Source
 from ganitprep.llm_client import (
     AugmentationError,
     ClientConfig,
-    GenerationParams,
-    GenerationRequest,
     HttpProvider,
     MockProvider,
     ProviderError,
@@ -30,54 +28,25 @@ from ganitprep.llm_client import (
     set_review_status,
     write_mock_fixture,
 )
-from ganitprep.structure import PromptName, get_template, render_prompt
-
-
-class TestGenerationParams:
-    def test_defaults_match_training_config(self):
-        params = GenerationParams()
-        assert params.sampling is True
-        assert params.top_k == 40
-        assert params.temperature == 0.8
-        assert params.top_p == 0.90
-        assert params.max_length == 4096
-
-    @pytest.mark.parametrize("kwargs", [
-        {"temperature": -0.1},
-        {"top_p": 0.0},
-        {"top_p": 1.5},
-        {"max_length": 0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            GenerationParams(**kwargs)
-
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            GenerationRequest(prompt="")
+from ganitprep.structure import TRAINING_CONFIG, PromptName, get_template, render_prompt
 
 
 class TestMockProvider:
     def test_fixture_hit(self, tmp_path):
         write_mock_fixture(tmp_path, "hello", "world")
         provider = MockProvider(tmp_path)
-        result = provider.generate(GenerationRequest(prompt="hello"))
-        assert result.text == "world"
-        assert result.attempt_count == 1
-        assert result.provider_id == "mock"
+        assert provider.generate("hello") == "world"
 
     def test_missing_fixture_names_digest(self, tmp_path):
         provider = MockProvider(tmp_path)
         digest = prompt_digest("absent")
         with pytest.raises(ProviderError, match=digest):
-            provider.generate(GenerationRequest(prompt="absent"))
+            provider.generate("absent")
 
     def test_deterministic(self, tmp_path):
         write_mock_fixture(tmp_path, "p", "fixed response")
         provider = MockProvider(tmp_path)
-        a = provider.generate(GenerationRequest(prompt="p"))
-        b = provider.generate(GenerationRequest(prompt="p"))
-        assert a.text == b.text == "fixed response"
+        assert provider.generate("p") == provider.generate("p") == "fixed response"
 
 
 def _http_config(**kwargs):
@@ -127,9 +96,8 @@ class TestHttpProvider:
 
         provider = HttpProvider(_http_config(), transport=transport,
                                 sleep=sleeps.append)
-        result = provider.generate(GenerationRequest(prompt="p"))
-        assert result.attempt_count == 3
-        assert result.text == "ok"
+        assert provider.generate("p") == "ok"
+        assert len(calls) == 3
         assert sleeps == [1.0, 2.0]
 
     def test_exhausted_retries(self):
@@ -141,7 +109,7 @@ class TestHttpProvider:
         provider = HttpProvider(_http_config(), transport=transport,
                                 sleep=sleeps.append)
         with pytest.raises(TransportError, match="5 attempts"):
-            provider.generate(GenerationRequest(prompt="p"))
+            provider.generate("p")
         assert sleeps == [1.0, 2.0, 4.0, 8.0]
 
     def test_content_error_not_retried(self):
@@ -153,7 +121,7 @@ class TestHttpProvider:
 
         provider = HttpProvider(_http_config(), transport=transport, sleep=lambda s: None)
         with pytest.raises(ProviderError, match="bad prompt: forbidden token"):
-            provider.generate(GenerationRequest(prompt="p"))
+            provider.generate("p")
         assert len(calls) == 1
 
     def test_rate_limited_retried(self):
@@ -161,8 +129,8 @@ class TestHttpProvider:
         sleeps = []
         provider = HttpProvider(_http_config(), transport=lambda *_: replies.pop(0),
                                 sleep=sleeps.append)
-        result = provider.generate(GenerationRequest(prompt="p"))
-        assert (result.text, result.attempt_count) == ("ok", 2)
+        assert provider.generate("p") == "ok"
+        assert replies == []
         assert sleeps == [1.0]
 
     def test_credential_header_from_env(self, monkeypatch):
@@ -175,7 +143,7 @@ class TestHttpProvider:
         monkeypatch.setenv("TEST_TOKEN_VAR", "secret123")
         provider = HttpProvider(_http_config(credential_env="TEST_TOKEN_VAR"),
                                 transport=transport, sleep=lambda s: None)
-        provider.generate(GenerationRequest(prompt="p"))
+        provider.generate("p")
         assert seen["Authorization"] == "Bearer secret123"
 
     def test_concurrency_cap_enforced(self):
@@ -195,7 +163,7 @@ class TestHttpProvider:
         provider = HttpProvider(_http_config(concurrency=limit),
                                 transport=transport, sleep=lambda s: None)
         threads = [threading.Thread(
-            target=lambda: provider.generate(GenerationRequest(prompt="p")))
+            target=lambda: provider.generate("p"))
             for _ in range(16)]
         for t in threads:
             t.start()
@@ -218,7 +186,7 @@ class TestHttpProvider:
             clock=lambda: clock["t"],
         )
         for _ in range(3):
-            provider.generate(GenerationRequest(prompt="p"))
+            provider.generate("p")
         # second and third calls must each wait half a second of budget
         assert sleeps == [0.5, 1.0]
 
@@ -231,7 +199,7 @@ class TestHttpProvider:
             clock=lambda: 0.0,
         )
         threads = [threading.Thread(target=provider.generate,
-                                    args=(GenerationRequest(prompt="p"),))
+                                    args=("p",))
                    for _ in range(2)]
         for t in threads:
             t.start()
@@ -504,6 +472,32 @@ def test_overlap_matches_one_at_a_time(garble, busy, concurrency, target):
 
     assert (_run(manifest, target, _overlap_client(concurrency, transport()))
             == _run(manifest, target, _overlap_client(1, transport())))
+
+
+class TestWireFormat:
+    def test_payload_and_headers(self, monkeypatch):
+        sent = []
+
+        def transport(endpoint, payload, headers):
+            sent.append((endpoint, json.dumps(payload), headers))
+            return 200, json.dumps({"text": "Question: Q?\nAnswer: 1"})
+
+        monkeypatch.setenv("TEST_TOKEN_VAR", "secret123")
+        client = HttpProvider(_http_config(credential_env="TEST_TOKEN_VAR"),
+                              transport=transport, sleep=lambda s: None)
+        augment_batch(_seed_manifest(1), _AUGMENT, 1, client)
+        prompt = render_prompt(_AUGMENT, {"Example": "What is 0 + 0?",
+                                          "refined_solution": "#### 0", "Question": ""})
+        # The payload as serialised, so key order is pinned too.
+        params = ('{"sampling": true, "top_k": 40, "temperature": 0.8, "top_p": 0.9, '
+                  '"max_length": 4096}')
+        assert sent == [("http://example.test/generate",
+                         f'{{"prompt": {json.dumps(prompt)}, "params": {params}}}',
+                         {"Content-Type": "application/json",
+                          "Authorization": "Bearer secret123"})]
+        sampling = [(key, json.loads(value)) for key, value in TRAINING_CONFIG
+                    if key != "epochs"]
+        assert list(json.loads(params).items()) == sampling
 
 
 class TestReviewGate:
