@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 from ganitprep.answers import map_devanagari_digits
 from ganitprep.corpus import CorpusManifest, Difficulty, Problem, replace_records
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, numbered_lines
 
 
 class ClassifyError(PipelineError):
@@ -234,19 +234,13 @@ def apply_annotations(
 def read_annotations(path) -> dict[str, Difficulty]:
     """Read a line-delimited ``id<TAB>difficulty`` annotation file."""
     annotations: dict[str, Difficulty] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ClassifyError(f"{path}:{lineno}: expected id<TAB>difficulty")
-            problem_id, label = parts
-            try:
-                annotations[problem_id] = Difficulty(label)
-            except ValueError:
-                raise ClassifyError(
-                    f"{path}:{lineno}: unknown difficulty {label!r}"
-                ) from None
+    for lineno, line, _ in numbered_lines(path, ClassifyError):
+        parts = line.strip().split("\t")
+        if len(parts) != 2:
+            raise ClassifyError(f"{path}:{lineno}: expected id<TAB>difficulty")
+        problem_id, label = parts
+        try:
+            annotations[problem_id] = Difficulty(label)
+        except ValueError:
+            raise ClassifyError(f"{path}:{lineno}: unknown difficulty {label!r}") from None
     return annotations

@@ -26,7 +26,7 @@ from ganitprep.corpus import (
     save_manifest,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_fields
+from ganitprep.errors import PipelineError, check_fields, json_object_file, naming
 
 
 def _summary(stage: str, count_in: int, count_out: int, flagged: int = 0,
@@ -62,7 +62,8 @@ def _cmd_classify(args) -> int:
         result = classify_mod.apply_math_levels(manifest)
     elif args.annotations:
         annotations = classify_mod.read_annotations(args.annotations)
-        outcome = classify_mod.apply_annotations(manifest, annotations)
+        with naming(args.annotations):
+            outcome = classify_mod.apply_annotations(manifest, annotations)
         result = outcome.manifest
         counts = ", ".join(f"{d.value}={n}" for d, n in sorted(
             outcome.counts.items(), key=lambda item: item[0].value))
@@ -94,13 +95,6 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _read_bindings(path) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise PipelineError(f"{path}: bindings file must hold a JSON object")
-    return data
-
-
 def _cmd_structure(args) -> int:
     if args.action == "emit-config":
         structure_mod.emit_training_config(args.out)
@@ -108,11 +102,16 @@ def _cmd_structure(args) -> int:
         return 0
     if args.action == "prompt":
         template = structure_mod.get_template(args.template)
-        rendered = structure_mod.render_prompt(template, _read_bindings(args.bindings))
+        with json_object_file(args.bindings, "bindings file") as bindings:
+            rendered = structure_mod.render_prompt(template, bindings)
     else:
-        text = Path(args.infile).read_text(encoding="utf-8")
-        solution = (structure_mod.parse_structured(text) if args.action == "parse" else
-                    structure_mod.StructuredSolution.from_dict(json.loads(text)))
+        if args.action == "parse":
+            with naming(args.infile):
+                solution = structure_mod.parse_structured(
+                    Path(args.infile).read_text(encoding="utf-8"))
+        else:
+            with json_object_file(args.infile, "structured solution") as data:
+                solution = structure_mod.StructuredSolution.from_dict(data)
         rendered = structure_mod.render_structured(
             solution, _parse_language(args.lang) or Language.ENGLISH)
     if args.out:
@@ -154,19 +153,21 @@ def _cmd_curriculum(args) -> int:
     if args.action == "build":
         manifest = load_manifest(args.infile)
         assignment = curriculum_mod.load_split(args.split)
-        built = curriculum_mod.build_curriculum(
-            manifest, assignment,
-            mode=curriculum_mod.TrainingMode(args.mode),
-            cumulative=args.cumulative,
-        )
+        with naming(args.split):
+            built = curriculum_mod.build_curriculum(
+                manifest, assignment,
+                mode=curriculum_mod.TrainingMode(args.mode),
+                cumulative=args.cumulative,
+            )
         curriculum_mod.save_curriculum(built, args.out)
         _summary("curriculum-build", len(manifest),
                  sum(len(stage.train_ids) for stage in built.stages))
         return 0
     manifest = load_manifest(args.manifest)
     built = curriculum_mod.load_curriculum(args.curriculum)
-    outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
-                                          seed=args.seed)
+    with naming(args.curriculum):
+        outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
+                                              seed=args.seed)
     print(f"exported={outcome.exported} skipped={outcome.skipped}")
     _summary("curriculum-export", len(built.stage(args.stage).train_ids),
              outcome.exported, outcome.skipped)
@@ -192,7 +193,8 @@ def _cmd_evaluate(args) -> int:
     if args.action == "grade":
         manifest = load_manifest(args.manifest)
         predictions = evaluate_mod.read_predictions(args.pred)
-        grades = evaluate_mod.grade_predictions(predictions, manifest, args.model)
+        with naming(args.pred):
+            grades = evaluate_mod.grade_predictions(predictions, manifest, args.model)
         evaluate_mod.save_grades(grades, args.out)
         correct = sum(g.verdict is evaluate_mod.Verdict.CORRECT for g in grades)
         unparseable = sum(g.verdict is evaluate_mod.Verdict.UNPARSEABLE for g in grades)
@@ -207,7 +209,8 @@ def _cmd_evaluate(args) -> int:
     grades = []
     for path in args.grades:
         grades.extend(evaluate_mod.read_verdicts(path))
-    report = evaluate_mod.accuracy_report(grades, manifest)
+    with naming(", ".join(args.grades)):
+        report = evaluate_mod.accuracy_report(grades, manifest)
     rendered = report.render_table() if args.format == "table" else report.to_csv()
     if args.out:
         write_text_atomic(args.out, rendered)
@@ -248,21 +251,11 @@ class PipelineConfig:
     mode: str = "bilingual"
     cumulative: bool = False
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        check_fields(data, cls)
-        return cls(**data)
-
-    def input_paths(self) -> list[str]:
-        return [p for p in (
-            self.gsm8k_path, self.math_path, self.hawp_path,
-            self.indimathqa_en_path, self.indimathqa_hi_path,
-            self.annotations_path, self.predictions_path,
-        ) if p]
-
 
 def load_pipeline_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    with json_object_file(path, "config") as data:
+        check_fields(data, PipelineConfig)
+        return PipelineConfig(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +293,12 @@ def _cmd_demo(args) -> int:
     for name, default in defaults.items():
         if not getattr(config, name):
             setattr(config, name, str(default))
-    missing = [p for p in config.input_paths() if not Path(p).exists()]
+    missing = [getattr(config, n) for n in defaults if not Path(getattr(config, n)).exists()]
     if missing:
         raise PipelineError(f"missing input paths: {', '.join(missing)}")
-    mode = curriculum_mod.TrainingMode(config.mode)
-    curriculum_mod.check_ratio(config.ratio)
+    with naming(args.config):  # without --config, the defaults, which pass
+        mode = curriculum_mod.TrainingMode(config.mode)
+        curriculum_mod.check_ratio(config.ratio)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

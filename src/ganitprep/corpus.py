@@ -34,7 +34,6 @@ records are preserved in the ``extras`` map.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -52,7 +51,8 @@ from ganitprep.common import (
     canonical_json,
     write_text_atomic,
 )
-from ganitprep.errors import IntegrityError, RecordFormatError
+from ganitprep.errors import (MALFORMED, IntegrityError, PipelineError, RecordFormatError,
+                              check_json_object, naming, numbered_lines)
 from ganitprep.structure import StructuredSolution
 
 MANIFEST_FORMAT = "ganitprep/manifest"
@@ -284,52 +284,40 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text:
+    lines = numbered_lines(path, IntegrityError, "record")
+    _, _, header = next(lines, (0, "", None))
+    if header is None:
         raise IntegrityError(f"{path}: empty manifest file")
-    # Only "\n" ends a line: str.splitlines() would also split inside
-    # records holding a raw U+2028, U+2029 or U+0085.
-    lines = text.split("\n")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"{path}: unreadable manifest header: {exc}") from exc
     if header.get("format") != MANIFEST_FORMAT:
         raise IntegrityError(f"{path}: not a manifest file (format {header.get('format')!r})")
     if header.get("version") != MANIFEST_VERSION:
         raise IntegrityError(f"{path}: unsupported manifest version {header.get('version')!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
-        if not isinstance(data, dict):
-            raise IntegrityError(f"{path}:{lineno}: record is not an object")
+    records, record_lines = [], []
+    for lineno, line, data in lines:
         try:
             records.append(Problem.from_dict(data))
         # TypeError and AttributeError: a field holding the wrong JSON type.
-        except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        except (PipelineError, *MALFORMED) as exc:
             raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
+        record_lines.append(line)
     if header.get("count") != len(records):
         raise IntegrityError(
             f"{path}: header count {header.get('count')} != {len(records)} records"
         )
     # The record lines as read, not a re-serialisation of the parsed records.
-    checksum = _lines_checksum(line for line in lines[1:] if line.strip())
+    checksum = _lines_checksum(record_lines)
     if checksum != header.get("checksum"):
         raise IntegrityError(
             f"{path}: checksum mismatch (header {header.get('checksum')}, "
             f"recomputed {checksum})"
         )
-    return CorpusManifest.from_records(
-        records,
-        SourceFormat(header["source_format"]),
-        created_at=header["created_at"],
-    )
+    with naming(path, "manifest header", IntegrityError):
+        check_json_object(header, {"created_at": str}, IntegrityError, "manifest header")
+        return CorpusManifest.from_records(
+            records,
+            SourceFormat(header["source_format"]),
+            created_at=header["created_at"],
+        )
 
 
 def file_created_at(path) -> str:
@@ -337,27 +325,6 @@ def file_created_at(path) -> str:
     # ingest over the same input produces byte-identical output.
     mtime = Path(path).stat().st_mtime
     return datetime.fromtimestamp(mtime, tz=timezone.utc).isoformat(timespec="seconds")
-
-
-def _iter_jsonl(path: Path):
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordFormatError(f"{path}: invalid JSON at line {lineno}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise RecordFormatError(f"{path}: record at line {lineno} is not an object")
-            yield lineno, record
-
-
-def _require(record: dict, name: str, path: Path, lineno: int) -> str:
-    value = record.get(name)
-    if not isinstance(value, str) or not value.strip():
-        raise RecordFormatError(f"{path}: missing field {name!r} at line {lineno}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -377,33 +344,29 @@ class _Layout:
     topic: str | None = None
     keep_empty_solution: bool = False  # else an empty solution reads as absent
     # Layout-specific validation returning extra Problem fields.
-    check: Callable[[dict, Path, int], dict] | None = None
+    check: Callable[[dict], dict] | None = None
 
 
 _FINAL_MARKER_RE = re.compile(r"^#### ", re.MULTILINE)
 
 
-def _check_gsm8k(record: dict, path: Path, lineno: int) -> dict:
+def _check_gsm8k(record: dict) -> dict:
     if not _FINAL_MARKER_RE.search(record["answer"]):
-        raise RecordFormatError(f"{path}: no final-answer marker at line {lineno}")
+        raise RecordFormatError("no final-answer marker")
     return {}
 
 
 _LEVEL_RE = re.compile(r"^\s*Level\s+(\d+)\s*$")
 
 
-def _check_math(record: dict, path: Path, lineno: int) -> dict:
+def _check_math(record: dict) -> dict:
     level_text = record["level"]
     match = _LEVEL_RE.match(level_text)
     if not match:
-        raise RecordFormatError(
-            f"{path}: unparseable level {level_text!r} at line {lineno}"
-        )
+        raise RecordFormatError(f"unparseable level {level_text!r}")
     level = int(match.group(1))
     if not 1 <= level <= 5:
-        raise RecordFormatError(
-            f"{path}: level {level} outside 1..5 at line {lineno}"
-        )
+        raise RecordFormatError(f"level {level} outside 1..5")
     return {"math_level": level}
 
 
@@ -415,15 +378,12 @@ _OPERATION_TAGS = {
 }
 
 
-def _check_hawp(record: dict, path: Path, lineno: int) -> dict:
+def _check_hawp(record: dict) -> dict:
     tag = record["operation"]
     operation = _OPERATION_TAGS.get(tag.strip().lower())
     if operation is None:
         valid = ", ".join(sorted(_OPERATION_TAGS))
-        raise RecordFormatError(
-            f"{path}: unknown operation tag {tag!r} at line {lineno} "
-            f"(valid tags: {valid})"
-        )
+        raise RecordFormatError(f"unknown operation tag {tag!r} (valid tags: {valid})")
     return {"operation": operation}
 
 
@@ -441,27 +401,33 @@ _INDIMATHQA = _Layout(Source.INDIMATHQA, SourceFormat.INDIMATHQA, ("id", "questi
 
 
 def _ingest(path, layout: _Layout, language: Language) -> CorpusManifest:
-    path = Path(path)
     consumed = {layout.question, layout.solution, layout.topic, *layout.required}
     records = []
-    for lineno, record in _iter_jsonl(path):
-        for name in layout.required:
-            _require(record, name, path, lineno)
-        fields = layout.check(record, path, lineno) if layout.check else {}
+    for lineno, _, record in numbered_lines(path, RecordFormatError, "record"):
+        try:
+            for name in layout.required:
+                value = record.get(name)
+                if not isinstance(value, str) or not value.strip():
+                    raise RecordFormatError(f"missing field {name!r}")
+            fields = layout.check(record) if layout.check else {}
+        except RecordFormatError as exc:
+            raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
         solution = record.get(layout.solution)
         if isinstance(solution, str) and (solution or layout.keep_empty_solution):
             fields["raw_solution"] = nfc(solution)
+        topic = record.get(layout.topic)
         records.append(Problem(
             id=f"{layout.id_prefix}-{lineno:06d}" if layout.id_prefix else record["id"],
             language=language,
             source=layout.source,
             question=nfc(record[layout.question]),
-            topic=record.get(layout.topic) if layout.topic else None,
+            topic=topic if isinstance(topic, str) else None,
             extras={k: v for k, v in record.items() if k not in consumed},
             **fields,
         ))
-    return CorpusManifest.from_records(records, layout.source_format,
-                                       created_at=file_created_at(path))
+    with naming(path, error=RecordFormatError):  # a duplicate id
+        return CorpusManifest.from_records(records, layout.source_format,
+                                           created_at=file_created_at(path))
 
 
 def ingest_gsm8k(path) -> CorpusManifest:

@@ -17,10 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from ganitprep.corpus import (
@@ -34,7 +32,7 @@ from ganitprep.corpus import (
     passes_review,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_json_object
+from ganitprep.errors import PipelineError, check_json_object, json_object_file
 from ganitprep.structure import PromptName, get_template, render_prompt, render_structured
 
 STAGE_EASY = "SFT_easy"
@@ -357,27 +355,9 @@ def save_split(assignment: SplitAssignment, path) -> None:
                                        indent=1) + "\n")
 
 
-@contextmanager
-def _json_file(path, what: str, types: dict):
-    """Yield the JSON object in ``path``, whose keys hold ``types``.
-
-    A missing key or a wrong type met while reading it becomes a
-    ``CurriculumError`` naming the path.
-    """
-    what = f"{path}: {what}"
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    check_json_object(payload, types, CurriculumError, what)
-    try:
-        yield payload
-    except KeyError as exc:
-        raise CurriculumError(f"{what} has no key {exc}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
-        raise CurriculumError(f"{what} is malformed: {exc}") from exc
-
-
 def load_split(path) -> SplitAssignment:
-    types = {"seed": int, "ratio": float, "assignments": dict, "strata": list}
-    with _json_file(path, "split file", types) as payload:
+    types = {"seed": int, "ratio": float, "assignments": dict[str, str], "strata": list}
+    with json_object_file(path, "split file", CurriculumError, types) as payload:
         return SplitAssignment(
             seed=payload["seed"],
             ratio=payload["ratio"],
@@ -409,7 +389,10 @@ def save_curriculum(curriculum: CurriculumManifest, path) -> None:
 
 def load_curriculum(path) -> CurriculumManifest:
     types = {"stages": list, "mode": str, "cumulative": bool}
-    with _json_file(path, "curriculum file", types) as payload:
+    with json_object_file(path, "curriculum file", CurriculumError, types) as payload:
+        for row in payload["stages"]:
+            check_json_object(row, {"train_ids": list[str]}, CurriculumError,
+                              "curriculum file stage")
         return CurriculumManifest(
             stages=tuple(
                 Stage(

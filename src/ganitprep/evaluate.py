@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ganitprep.answers import (
     AnswerKind,
@@ -41,7 +39,7 @@ from ganitprep.corpus import (
     canonical_json,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, numbered_lines
 
 RELATIVE_TOLERANCE = Fraction(1, 10**6)
 
@@ -213,6 +211,7 @@ class GradeRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradeRecord":
+        _verdict_row(data)  # the checks a report makes, with its messages
         predicted = data.get("predicted")
         return cls(
             problem_id=data["problem_id"],
@@ -419,34 +418,9 @@ def save_grades(grades: Sequence[GradeRecord], path) -> None:
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _grade_objects(path) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) for each nonblank line of a grades file."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"),
-                                  start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvaluationError(f"{path}:{lineno}: unreadable grade: {exc}") from exc
-        if not isinstance(data, dict):
-            raise EvaluationError(f"{path}:{lineno}: record is not an object")
-        for key in ("problem_id", "model_name"):
-            if not isinstance(data.get(key, ""), str):
-                raise EvaluationError(f"{path}:{lineno}: {key} is not a string")
-        yield lineno, data
-
-
 def load_grades(path) -> list[GradeRecord]:
-    grades = []
-    for lineno, data in _grade_objects(path):
-        try:
-            grades.append(GradeRecord.from_dict(data))
-        # TypeError and AttributeError: a field holding the wrong JSON type.
-        except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError,
-                EvaluationError) as exc:
-            raise EvaluationError(f"{path}:{lineno}: unreadable grade: {exc}") from exc
-    return grades
+    return [grade for _, _, grade in
+            numbered_lines(path, EvaluationError, "grade", GradeRecord.from_dict)]
 
 
 class VerdictRow(NamedTuple):
@@ -460,42 +434,52 @@ class VerdictRow(NamedTuple):
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
 
+def _verdict_row(data: dict) -> VerdictRow:
+    """The verdict row of a decoded grade line, checked as a GradeRecord is."""
+    for key in ("problem_id", "model_name"):
+        if not isinstance(data.get(key, ""), str):
+            raise EvaluationError(f"{key} is not a string")
+    value = data.get("verdict")
+    try:
+        verdict = _VERDICTS[value]
+    except (KeyError, TypeError):  # unknown or unhashable value
+        raise EvaluationError(f"unknown verdict {value!r}") from None
+    if (verdict is Verdict.UNPARSEABLE) == bool(data.get("predicted")):
+        raise EvaluationError("Unparseable verdict must pair with an absent prediction")
+    try:
+        return VerdictRow(data["problem_id"], data["model_name"], verdict)
+    except KeyError as exc:
+        raise EvaluationError(f"missing field {exc}") from None
+
+
 def read_verdicts(path) -> list[VerdictRow]:
     """Read a grades file as verdict rows, leaving the answers undecoded.
 
     The verdict checks of :class:`GradeRecord` still hold: a known verdict,
     and Unparseable exactly when the prediction is absent.
     """
-    rows = []
-    for lineno, data in _grade_objects(path):
-        value = data.get("verdict")
-        try:
-            verdict = _VERDICTS[value]
-        except (KeyError, TypeError):  # unknown or unhashable value
-            raise EvaluationError(f"{path}:{lineno}: unknown verdict {value!r}") from None
-        if (verdict is Verdict.UNPARSEABLE) == bool(data.get("predicted")):
-            raise EvaluationError(f"{path}:{lineno}: Unparseable verdict must pair "
-                                  "with an absent prediction")
-        try:
-            rows.append(VerdictRow(data["problem_id"], data["model_name"], verdict))
-        except KeyError as exc:
-            raise EvaluationError(f"{path}:{lineno}: missing field {exc}") from None
-    return rows
+    return [row for _, _, row in numbered_lines(path, EvaluationError, "grade", _verdict_row)]
 
 
 def read_predictions(path) -> list[tuple[str, str]]:
     r"""Read a ``problem_id<TAB>model_output`` file; ``\n`` unescapes to newlines."""
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise EvaluationError(f"{path}:{lineno}: expected problem_id<TAB>output")
-            problem_id, text = line.split("\t", 1)
-            pairs.append((problem_id, text.replace("\\n", "\n")))
+    for lineno, line, _ in numbered_lines(path, EvaluationError):
+        if "\t" not in line:
+            raise EvaluationError(f"{path}:{lineno}: expected problem_id<TAB>output")
+        problem_id, text = line.split("\t", 1)
+        pairs.append((problem_id, text.replace("\\n", "\n")))
     return pairs
+
+
+def _row_fault(row: Sequence[int], categories: int, raters: int) -> str | None:
+    if len(row) != categories:
+        return f"has {len(row)} categories, expected {categories}"
+    if any(n < 0 for n in row):
+        return "has negative counts"
+    if sum(row) != raters:
+        return f"sums to {sum(row)}, expected {raters}"
+    return "has fewer than two raters" if raters < 2 else None
 
 
 @dataclass(frozen=True)
@@ -506,31 +490,22 @@ class KappaInput:
     raters_per_item: int
 
     def __post_init__(self):
-        if self.raters_per_item < 2:
-            raise EvaluationError("at least two raters per item required")
         if self.items < 1 or self.categories < 1:
             raise EvaluationError("counts matrix must be nonempty")
         for index, row in enumerate(self.counts):
-            if len(row) != self.categories:
-                raise EvaluationError(f"row {index} has {len(row)} categories, "
-                                      f"expected {self.categories}")
-            if any(n < 0 for n in row):
-                raise EvaluationError(f"row {index} has negative counts")
-            if sum(row) != self.raters_per_item:
-                raise EvaluationError(
-                    f"row {index} sums to {sum(row)}, expected {self.raters_per_item}"
-                )
+            fault = _row_fault(row, self.categories, self.raters_per_item)
+            if fault:
+                raise EvaluationError(f"row {index} {fault}")
 
     @classmethod
     def from_counts(cls, counts: Sequence[Sequence[int]]) -> "KappaInput":
         rows = tuple(tuple(int(n) for n in row) for row in counts)
-        if not rows:
-            raise EvaluationError("counts matrix must be nonempty")
+        first = rows[0] if rows else ()
         return cls(
             items=len(rows),
-            categories=len(rows[0]),
+            categories=len(first),
             counts=rows,
-            raters_per_item=sum(rows[0]),
+            raters_per_item=sum(first),
         )
 
 
@@ -563,15 +538,22 @@ def fleiss_kappa(data: KappaInput | Sequence[Sequence[int]]) -> float:
 
 
 def read_counts_matrix(path) -> list[list[int]]:
-    """Read a rater-counts matrix: one row per item, whitespace or commas."""
+    """Read a rater-counts matrix: one row per item, whitespace or commas, each
+    row checked against the first as :class:`KappaInput` checks it."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"),
-                                  start=1):
+    for lineno, line, _ in numbered_lines(path, EvaluationError):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         try:
-            rows.append([int(tok) for tok in line.replace(",", " ").split()])
+            row = [int(tok) for tok in line.replace(",", " ").split()]
         except ValueError:
             raise EvaluationError(f"{path}:{lineno}: non-integer count") from None
+        first = rows[0] if rows else row
+        fault = _row_fault(row, len(first), sum(first))
+        if fault:
+            raise EvaluationError(f"{path}:{lineno}: row {fault}")
+        rows.append(row)
+    if not rows:
+        raise EvaluationError(f"{path}: counts matrix must be nonempty")
     return rows

@@ -40,7 +40,7 @@ from ganitprep.corpus import (
     replace_records,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_fields
+from ganitprep.errors import PipelineError, check_fields, json_object_file
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 log = logging.getLogger(__name__)
@@ -95,11 +95,11 @@ class ClientConfig:
 
 
 def load_client_config(path) -> ClientConfig:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    check_fields(data, ClientConfig, ProviderError, "client config", retry=dict)
-    retry = data.get("retry", {})
-    check_fields(retry, RetryPolicy, ProviderError, "client config retry")
-    return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
+    with json_object_file(path, "client config", ProviderError) as data:
+        check_fields(data, ClientConfig, ProviderError, "client config", retry=dict)
+        retry = data.get("retry", {})
+        check_fields(retry, RetryPolicy, ProviderError, "client config retry")
+        return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
 
 
 def prompt_digest(prompt: str) -> str:

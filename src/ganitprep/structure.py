@@ -15,7 +15,7 @@ from enum import Enum
 
 from ganitprep.answers import AnswerValue
 from ganitprep.common import Language, write_text_atomic
-from ganitprep.errors import PipelineError
+from ganitprep.errors import PipelineError, check_json_object
 
 
 class StructureError(PipelineError):
@@ -97,6 +97,8 @@ class StructuredSolution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StructuredSolution":
+        check_json_object(data, dict.fromkeys(SECTION_FIELDS, str), StructureError,
+                          "structured solution")
         final = data.get("final_answer")
         return cls(
             **{name: data[name] for name in SECTION_FIELDS},

@@ -14,6 +14,12 @@ from ganitprep.corpus import Difficulty, load_manifest, save_manifest
 from ganitprep.errors import PipelineError
 
 
+_SOLUTION = {"data_identification": "2 and 2", "problem_analysis": "a sum",
+             "theoretical_framework": "addition", "methodology_development": "add",
+             "computation": "2 + 2 = 4", "answer": "4",
+             "final_answer": {"kind": "Rational", "rational": "4/1"}}
+
+
 def _gsm8k_file(tmp_path, count=6):
     path = tmp_path / "gsm8k.jsonl"
     write_jsonl(path, [
@@ -167,6 +173,9 @@ class TestCurriculumFlow:
          "curriculum file has no key 'train_ids'"),
         ({"stages": [], "mode": "fr", "cumulative": False},
          "curriculum file is malformed: 'fr' is not a valid TrainingMode"),
+        ({"stages": [{"name": "SFT_easy", "train_ids": "e1", "parent_checkpoint": None,
+                      "checkpoint_name": "SFT_easy"}], "mode": "en", "cumulative": False},
+         "curriculum file stage key 'train_ids' must be an array of strings, not a string"),
     ])
     def test_export_bad_curriculum_file_exits_1(self, tmp_path, capsys, payload, message):
         curriculum_path = tmp_path / "curriculum.json"
@@ -176,6 +185,39 @@ class TestCurriculumFlow:
                    "--stage", "SFT_easy", "--out", str(tmp_path / "stage.jsonl")])
         assert rc == 1
         assert _single_error(capsys) == f"{curriculum_path}: {message}"
+
+    @pytest.mark.parametrize("text", ["", "{", "\ufeff{}", "[1"])
+    def test_build_unreadable_split_file_exits_1(self, tmp_path, capsys, text):
+        split_path = tmp_path / "split.json"
+        split_path.write_text(text, encoding="utf-8")
+        rc = main(["curriculum", "build", "--in", str(self._classified_manifest(tmp_path)),
+                   "--split", str(split_path), "--out", str(tmp_path / "c.json")])
+        assert rc == 1
+        assert _single_error(capsys).startswith(f"{split_path}: split file is malformed: ")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1], "structured solution must be a JSON object, not an array"),
+        ({**_SOLUTION, "computation": 5},
+         "structured solution key 'computation' must be a string, not an integer"),
+        ({**_SOLUTION, "answer": None},
+         "structured solution key 'answer' must be a string, not null"),
+        ({**_SOLUTION, "final_answer": "x"}, "structured solution is malformed: "),
+        ({**_SOLUTION, "final_answer": {"kind": "Rational", "rational": "1/0"}},
+         "structured solution is malformed: Fraction(1, 0)"),
+        ({**_SOLUTION, "final_answer": {"kind": "Bogus"}},
+         "structured solution is malformed: 'Bogus' is not a valid AnswerKind"),
+        ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]},
+         "structured solution has no key 'data_identification'"),
+    ])
+    def test_render_bad_structure_file_exits_1(self, tmp_path, capsys, payload, message):
+        solution_path = tmp_path / "solution.json"
+        solution_path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "solution.txt"
+        rc = main(["structure", "render", "--in", str(solution_path), "--out", str(out)])
+        assert rc == 1
+        assert _single_error(capsys).startswith(f"{solution_path}: {message}")
+        assert not out.exists()
 
     def test_build_without_classify_errors(self, tmp_path, capsys):
         problems = [make_problem(f"u{i}", raw_solution="#### 1") for i in range(10)]
@@ -339,6 +381,33 @@ class TestEvaluateReport:
         assert not (tmp_path / "report.txt").exists()
 
 
+_GRADE_LINE = json.dumps({"problem_id": "zzz", "model_name": "m", "predicted": None,
+                          "reference": {"kind": "Rational", "rational": "1/1"},
+                          "verdict": "Unparseable"})
+_STAGES = json.dumps({"stages": [{"name": "SFT_easy", "train_ids": ["zzz"],
+                                  "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+                      "mode": "en", "cumulative": False})
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["classify", "--in", "{merged}", "--annotations", "{path}", "--out", "{out}"],
+     "zzz\tEasy\n", "annotations reference unknown ids: zzz"),
+    (["evaluate", "grade", "--pred", "{path}", "--manifest", "{merged}", "--model", "m",
+      "--out", "{out}"], "zzz\t4\n", "no problem with id 'zzz'"),
+    (["evaluate", "report", "--grades", "{path}", "--manifest", "{merged}", "--out", "{out}"],
+     _GRADE_LINE, "grade references unknown problem id 'zzz'"),
+    (["curriculum", "export", "--curriculum", "{path}", "--manifest", "{merged}",
+      "--stage", "SFT_easy", "--out", "{out}"], _STAGES, "no problem with id 'zzz'"),
+], ids=["annotations", "predictions", "grades", "curriculum"])
+def test_unknown_id_names_its_file(demo_dir, tmp_path, capsys, argv, text, message):
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    merged = demo_dir / "merged.jsonl"
+    assert main([arg.format(merged=merged, path=path, out=out) for arg in argv]) == 1
+    assert _single_error(capsys) == f"{path}: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("structured", ["text", [1]])
 def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
     manifest_path = tmp_path / "m.jsonl"
@@ -446,7 +515,7 @@ def test_demo_bad_config_writes_nothing(tmp_path, capsys, config, message):
     out_dir = tmp_path / "out"
     rc = main(["demo", "--out", str(out_dir), "--config", str(config_path)])
     assert rc == 1
-    assert _single_error(capsys) == message
+    assert _single_error(capsys) == f"{config_path}: {message}"
     assert not out_dir.exists()
 
 
@@ -480,9 +549,45 @@ def test_augment_bad_config_writes_nothing(tmp_path, capsys, monkeypatch, config
     rc = main(["augment", "--in", str(manifest_path), "--target", "1",
                "--config", str(config_path), "--out", str(out_path)])
     assert rc == 1
-    assert _single_error(capsys) == message
+    assert _single_error(capsys) == f"{config_path}: {message}"
     assert not out_path.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("text", ["", "{\"kind\": \"mock\"", "kind=mock",
+                                  "[" * 100_000 + "]" * 100_000])
+@pytest.mark.parametrize("argv", [
+    ["augment", "--in", "{manifest}", "--target", "1", "--config", "{path}",
+     "--out", "{out}"],
+    ["structure", "prompt", "--template", "finetune", "--bindings", "{path}", "--out", "{out}"],
+    ["demo", "--out", "{out}", "--config", "{path}"],
+], ids=["client config", "bindings", "pipeline config"])
+def test_non_json_file_exits_1(tmp_path, capsys, argv, text):
+    manifest = tmp_path / "seeds.jsonl"
+    save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest)
+    path, out = tmp_path / "file.json", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    rc = main([arg.format(manifest=manifest, path=path, out=out) for arg in argv])
+    assert rc == 1
+    message = _single_error(capsys)
+    assert message.startswith(f"{path}: ") and " is malformed: " in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 0\n1\n", "{path}:2: row has 1 categories, expected 2"),
+    ("# raters\n2 0\n\n1 1\n3 -1\n", "{path}:5: row has negative counts"),
+    ("2 0\n1 2\n", "{path}:2: row sums to 3, expected 2"),
+    ("1 0\n0 1\n", "{path}:1: row has fewer than two raters"),
+    ("2 x\n", "{path}:1: non-integer count"),
+    ("", "{path}: counts matrix must be nonempty"),
+    ("# no rows\n\n", "{path}: counts matrix must be nonempty"),
+])
+def test_bad_counts_file_names_path_and_line(tmp_path, capsys, text, message):
+    path = tmp_path / "counts.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["kappa", "--counts", str(path)]) == 1
+    assert _single_error(capsys) == message.format(path=path)
 
 
 class TestDemo:

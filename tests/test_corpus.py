@@ -72,13 +72,13 @@ class TestIngestGsm8k:
             {"question": "ok?", "answer": "fine\n#### 1"},
             {"question": "bad?", "answer": "no marker here"},
         ])
-        with pytest.raises(RecordFormatError, match="no final-answer marker at line 2"):
+        with pytest.raises(RecordFormatError, match=re.escape(f"{path}:2: no final-answer marker")):
             ingest_gsm8k(path)
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "g.jsonl"
         write_jsonl(path, [{"question": "only question"}])
-        with pytest.raises(RecordFormatError, match="line 1"):
+        with pytest.raises(RecordFormatError, match=re.escape(f"{path}:1: missing field 'answer'")):
             ingest_gsm8k(path)
 
     def test_extras_preserved(self, tmp_path):
@@ -189,7 +189,7 @@ class TestIngestIndiMathQA:
     def test_missing_field_names_path_and_line(self, tmp_path, record, field):
         path = tmp_path / "i.jsonl"
         write_jsonl(path, [{"id": "a", "question": "q?"}, record])
-        expected = re.escape(f"{path}: missing field {field!r} at line 2")
+        expected = re.escape(f"{path}:2: missing field {field!r}")
         with pytest.raises(RecordFormatError, match=expected):
             ingest_indimathqa(path, Language.ENGLISH)
 

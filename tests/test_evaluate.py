@@ -23,6 +23,7 @@ from ganitprep.evaluate import (
     half_up_percent,
     load_grades,
     read_counts_matrix,
+    read_predictions,
     read_verdicts,
     save_grades,
 )
@@ -288,6 +289,14 @@ class TestReadVerdicts:
             reader(path)
 
     @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
+    def test_deeply_nested_line_names_path_and_line(self, tmp_path, reader):
+        path = tmp_path / "grades.jsonl"
+        path.write_text(_grade_line() + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: unreadable grade")):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
     def test_invalid_json_names_path_and_line(self, tmp_path, reader):
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n{oops\n", encoding="utf-8")
@@ -392,6 +401,27 @@ class TestGradePredictions:
         manifest = make_manifest([make_problem("p1", raw_solution="nothing here")])
         with pytest.raises(EvaluationError, match="reference"):
             grade_predictions([("p1", "4")], manifest, "m")
+
+
+class TestReadPredictions:
+    def test_lone_carriage_return_stays_in_output(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"p1\tstep one\rstep two\\n#### 4\n")
+        assert read_predictions(path) == [("p1", "step one\rstep two\n#### 4")]
+
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        crlf, lf = tmp_path / "crlf.tsv", tmp_path / "lf.tsv"
+        crlf.write_bytes(b"p1\t4 \r\n\r\np2\tx\\ny\r\n")
+        lf.write_bytes(b"p1\t4 \n\np2\tx\\ny\n")
+        assert read_predictions(crlf) == read_predictions(lf) == [
+            ("p1", "4 "), ("p2", "x\ny")]
+
+    @pytest.mark.parametrize("content", [b"p1 4\n", b"p\xff\t4\n"])
+    def test_bad_line_names_path_and_line(self, tmp_path, content):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"p0\t1\n" + content)
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: ")):
+            read_predictions(path)
 
 
 class TestFleissKappa:

@@ -51,3 +51,34 @@ def test_only_cli_imports_inside_functions():
     _, local = _import_graph()
     assert {name for name, targets in local.items() if targets} == {"cli"}
 
+
+
+# Where a JSON text may be decoded: the two shared readers, and the HTTP
+# provider's parse of a reply, which is no file.
+JSON_DECODE_SITES = {("errors", "json_object_file"), ("errors", "numbered_lines"),
+                     ("llm_client", "HttpProvider.generate")}
+
+
+def _json_decode_sites() -> set[tuple[str, str]]:
+    """(module, enclosing function) of every ``json.load``/``json.loads`` call."""
+    sites = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            sites.add((module, scope))
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            sites.add((module, "from json import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for name in MODULES:
+        visit(ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")), name, "")
+    return sites
+
+
+def test_json_is_decoded_only_by_the_shared_readers():
+    assert _json_decode_sites() <= JSON_DECODE_SITES
