@@ -8,7 +8,6 @@ corrupted files at load time.
 """
 
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 from ganitprep.corpus import (
@@ -19,12 +18,11 @@ from ganitprep.corpus import (
     save_manifest,
 )
 from ganitprep.errors import IntegrityError
+from ganitprep.pipeline import DEMO_DATA_DIR
 
-data = Path(str(resources.files("ganitprep") / "data" / "demo"))
-
-gsm8k = ingest_gsm8k(data / "gsm8k.jsonl")
-math = ingest_math(data / "math.jsonl")
-hawp = ingest_hawp(data / "hawp.jsonl")
+gsm8k = ingest_gsm8k(DEMO_DATA_DIR / "gsm8k.jsonl")
+math = ingest_math(DEMO_DATA_DIR / "math.jsonl")
+hawp = ingest_hawp(DEMO_DATA_DIR / "hawp.jsonl")
 
 print("=== ingested corpora ===")
 for name, manifest in (("grade-school", gsm8k), ("competition", math),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
@@ -20,13 +19,12 @@ from ganitprep.corpus import (
     Operation,
     ingest_gsm8k,
     ingest_hawp,
-    ingest_indimathqa,
     ingest_math,
     load_manifest,
     save_manifest,
     write_text_atomic,
 )
-from ganitprep.errors import PipelineError, check_fields, json_object_file, naming
+from ganitprep.errors import PipelineError, json_object_file, naming
 
 
 def _summary(stage: str, count_in: int, count_out: int, flagged: int = 0,
@@ -233,140 +231,23 @@ def _cmd_kappa(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pipeline config
-
-
-@dataclass
-class PipelineConfig:
-    gsm8k_path: str = ""
-    math_path: str = ""
-    hawp_path: str = ""
-    indimathqa_en_path: str = ""
-    indimathqa_hi_path: str = ""
-    annotations_path: str = ""
-    predictions_path: str = ""
-    out_dir: str = "demo_out"
-    seed: int = 7
-    ratio: float = 0.70
-    mode: str = "bilingual"
-    cumulative: bool = False
-
-
-def load_pipeline_config(path) -> PipelineConfig:
-    with json_object_file(path, "config") as data:
-        check_fields(data, PipelineConfig)
-        return PipelineConfig(**data)
-
-
-# ---------------------------------------------------------------------------
 # demo
 
 
-def _demo_data_dir() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("ganitprep") / "data" / "demo"))
-
-
 def _cmd_demo(args) -> int:
-    from ganitprep import classify as classify_mod
-    from ganitprep import curriculum as curriculum_mod
-    from ganitprep import decompose as decompose_mod
-    from ganitprep import evaluate as evaluate_mod
+    from ganitprep import pipeline
 
     if args.config:
-        config = load_pipeline_config(args.config)
+        config = pipeline.load_pipeline_config(args.config)
     else:
-        config = PipelineConfig()
+        config = pipeline.PipelineConfig()
     if args.out:
         config.out_dir = args.out
-    data_dir = _demo_data_dir()
-    defaults = {
-        "gsm8k_path": data_dir / "gsm8k.jsonl",
-        "math_path": data_dir / "math.jsonl",
-        "hawp_path": data_dir / "hawp.jsonl",
-        "indimathqa_en_path": data_dir / "indimathqa_en.jsonl",
-        "indimathqa_hi_path": data_dir / "indimathqa_hi.jsonl",
-        "annotations_path": data_dir / "annotations.tsv",
-        "predictions_path": data_dir / "predictions.tsv",
-    }
-    for name, default in defaults.items():
-        if not getattr(config, name):
-            setattr(config, name, str(default))
-    missing = [getattr(config, n) for n in defaults if not Path(getattr(config, n)).exists()]
-    if missing:
-        raise PipelineError(f"missing input paths: {', '.join(missing)}")
     with naming(args.config):  # without --config, the defaults, which pass
-        mode = curriculum_mod.TrainingMode(config.mode)
-        curriculum_mod.check_ratio(config.ratio)
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    gsm8k = ingest_gsm8k(config.gsm8k_path)
-    _summary("ingest-gsm8k", len(gsm8k), len(gsm8k))
-    math = ingest_math(config.math_path)
-    _summary("ingest-math", len(math), len(math))
-    hawp = ingest_hawp(config.hawp_path)
-    _summary("ingest-hawp", len(hawp), len(hawp))
-    imqa_en = ingest_indimathqa(config.indimathqa_en_path, Language.ENGLISH)
-    imqa_hi = ingest_indimathqa(config.indimathqa_hi_path, Language.HINDI)
-    _summary("ingest-indimathqa", len(imqa_en) + len(imqa_hi),
-             len(imqa_en) + len(imqa_hi))
-
-    gsm8k = classify_mod.rank_bottom_k(gsm8k, k=min(10, len(gsm8k)))
-    math = classify_mod.apply_math_levels(math)
-    annotations = classify_mod.read_annotations(config.annotations_path)
-    en_notes = {k: v for k, v in annotations.items() if k.endswith("-en")}
-    hi_notes = {k: v for k, v in annotations.items() if k.endswith("-hi")}
-    imqa_en = classify_mod.apply_annotations(imqa_en, en_notes).manifest
-    imqa_hi = classify_mod.apply_annotations(imqa_hi, hi_notes).manifest
-    classified_total = len(gsm8k) + len(math) + len(imqa_en) + len(imqa_hi)
-    _summary("classify", classified_total, classified_total)
-
-    outcome = decompose_mod.apply_decomposition(hawp)
-    hawp = outcome.manifest
-    save_manifest(hawp, out_dir / "hawp_decomposed.jsonl")
-    print(f"rewritten={outcome.rewritten} skipped={outcome.skipped}")
-    _summary("decompose", len(hawp), len(hawp), outcome.skipped)
-
-    paired = curriculum_mod.pair_bilingual(imqa_en, imqa_hi,
-                                           curriculum_mod.PairKey.BY_INDEX)
-    merged_outcome = curriculum_mod.merge_sources([gsm8k, math, paired])
-    merged = merged_outcome.manifest
-    save_manifest(merged, out_dir / "merged.jsonl")
-    _summary("merge", len(gsm8k) + len(math) + len(paired), len(merged))
-
-    assignment = curriculum_mod.split(merged, seed=config.seed, ratio=config.ratio)
-    curriculum_mod.save_split(assignment, out_dir / "split.json")
-    _summary("split", len(merged), len(assignment.assignments))
-
-    built = curriculum_mod.build_curriculum(
-        merged, assignment,
-        mode=mode,
-        cumulative=config.cumulative,
-    )
-    curriculum_mod.save_curriculum(built, out_dir / "curriculum.json")
-    _summary("build", len(merged), sum(len(s.train_ids) for s in built.stages))
-
-    for stage in built.stages:
-        safe = stage.name.replace("+", "_")
-        export = curriculum_mod.export_stage(
-            built, stage.name, merged, out_dir / f"train_{safe}.jsonl",
-            seed=config.seed)
-        print(f"exported={export.exported} skipped={export.skipped}")
-        _summary(f"export-{stage.name}", len(stage.train_ids), export.exported,
-                 export.skipped)
-    structure_mod.emit_training_config(out_dir / "training_config.txt")
-
-    predictions = evaluate_mod.read_predictions(config.predictions_path)
-    grades = evaluate_mod.grade_predictions(predictions, merged, "demo-model")
-    evaluate_mod.save_grades(grades, out_dir / "grades.jsonl")
-    report = evaluate_mod.accuracy_report(grades, merged)
-    write_text_atomic(out_dir / "report.txt", report.render_table())
-    write_text_atomic(out_dir / "report.csv", report.to_csv())
-    sys.stdout.write(report.render_table())
-    _summary("evaluate", len(grades), len(report.cells))
+        pipeline.check_settings(config)
+    for stage in pipeline.run(config).stages:
+        sys.stdout.write(stage.text)
+        _summary(stage.name, stage.count_in, stage.count_out, len(stage.flagged))
     return 0
 
 

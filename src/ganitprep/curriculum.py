@@ -290,7 +290,7 @@ def build_curriculum(
 class ExportOutcome(NamedTuple):
     exported: int
     skipped: int
-    flagged_ids: tuple[str, ...]
+    flagged: dict[str, str]  # id -> why it was not exported
 
 
 def export_stage(
@@ -312,7 +312,7 @@ def export_stage(
     random.Random(seed).shuffle(ids)
     template = get_template(PromptName.FINE_TUNE)
     rows = []
-    flagged = []
+    flagged = {}
     for problem_id in ids:
         problem = manifest.by_id(problem_id)
         if problem.structured_solution is not None:
@@ -320,7 +320,7 @@ def export_stage(
         elif problem.raw_solution:
             response = problem.raw_solution
         else:
-            flagged.append(problem_id)
+            flagged[problem_id] = "no solution text"
             continue
         text = render_prompt(template, {"Question": problem.question,
                                         "Response": response})
@@ -337,8 +337,7 @@ def export_stage(
     lines = [canonical_json(header)]
     lines.extend(map(canonical_json, rows))
     write_text_atomic(out_path, "\n".join(lines) + "\n")
-    return ExportOutcome(exported=len(rows), skipped=len(flagged),
-                         flagged_ids=tuple(flagged))
+    return ExportOutcome(exported=len(rows), skipped=len(flagged), flagged=flagged)
 
 
 def save_split(assignment: SplitAssignment, path) -> None:

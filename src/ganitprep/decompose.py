@@ -10,7 +10,6 @@ arithmetic is integer/rational; no floats touch the result.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,8 +24,6 @@ from ganitprep.corpus import (
     Problem,
     replace_records,
 )
-
-log = logging.getLogger(__name__)
 
 OPERAND_LIMIT = 10**18
 
@@ -219,7 +216,7 @@ class DecompositionOutcome(NamedTuple):
     manifest: CorpusManifest
     rewritten: int
     skipped: int
-    flagged_ids: tuple[str, ...]
+    flagged: dict[str, str]  # id -> why it was left unchanged
 
 
 def apply_decomposition(
@@ -237,23 +234,21 @@ def apply_decomposition(
     wanted = {op for op in operations if op in (Operation.MUL, Operation.DIV)}
     records = []
     rewritten = 0
-    flagged = []
+    flagged = {}
     for problem in manifest:
         if problem.operation not in wanted:
             records.append(problem)
             continue
         pair = extract_operands(problem)
         if pair is None:
-            log.warning("operand extraction failed for problem %s", problem.id)
-            flagged.append(problem.id)
+            flagged[problem.id] = "operand extraction failed"
             records.append(problem)
             continue
         decompose = decompose_mul if pair.operation is Operation.MUL else decompose_div
         try:
             trace = decompose(pair.a, pair.b)
         except (ValueError, ZeroDivisionError) as exc:
-            log.warning("decomposition failed for problem %s: %s", problem.id, exc)
-            flagged.append(problem.id)
+            flagged[problem.id] = f"decomposition failed: {exc}"
             records.append(problem)
             continue
         text = render_trace(trace, language or problem.language)
@@ -263,5 +258,5 @@ def apply_decomposition(
         manifest=replace_records(manifest, records),
         rewritten=rewritten,
         skipped=len(flagged),
-        flagged_ids=tuple(flagged),
+        flagged=flagged,
     )

@@ -13,11 +13,9 @@ from ganitprep.classify import apply_math_levels, map_math_level, rank_bottom_k
 from ganitprep.cli import main
 from ganitprep.corpus import Difficulty, Language, Operation, Source
 from ganitprep.curriculum import (
-    PairKey,
     build_curriculum,
     export_stage,
     merge_sources,
-    pair_bilingual,
     save_split,
     split,
 )
@@ -30,6 +28,7 @@ from ganitprep.evaluate import (
     fleiss_kappa,
     grade,
 )
+from ganitprep.pipeline import PipelineConfig, run
 from ganitprep.structure import (
     FINE_TUNE_BODY,
     PromptName,
@@ -191,28 +190,8 @@ def test_c05_split_properties(tmp_path):
             f"50 corpora in {elapsed:.2f}s, {violations} violations")
 
 
-def _demo_corpus():
-    """The bundled demonstration corpus, assembled the same way `demo` does."""
-    from ganitprep.classify import apply_annotations, read_annotations
-    from ganitprep.cli import _demo_data_dir
-    from ganitprep.corpus import ingest_gsm8k, ingest_indimathqa, ingest_math
-
-    data = _demo_data_dir()
-    gsm8k = rank_bottom_k(ingest_gsm8k(data / "gsm8k.jsonl"), 10)
-    math = apply_math_levels(ingest_math(data / "math.jsonl"))
-    imqa_en = ingest_indimathqa(data / "indimathqa_en.jsonl", Language.ENGLISH)
-    imqa_hi = ingest_indimathqa(data / "indimathqa_hi.jsonl", Language.HINDI)
-    annotations = read_annotations(data / "annotations.tsv")
-    imqa_en = apply_annotations(
-        imqa_en, {k: v for k, v in annotations.items() if k.endswith("-en")}).manifest
-    imqa_hi = apply_annotations(
-        imqa_hi, {k: v for k, v in annotations.items() if k.endswith("-hi")}).manifest
-    paired = pair_bilingual(imqa_en, imqa_hi, PairKey.BY_INDEX)
-    return merge_sources([gsm8k, math, paired]).manifest
-
-
 def test_c06_curriculum_invariants(tmp_path):
-    manifest = _demo_corpus()
+    manifest = run(PipelineConfig(out_dir=str(tmp_path / "demo"))).merged
     assignment = split(manifest, seed=42)
     checks = []
     for cumulative in (False, True):

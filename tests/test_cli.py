@@ -9,9 +9,10 @@ import pytest
 
 import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
-from ganitprep.cli import PipelineConfig, build_parser, load_pipeline_config, main
+from ganitprep.cli import build_parser, main
 from ganitprep.corpus import Difficulty, load_manifest, save_manifest
 from ganitprep.errors import PipelineError
+from ganitprep.pipeline import PipelineConfig, load_pipeline_config
 
 
 _SOLUTION = {"data_identification": "2 and 2", "problem_analysis": "a sum",
@@ -591,11 +592,14 @@ def test_bad_counts_file_names_path_and_line(tmp_path, capsys, text, message):
 
 
 class TestDemo:
-    def test_demo_runs_clean(self, tmp_path, capsys):
+    def test_demo_runs_clean(self, tmp_path, capsys, caplog):
         out_dir = tmp_path / "demo"
         rc = main(["demo", "--out", str(out_dir)])
         assert rc == 0
-        output = capsys.readouterr().out
+        # A flagged problem is reported in its stage's summary, not on stderr.
+        captured = capsys.readouterr()
+        assert captured.err == "" and caplog.records == []
+        output = captured.out
         for stage in ("ingest-gsm8k", "classify", "decompose", "split", "build",
                       "export-SFT_easy", "export-SFT_easy+medium", "evaluate"):
             assert f"stage={stage}" in output
@@ -617,13 +621,15 @@ class TestDemo:
         for name, before in snapshots.items():
             assert (out_dir / name).read_bytes() == before, name
 
-    def test_missing_config_path_validated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("path", ["{tmp}/nope.jsonl", ""], ids=["absent-file", "empty"])
+    def test_missing_config_path_validated(self, tmp_path, capsys, path):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"gsm8k_path": str(tmp_path / "nope.jsonl")}),
+        config_path.write_text(json.dumps({"gsm8k_path": path.format(tmp=tmp_path)}),
                                encoding="utf-8")
         rc = main(["demo", "--out", str(tmp_path / "o"), "--config", str(config_path)])
         assert rc == 1
         assert "missing input paths" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def _modules_after(code: str) -> set[str]:
@@ -660,7 +666,7 @@ def test_cli_import_leaves_thread_pool_unloaded():
 
 # Every CLI stage process pays for what it imports; each handler loads its own.
 _STAGE_MODULES = {"ganitprep.classify", "ganitprep.curriculum", "ganitprep.decompose",
-                  "ganitprep.evaluate", "ganitprep.llm_client"}
+                  "ganitprep.evaluate", "ganitprep.llm_client", "ganitprep.pipeline"}
 
 
 def test_package_import_loads_no_submodule():

@@ -26,7 +26,7 @@ from ganitprep.corpus import (
     records_checksum,
     save_manifest,
 )
-from ganitprep.cli import _demo_data_dir, build_parser
+from ganitprep.cli import build_parser
 from ganitprep.curriculum import (
     STAGE_EASY,
     build_curriculum,
@@ -38,6 +38,7 @@ from ganitprep.curriculum import (
 from ganitprep.evaluate import GradeRecord, Verdict, save_grades
 from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.llm_client import prompt_digest, write_mock_fixture
+from ganitprep.pipeline import DEMO_DATA_DIR
 from ganitprep.structure import (
     SECTION_FIELDS,
     StructuredSolution,
@@ -221,7 +222,7 @@ _FIXTURE_READERS = {
 
 @pytest.mark.parametrize("name", sorted(_FIXTURE_CHECKSUMS))
 def test_demo_fixture_checksum(name):
-    manifest = _FIXTURE_READERS[name](_demo_data_dir() / f"{name}.jsonl")
+    manifest = _FIXTURE_READERS[name](DEMO_DATA_DIR / f"{name}.jsonl")
     assert manifest.checksum == _FIXTURE_CHECKSUMS[name]
 
 

@@ -392,7 +392,7 @@ class TestExportStage:
         outcome = export_stage(built, STAGE_EASY, manifest, tmp_path / "s.jsonl")
         assert outcome.exported + outcome.skipped == len(built.stages[0].train_ids)
         if "e3" in built.stages[0].train_ids:
-            assert outcome.flagged_ids == ("e3",)
+            assert outcome.flagged == {"e3": "no solution text"}
 
     def test_unknown_stage(self, tmp_path):
         manifest = _classified_corpus()

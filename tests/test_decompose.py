@@ -223,7 +223,7 @@ class TestApplyDecomposition:
         outcome = apply_decomposition(manifest)
         assert outcome.rewritten == 1
         assert outcome.skipped == 1
-        assert outcome.flagged_ids == ("p-bad",)
+        assert outcome.flagged == {"p-bad": "operand extraction failed"}
         assert outcome.manifest.by_id("p-bad").raw_solution == "no computation line"
 
     def test_preserves_size_and_ids(self):
@@ -241,20 +241,24 @@ class TestApplyDecomposition:
         outcome = apply_decomposition(self._manifest(), language=Language.ENGLISH)
         assert "Final Answer:" in outcome.manifest.by_id("p-mul").raw_solution
 
-    @pytest.mark.parametrize("problem", [
-        _hawp_problem("p-bad", Operation.DIV, "5 ÷ 0 = 0"),
-        _hawp_problem("p-bad", Operation.MUL, f"{10**18} × 2 = {2 * 10**18}"),
-        make_problem("p-bad", operation=Operation.MUL,
-                     extras={"operand_a": -3, "operand_b": 4}),
-        make_problem("p-bad", operation=Operation.MUL,
-                     extras={"operand_a": float("inf"), "operand_b": 4}),
+    @pytest.mark.parametrize("problem,reason", [
+        (_hawp_problem("p-bad", Operation.DIV, "5 ÷ 0 = 0"),
+         "decomposition failed: division by zero"),
+        (_hawp_problem("p-bad", Operation.MUL, f"{10**18} × 2 = {2 * 10**18}"),
+         f"decomposition failed: multiplicand must be < 10^18, got {10**18}"),
+        (make_problem("p-bad", operation=Operation.MUL,
+                      extras={"operand_a": -3, "operand_b": 4}),
+         "decomposition failed: multiplicand must be >= 0, got -3"),
+        (make_problem("p-bad", operation=Operation.MUL,
+                      extras={"operand_a": float("inf"), "operand_b": 4}),
+         "operand extraction failed"),
     ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras"])
-    def test_undecomposable_flagged_and_kept(self, problem):
+    def test_undecomposable_flagged_and_kept(self, problem, reason):
         manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
                                   problem])
         outcome = apply_decomposition(manifest)
         assert (outcome.rewritten, outcome.skipped) == (1, 1)
-        assert outcome.flagged_ids == ("p-bad",)
+        assert outcome.flagged == {"p-bad": reason}
         assert outcome.manifest.by_id("p-bad") == problem
 
 

@@ -1,4 +1,5 @@
-"""Byte oracle for ``ganitprep demo``: sha256 pins of everything it writes.
+"""Byte oracle for ``ganitprep demo``: sha256 pins of everything it writes,
+its stdout included.
 
 The pins hold any change to the pipeline's per-record paths (extraction,
 grading, decomposition rendering, feature scoring, splitting, export) to
@@ -32,6 +33,10 @@ MANIFEST_CHECKSUM = {
     "merged.jsonl": "sha256:7c0b0710c7ffb705f61917a6acd2a6de7ecaf09e05b8a9d4b96bc16194534fde",
 }
 
+# Stage lines, the text each stage prints before its line, and the report
+# table, in order; nothing in it depends on the checkout.
+STDOUT_SHA256 = "07eed0c55fcac6508969d6cb55dbabbb59f300d4281dba7394886acfda350021"
+
 
 @pytest.fixture(scope="module")
 def demo_out(tmp_path_factory):
@@ -50,3 +55,8 @@ def test_manifest_checksum_pinned(demo_out, name):
     with open(demo_out / name, encoding="utf-8") as handle:
         header = json.loads(handle.readline())
     assert header["checksum"] == MANIFEST_CHECKSUM[name]
+
+
+def test_stdout_pinned(tmp_path, capsys):
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == STDOUT_SHA256

@@ -15,14 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import ganitprep
 from ganitprep import llm_client
 from ganitprep.answers import AnswerValue
 from ganitprep.cli import main
 from ganitprep.corpus import load_manifest
+from ganitprep.pipeline import DEMO_DATA_DIR
 from ganitprep.structure import StructuredSolution
-
-DEMO_DATA = Path(ganitprep.__file__).parent / "data" / "demo"
 
 # A value of every JSON type, to put in place of one of another type.
 JSON_VALUES = (None, True, 0, 1.5, "x", [], {}, ["x"], {"x": 1})
@@ -57,11 +55,11 @@ def valid(tmp_path_factory):
         "curriculum": demo / "curriculum.json",
         "manifest": demo / "merged.jsonl",
         "grades": demo / "grades.jsonl",
-        "predictions": DEMO_DATA / "predictions.tsv",
-        "annotations": DEMO_DATA / "annotations.tsv",
-        "gsm8k": DEMO_DATA / "gsm8k.jsonl",
-        "math": DEMO_DATA / "math.jsonl",
-        "hawp": DEMO_DATA / "hawp.jsonl",
+        "predictions": DEMO_DATA_DIR / "predictions.tsv",
+        "annotations": DEMO_DATA_DIR / "annotations.tsv",
+        "gsm8k": DEMO_DATA_DIR / "gsm8k.jsonl",
+        "math": DEMO_DATA_DIR / "math.jsonl",
+        "hawp": DEMO_DATA_DIR / "hawp.jsonl",
     }
     return files
 
