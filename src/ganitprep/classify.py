@@ -152,7 +152,6 @@ class ComplexityScore:
     num_variables: float
     conceptual_complexity: float
     total: float
-    features: Mapping[str, float]
 
     def sub_scores(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in CRITERIA}
@@ -185,7 +184,7 @@ def score_complexity(problem: Problem) -> ComplexityScore:
     """
     raw = extract_features(problem)
     subs = _sub_scores(raw)
-    return ComplexityScore(*subs, total=_total(subs), features=raw._asdict())
+    return ComplexityScore(*subs, total=_total(subs))
 
 
 def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
@@ -195,7 +194,7 @@ def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
     """
     if k < 0 or k > len(manifest):
         raise ClassifyError(f"k must be in 0..{len(manifest)}, got {k}")
-    # The total alone, without the ComplexityScore and features dict.
+    # The total alone, without building a ComplexityScore.
     ranked = sorted(
         manifest,
         key=lambda p: (_total(_sub_scores(extract_features(p))), p.id),

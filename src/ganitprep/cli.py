@@ -178,7 +178,7 @@ def _cmd_augment(args) -> int:
     manifest = load_manifest(args.infile)
     config = llm_client.load_client_config(args.config)
     client = llm_client.make_client(config)
-    template = structure_mod.get_template(args.template)
+    template = structure_mod.get_template(structure_mod.PromptName.AUGMENT)
     outcome = llm_client.augment_batch(manifest, template, args.target, client)
     save_manifest(outcome.manifest, args.out)
     _summary("augment", len(manifest), len(outcome.manifest), outcome.discarded)
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="generate synthetic problems via a provider")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--template", default="augment")
     p.add_argument("--config", required=True, help="provider config JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)

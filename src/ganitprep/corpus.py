@@ -23,8 +23,10 @@ and a sha256 checksum over the record lines. The checksum is derived from
 the records and computed at most once per manifest: save serialises each
 record once and hashes the lines it writes, and load verifies the checksum
 over the record lines as read, so a stale, corrupted or hand-edited file is
-rejected. Every JSON artifact goes through one canonical encoder (sorted
-keys, raw UTF-8, no spaces).
+rejected. Every line-delimited artifact (manifests, grades, training
+exports) goes through one canonical encoder (sorted keys, raw UTF-8, no
+spaces); split and curriculum files are sorted-key UTF-8 JSON indented by
+one space.
 
 Question and solution text is normalized to Unicode NFC at ingestion so
 Devanagari text from mixed sources compares stably. Unknown fields in source
@@ -196,10 +198,6 @@ def records_checksum(records: Iterable[Problem]) -> str:
     return _lines_checksum(map(_record_line, records))
 
 
-def _now_iso() -> str:
-    return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
-
-
 def _validate_records(records: tuple[Problem, ...]) -> None:
     seen: set[str] = set()
     pairs: dict[str, list[Problem]] = {}
@@ -225,13 +223,13 @@ class CorpusManifest:
     source_format: SourceFormat
     created_at: str
 
+    def __post_init__(self):
+        _validate_records(self.records)
+
     @classmethod
     def from_records(cls, records: Iterable[Problem], source_format: SourceFormat,
-                     created_at: str | None = None) -> "CorpusManifest":
-        records = tuple(records)
-        _validate_records(records)
-        return cls(records=records, source_format=source_format,
-                   created_at=created_at or _now_iso())
+                     created_at: str) -> "CorpusManifest":
+        return cls(tuple(records), source_format, created_at)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -28,14 +27,9 @@ from ganitprep.corpus import (
 OPERAND_LIMIT = 10**18
 
 
-class TraceKind(Enum):
-    MULTIPLICATION = "Multiplication"
-    DIVISION = "Division"
-
-
 @dataclass(frozen=True)
 class DecompositionTrace:
-    kind: TraceKind
+    kind: Operation  # Operation.MUL or Operation.DIV
     operand_a: int
     operand_b: int
     components: tuple[tuple[int, Fraction], ...]  # (segment, partial)
@@ -76,7 +70,7 @@ def decompose_mul(a: int, b: int) -> DecompositionTrace:
     b = _check_operand("multiplier", b, 0)
     components = tuple((segment, Fraction(segment * b)) for segment in _place_parts(a))
     return DecompositionTrace(
-        kind=TraceKind.MULTIPLICATION,
+        kind=Operation.MUL,
         operand_a=a,
         operand_b=b,
         components=components,
@@ -104,7 +98,7 @@ def decompose_div(a: int, b: int) -> DecompositionTrace:
     if not components:
         components = [(0, Fraction(0))]
     return DecompositionTrace(
-        kind=TraceKind.DIVISION,
+        kind=Operation.DIV,
         operand_a=a,
         operand_b=b,
         components=tuple(components),
@@ -147,7 +141,7 @@ _WORDING = {
 def render_trace(trace: DecompositionTrace, language: Language = Language.ENGLISH) -> str:
     """Render a trace as multi-line solution text; pure and deterministic."""
     words = _WORDING[language]
-    mul = trace.kind is TraceKind.MULTIPLICATION
+    mul = trace.kind is Operation.MUL
     symbol = "×" if mul else "÷"
     b = trace.operand_b
     total = format_exact(trace.total)

@@ -482,34 +482,7 @@ def _row_fault(row: Sequence[int], categories: int, raters: int) -> str | None:
     return "has fewer than two raters" if raters < 2 else None
 
 
-@dataclass(frozen=True)
-class KappaInput:
-    items: int
-    categories: int
-    counts: tuple[tuple[int, ...], ...]
-    raters_per_item: int
-
-    def __post_init__(self):
-        if self.items < 1 or self.categories < 1:
-            raise EvaluationError("counts matrix must be nonempty")
-        for index, row in enumerate(self.counts):
-            fault = _row_fault(row, self.categories, self.raters_per_item)
-            if fault:
-                raise EvaluationError(f"row {index} {fault}")
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[Sequence[int]]) -> "KappaInput":
-        rows = tuple(tuple(int(n) for n in row) for row in counts)
-        first = rows[0] if rows else ()
-        return cls(
-            items=len(rows),
-            categories=len(first),
-            counts=rows,
-            raters_per_item=sum(first),
-        )
-
-
-def fleiss_kappa(data: KappaInput | Sequence[Sequence[int]]) -> float:
+def fleiss_kappa(counts: Sequence[Sequence[int]]) -> float:
     """Chance-corrected multi-rater agreement, computed in exact rationals.
 
     With n raters over N items and k categories, per-item agreement is
@@ -517,17 +490,21 @@ def fleiss_kappa(data: KappaInput | Sequence[Sequence[int]]) -> float:
     P_e = sum_j p_j^2 over the category marginals, and
     kappa = (mean(P_i) - P_e) / (1 - P_e).
     """
-    if not isinstance(data, KappaInput):
-        data = KappaInput.from_counts(data)
-    n = data.raters_per_item
-    total = data.items * n
+    if not counts or not counts[0]:
+        raise EvaluationError("counts matrix must be nonempty")
+    items, categories, n = len(counts), len(counts[0]), sum(counts[0])
+    for index, row in enumerate(counts):
+        fault = _row_fault(row, categories, n)
+        if fault:
+            raise EvaluationError(f"row {index} {fault}")
+    total = items * n
     p_bar = Fraction(
-        sum(sum(c * (c - 1) for c in row) for row in data.counts),
-        data.items * n * (n - 1),
+        sum(sum(c * (c - 1) for c in row) for row in counts),
+        items * n * (n - 1),
     )
     marginals = [
-        Fraction(sum(row[j] for row in data.counts), total)
-        for j in range(data.categories)
+        Fraction(sum(row[j] for row in counts), total)
+        for j in range(categories)
     ]
     p_expected = sum(p * p for p in marginals)
     if p_expected == 1:
@@ -539,7 +516,7 @@ def fleiss_kappa(data: KappaInput | Sequence[Sequence[int]]) -> float:
 
 def read_counts_matrix(path) -> list[list[int]]:
     """Read a rater-counts matrix: one row per item, whitespace or commas, each
-    row checked against the first as :class:`KappaInput` checks it."""
+    row checked against the first as :func:`fleiss_kappa` checks it."""
     rows = []
     for lineno, line, _ in numbered_lines(path, EvaluationError):
         line = line.strip()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import threading
@@ -42,8 +41,6 @@ from ganitprep.corpus import (
 )
 from ganitprep.errors import PipelineError, check_fields, json_object_file
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
-
-log = logging.getLogger(__name__)
 
 
 class ProviderError(PipelineError):
@@ -212,12 +209,12 @@ class HttpProvider:
                     self._in_flight -= 1
 
 
-def make_client(config: ClientConfig, transport=None, sleep=time.sleep):
+def make_client(config: ClientConfig, transport=None):
     if config.kind == "mock":
         if not config.fixtures_dir:
             raise ProviderError("mock provider requires fixtures_dir")
         return MockProvider(config.fixtures_dir)
-    return HttpProvider(config, transport=transport, sleep=sleep)
+    return HttpProvider(config, transport=transport)
 
 
 _GENERATED_RE = re.compile(
@@ -318,7 +315,6 @@ def augment_batch(
             if parsed is None:
                 discarded += 1
                 failures.append(f"seed {seed.id}: unparseable generation")
-                log.warning("discarded unparseable generation for seed %s", seed.id)
             else:
                 question, answer = parsed
                 number = len(generated) + 1

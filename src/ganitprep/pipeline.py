@@ -66,7 +66,6 @@ class RunOutcome(NamedTuple):
     merged: corpus.CorpusManifest
     split: curriculum.SplitAssignment
     curriculum: curriculum.CurriculumManifest
-    report: evaluate.EvaluationReport
     stages: tuple[StageSummary, ...]
 
 
@@ -150,4 +149,4 @@ def run(config: PipelineConfig) -> RunOutcome:
     corpus.write_text_atomic(out_dir / "report.txt", table)
     corpus.write_text_atomic(out_dir / "report.csv", report.to_csv())
     stages.append(StageSummary("evaluate", len(grades), len(report.cells), text=table))
-    return RunOutcome(merged, assignment, built, report, tuple(stages))
+    return RunOutcome(merged, assignment, built, tuple(stages))

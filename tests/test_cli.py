@@ -312,6 +312,39 @@ class TestEvaluateAndAugmentCommands:
         synthetic = load_manifest(out_path)
         assert [p.id for p in synthetic] == ["syn-000001", "syn-000002", "syn-000003"]
 
+    def test_augment_discard_is_reported_only_in_stage_line(self, tmp_path, capsys, caplog):
+        from ganitprep.llm_client import write_mock_fixture
+        from ganitprep.structure import PromptName, get_template, render_prompt
+
+        problems = [make_problem(f"p{i}", question=f"What is {i}+{i}?",
+                                 raw_solution=f"#### {2*i}") for i in range(3)]
+        manifest_path = tmp_path / "seeds.jsonl"
+        save_manifest(make_manifest(problems), manifest_path)
+        fixtures = tmp_path / "fixtures"
+        for problem in problems:
+            prompt = render_prompt(get_template(PromptName.AUGMENT), {
+                "Example": problem.question,
+                "refined_solution": problem.raw_solution,
+                "Question": "",
+            })
+            text = ("garbled" if problem.id == "p1"
+                    else f"Question: variant of {problem.id}?\nAnswer: 1")
+            write_mock_fixture(fixtures, prompt, text)
+        config_path = tmp_path / "provider.json"
+        config_path.write_text(json.dumps({"kind": "mock", "fixtures_dir": str(fixtures)}),
+                               encoding="utf-8")
+        rc = main(["augment", "--in", str(manifest_path), "--target", "2",
+                   "--config", str(config_path), "--out", str(tmp_path / "syn.jsonl")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "stage=augment in=3 out=2 flagged=1" in captured.out
+        assert captured.err == "" and caplog.records == []
+
+    def test_augment_has_no_template_option(self, capsys):
+        assert main(["augment", "--in", "x", "--target", "1", "--config", "c",
+                     "--out", "o", "--template", "augment"]) == 2
+        assert "--template" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):

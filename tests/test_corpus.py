@@ -357,6 +357,16 @@ class TestPersistence:
         assert loaded == manifest
         assert loaded.checksum == manifest.checksum
 
+    @pytest.mark.parametrize("records,message", [
+        ([make_problem("a"), make_problem("a")], "duplicate problem id: a"),
+        ([make_problem("x-1", pair_id="x"), make_problem("x-2", pair_id="x")],
+         "pair x: members must have distinct languages"),
+    ], ids=["duplicate-id", "bad-pair"])
+    def test_direct_construction_validates(self, records, message):
+        with pytest.raises(IntegrityError, match=message):
+            CorpusManifest(records=tuple(records), source_format=SourceFormat.MIXED,
+                           created_at="2024-01-01T00:00:00+00:00")
+
 
 def _header_checksum(path) -> str:
     with open(path, encoding="utf-8") as handle:

@@ -26,6 +26,7 @@ from ganitprep.curriculum import (
     split,
 )
 from ganitprep.llm_client import approved_only
+from ganitprep.structure import FINE_TUNE_BODY, StructuredSolution
 
 
 def _mono(count, language, source=Source.INDIMATHQA, difficulty=Difficulty.EASY,
@@ -393,6 +394,26 @@ class TestExportStage:
         assert outcome.exported + outcome.skipped == len(built.stages[0].train_ids)
         if "e3" in built.stages[0].train_ids:
             assert outcome.flagged == {"e3": "no solution text"}
+
+    def test_structured_solution_exported_under_hindi_headings(self, tmp_path):
+        solution = StructuredSolution("d", "a", "t", "m", "c", "हल 7")
+        problems = [
+            make_problem("h1", language=Language.HINDI, question="प्रश्न?",
+                         difficulty=Difficulty.EASY, raw_solution="#### 99",
+                         structured_solution=solution),
+            make_problem("m1", difficulty=Difficulty.MEDIUM, raw_solution="#### 3"),
+        ]
+        manifest = make_manifest(problems)
+        everything = SplitAssignment(seed=0, ratio=0.7, strata={},
+                                     assignments={p.id: Assign.TRAIN for p in manifest})
+        built = build_curriculum(manifest, everything)
+        out = tmp_path / "easy.jsonl"
+        assert export_stage(built, STAGE_EASY, manifest, out).exported == 1
+        row = json.loads(out.read_text(encoding="utf-8").splitlines()[1])
+        response = ("डेटा पहचान:\nd\n\nसमस्या विश्लेषण:\na\n\nसैद्धांतिक ढांचा:\nt\n\n"
+                    "विधि विकास:\nm\n\nगणना:\nc\n\nहल:\nहल 7\n")
+        assert (row["id"], row["language"]) == ("h1", "Hindi")
+        assert row["text"] == FINE_TUNE_BODY.format(Question="प्रश्न?", Response=response)
 
     def test_unknown_stage(self, tmp_path):
         manifest = _classified_corpus()

@@ -13,7 +13,6 @@ from ganitprep.corpus import Difficulty, Language, Source
 from ganitprep.evaluate import (
     EvaluationError,
     GradeRecord,
-    KappaInput,
     Verdict,
     accuracy_report,
     extract_answer,
@@ -27,6 +26,7 @@ from ganitprep.evaluate import (
     read_verdicts,
     save_grades,
 )
+from ganitprep.structure import StructuredSolution
 
 
 def _expected_value(expect):
@@ -385,6 +385,20 @@ class TestAccuracyReport:
                           "unparseable,total,percent")
         assert "model-a,English,GSM8K,Unclassified,71,29,0,100,71" in csv_text
 
+    def test_unplanned_pair_gets_trailing_column_under_its_language(self):
+        manifest, grades = _report_fixture()
+        manifest = make_manifest([*manifest, make_problem("syn-1", source=Source.SYNTHETIC)])
+        one = AnswerValue.from_rational(1)
+        grades.append(GradeRecord("syn-1", "model-a", one, one, Verdict.CORRECT))
+        group_line, label_row, *_ = accuracy_report(grades, manifest).render_table().splitlines()
+        assert label_row.split()[-1] == "Synthetic"
+        assert label_row.count("Synthetic") == 1
+        assert group_line.count("English Benchmarks") == 2
+        assert (group_line.index("English Benchmarks") < group_line.index("Hindi Benchmarks")
+                < group_line.rindex("English Benchmarks"))
+        # The column's group label starts above it.
+        assert group_line.rindex("English Benchmarks") == label_row.rindex("Synthetic")
+
 
 class TestGradePredictions:
     def test_references_and_verdicts(self):
@@ -396,6 +410,20 @@ class TestGradePredictions:
             [("p1", "the answer is 4"), ("p2", "no clue")], manifest, "m")
         assert grades[0].verdict is Verdict.CORRECT
         assert grades[1].verdict is Verdict.UNPARSEABLE
+
+    @pytest.mark.parametrize("final_answer,answer_section,expected", [
+        (AnswerValue.from_rational(7), "Final Answer: 9", 7),  # final_answer first
+        (None, "Final Answer: 9", 9),  # then the answer section
+    ])
+    def test_structured_reference_precedes_raw_solution(self, final_answer,
+                                                        answer_section, expected):
+        solution = StructuredSolution("d", "a", "t", "m", "c", answer_section,
+                                      final_answer=final_answer)
+        manifest = make_manifest([make_problem("p1", raw_solution="#### 5",
+                                               structured_solution=solution)])
+        (record,) = grade_predictions([("p1", f"#### {expected}")], manifest, "m")
+        assert record.reference == AnswerValue.from_rational(expected)
+        assert record.verdict is Verdict.CORRECT
 
     def test_missing_reference_errors(self):
         manifest = make_manifest([make_problem("p1", raw_solution="nothing here")])
@@ -482,8 +510,7 @@ class TestFleissKappa:
 
     def test_row_sum_validation(self):
         with pytest.raises(EvaluationError, match="sums to"):
-            fleiss_kappa(KappaInput(items=2, categories=2, counts=((2, 0), (1, 1)),
-                                    raters_per_item=3))
+            fleiss_kappa([[3, 0], [1, 1]])
 
     def test_single_rater_rejected(self):
         with pytest.raises(EvaluationError, match="two raters"):

@@ -82,3 +82,31 @@ def _json_decode_sites() -> set[tuple[str, str]]:
 
 def test_json_is_decoded_only_by_the_shared_readers():
     assert _json_decode_sites() <= JSON_DECODE_SITES
+
+
+def _package_nodes():
+    for name in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        yield from ((name, node) for node in ast.walk(tree))
+
+
+def test_no_module_imports_logging():
+    # A stage reports through its return value and its ``stage=`` line, not
+    # through log records that land on stderr.
+    importers = {name for name, node in _package_nodes()
+                 if (isinstance(node, ast.Import)
+                     and any(alias.name.split(".")[0] == "logging" for alias in node.names))
+                 or (isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "logging")}
+    assert importers == set()
+
+
+def test_no_module_reads_the_wall_clock_date():
+    # Re-runs must write byte-identical files, so no output may carry
+    # ``datetime.now()``.
+    callers = {name for name, node in _package_nodes()
+               if isinstance(node, ast.Attribute) and node.attr in ("now", "utcnow")
+               and ((isinstance(node.value, ast.Name) and node.value.id == "datetime")
+                    or (isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "datetime"))}
+    assert callers == set()
