@@ -153,9 +153,6 @@ class ComplexityScore:
     conceptual_complexity: float
     total: float
 
-    def sub_scores(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in CRITERIA}
-
 
 def _sub_scores(raw: RawFeatures) -> tuple[float, ...]:
     """The five sub-scores, in ``CRITERIA`` order."""
@@ -231,13 +228,15 @@ def apply_annotations(
 
 
 def read_annotations(path) -> dict[str, Difficulty]:
-    """Read a line-delimited ``id<TAB>difficulty`` annotation file."""
+    """Read a line-delimited ``id<TAB>difficulty`` annotation file, one line per id."""
     annotations: dict[str, Difficulty] = {}
     for lineno, line, _ in numbered_lines(path, ClassifyError):
         parts = line.strip().split("\t")
         if len(parts) != 2:
             raise ClassifyError(f"{path}:{lineno}: expected id<TAB>difficulty")
         problem_id, label = parts
+        if problem_id in annotations:
+            raise ClassifyError(f"{path}:{lineno}: duplicate id {problem_id!r}")
         try:
             annotations[problem_id] = Difficulty(label)
         except ValueError:

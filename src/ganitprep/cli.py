@@ -37,6 +37,12 @@ def _parse_language(value: str) -> Language | None:
     return {"auto": None, "en": Language.ENGLISH, "hi": Language.HINDI}[value]
 
 
+def _print_counts(label: str, counts) -> None:
+    """Print ``<label>: Easy=n, Hard=n``, difficulties in name order."""
+    print(f"{label}: " + ", ".join(f"{d.value}={n}" for d, n in sorted(
+        counts.items(), key=lambda item: item[0].value)))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 #
@@ -55,6 +61,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_classify(args) -> int:
     from ganitprep import classify as classify_mod
 
+    if args.bottom_k is not None and not args.score:
+        raise PipelineError("--bottom-k requires --score")
     manifest = load_manifest(args.infile)
     if args.math_levels:
         result = classify_mod.apply_math_levels(manifest)
@@ -63,9 +71,7 @@ def _cmd_classify(args) -> int:
         with naming(args.annotations):
             outcome = classify_mod.apply_annotations(manifest, annotations)
         result = outcome.manifest
-        counts = ", ".join(f"{d.value}={n}" for d, n in sorted(
-            outcome.counts.items(), key=lambda item: item[0].value))
-        print(f"annotated: {counts}")
+        _print_counts("annotated", outcome.counts)
     else:
         if args.bottom_k is None:
             raise PipelineError("--score requires --bottom-k N")
@@ -110,8 +116,7 @@ def _cmd_structure(args) -> int:
         else:
             with json_object_file(args.infile, "structured solution") as data:
                 solution = structure_mod.StructuredSolution.from_dict(data)
-        rendered = structure_mod.render_structured(
-            solution, _parse_language(args.lang) or Language.ENGLISH)
+        rendered = structure_mod.render_structured(solution, _parse_language(args.lang))
     if args.out:
         write_text_atomic(args.out, rendered)
     else:
@@ -136,9 +141,7 @@ def _cmd_curriculum(args) -> int:
         manifests = [load_manifest(p) for p in args.infiles]
         outcome = curriculum_mod.merge_sources(manifests)
         save_manifest(outcome.manifest, args.out)
-        totals = ", ".join(f"{d.value}={n}" for d, n in sorted(
-            outcome.totals.items(), key=lambda item: item[0].value))
-        print(f"totals: {totals}")
+        _print_counts("totals", outcome.totals)
         _summary("curriculum-merge", sum(len(m) for m in manifests),
                  len(outcome.manifest))
         return 0

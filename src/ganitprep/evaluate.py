@@ -211,14 +211,14 @@ class GradeRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradeRecord":
-        _verdict_row(data)  # the checks a report makes, with its messages
+        row = _verdict_row(data)  # the checks a report makes, with its messages
         predicted = data.get("predicted")
         return cls(
-            problem_id=data["problem_id"],
-            model_name=data["model_name"],
+            problem_id=row.problem_id,
+            model_name=row.model_name,
             predicted=AnswerValue.from_dict(predicted) if predicted else None,
             reference=AnswerValue.from_dict(data["reference"]),
-            verdict=Verdict(data["verdict"]),
+            verdict=row.verdict,
         )
 
 
@@ -316,39 +316,29 @@ class EvaluationReport:
             unparseable=sum(p.unparseable for p in parts),
         )
 
-    def _columns(self):
-        columns = []  # (group label, column label, language, source, difficulty|None)
-        planned = set()
-        for language, sources in _COLUMN_PLAN:
-            group = f"{language.value} Benchmarks"
-            for source, split_difficulty in sources:
-                if split_difficulty:
-                    for difficulty in _SUB_DIFFICULTIES:
-                        columns.append((group, f"{source.value} {difficulty.value}",
-                                        language, source, difficulty))
-                        planned.add((language, source))
-                else:
-                    columns.append((group, source.value, language, source, None))
-                    planned.add((language, source))
-        extra = sorted(
-            {(l, s) for _, l, s, _ in self.cells if (l, s) not in planned},
-            key=lambda item: (item[0].value, item[1].value),
-        )
-        for language, source in extra:
-            columns.append((f"{language.value} Benchmarks", source.value,
-                            language, source, None))
-        return columns
+    def _columns(self) -> list[tuple[Language, Source, Difficulty | None]]:
+        """The planned columns, then one aggregate per other graded pair."""
+        columns = [(language, source, difficulty)
+                   for language, sources in _COLUMN_PLAN
+                   for source, split_difficulty in sources
+                   for difficulty in (_SUB_DIFFICULTIES if split_difficulty else (None,))]
+        planned = {(language, source) for language, source, _ in columns}
+        extra = sorted({(l, s) for _, l, s, _ in self.cells} - planned,
+                       key=lambda item: (item[0].value, item[1].value))
+        return columns + [(language, source, None) for language, source in extra]
 
     def render_table(self) -> str:
         columns = self._columns()
         rows = []
         for model in self.models():
             row = [model]
-            for _, _, language, source, difficulty in columns:
+            for language, source, difficulty in columns:
                 stats = self.cell(model, language, source, difficulty)
                 row.append(f"{stats.percent}%" if stats else EMPTY_CELL)
             rows.append(row)
-        label_row = ["Model"] + [label for _, label, *_ in columns]
+        label_row = ["Model"] + [
+            source.value if difficulty is None else f"{source.value} {difficulty.value}"
+            for _, source, difficulty in columns]
         widths = [max(len(str(cell)) for cell in col)
                   for col in zip(label_row, *rows)]
 
@@ -358,7 +348,7 @@ class EvaluationReport:
         # Group labels span their run of columns.
         group_cells = [" " * widths[0]]
         run_start = 0
-        groups = [group for group, *_ in columns]
+        groups = [f"{language.value} Benchmarks" for language, _, _ in columns]
         for i in range(len(groups) + 1):
             if i == len(groups) or (i > run_start and groups[i] != groups[run_start]):
                 span = sum(widths[run_start + 1:i + 1]) + 2 * (i - run_start - 1)
@@ -387,13 +377,19 @@ class EvaluationReport:
 
 def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
                     manifest: CorpusManifest) -> EvaluationReport:
-    """Aggregate grade records into per-cell accuracy statistics.
+    """Aggregate grade records into per-cell accuracy statistics, each
+    problem counted once per model.
 
     Only ``problem_id``, ``model_name`` and ``verdict`` are read, so the rows
     of :func:`read_verdicts` serve as well as full grade records.
     """
     tallies: dict[CellKey, list[int]] = {}
+    graded: set[tuple[str, str]] = set()
     for record in grades:
+        if (record.model_name, record.problem_id) in graded:
+            raise EvaluationError(f"second grade of problem {record.problem_id!r} "
+                                  f"for model {record.model_name!r}")
+        graded.add((record.model_name, record.problem_id))
         try:
             problem = manifest.by_id(record.problem_id)
         except KeyError:
@@ -462,12 +458,17 @@ def read_verdicts(path) -> list[VerdictRow]:
 
 
 def read_predictions(path) -> list[tuple[str, str]]:
-    r"""Read a ``problem_id<TAB>model_output`` file; ``\n`` unescapes to newlines."""
+    r"""Read a ``problem_id<TAB>model_output`` file, one line per problem;
+    ``\n`` unescapes to newlines."""
     pairs = []
+    seen: set[str] = set()
     for lineno, line, _ in numbered_lines(path, EvaluationError):
         if "\t" not in line:
             raise EvaluationError(f"{path}:{lineno}: expected problem_id<TAB>output")
         problem_id, text = line.split("\t", 1)
+        if problem_id in seen:
+            raise EvaluationError(f"{path}:{lineno}: duplicate problem id {problem_id!r}")
+        seen.add(problem_id)
         pairs.append((problem_id, text.replace("\\n", "\n")))
     return pairs
 

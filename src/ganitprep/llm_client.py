@@ -286,6 +286,8 @@ def augment_batch(
     if template.name is not PromptName.AUGMENT:
         raise AugmentationError(f"augmentation requires the {PromptName.AUGMENT.value} "
                                 f"template, got {template.name.value}")
+    if target_count < 0:
+        raise AugmentationError(f"target count must be nonnegative, got {target_count}")
     seeds = [p for p in manifest if p.raw_solution or p.structured_solution]
     if not seeds and target_count > 0:
         raise AugmentationError("no seed problems with solutions to augment from")

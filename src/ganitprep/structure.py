@@ -10,8 +10,9 @@ fixed translation table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from ganitprep.answers import AnswerValue
 from ganitprep.common import Language, write_text_atomic
@@ -53,14 +54,10 @@ HEADINGS_HI = (
     "हल",
 )
 
-# Heading text -> section index; "Answer" is a parse-time alias for the
-# final section.
-_HEADING_INDEX: dict[str, int] = {}
-for _i, _name in enumerate(HEADINGS_EN):
-    _HEADING_INDEX[_name.lower()] = _i
-for _i, _name in enumerate(HEADINGS_HI):
-    _HEADING_INDEX[_name] = _i
-_HEADING_INDEX["answer"] = 5
+# Lowercased heading text -> section index; "Answer" is a parse-time alias
+# for the final section.
+_HEADING_INDEX = {name.lower(): index for headings in (HEADINGS_EN, HEADINGS_HI)
+                  for index, name in enumerate(headings)} | {"answer": 5}
 
 _HEADING_NAMES = sorted(_HEADING_INDEX, key=len, reverse=True)
 _HEADING_LINE_RE = re.compile(
@@ -120,7 +117,7 @@ def parse_structured(text: str) -> StructuredSolution:
         match = _HEADING_LINE_RE.match(line)
         if not match:
             continue
-        index = _HEADING_INDEX[_canonical_key(match.group(1))]
+        index = _HEADING_INDEX[match.group(1).lower()]
         if index in seen:
             raise StructureError(f"duplicated section: {HEADINGS_EN[index]}")
         seen.add(index)
@@ -134,19 +131,10 @@ def parse_structured(text: str) -> StructuredSolution:
             "sections out of order: " + " > ".join(HEADINGS_EN[i] for i in order)
         )
     bodies = []
-    for position, (index, start) in enumerate(found):
+    for position, (_, start) in enumerate(found):
         end = found[position + 1][1] if position + 1 < len(found) else len(lines)
-        body = "\n".join(lines[start + 1:end]).strip()
-        if not body:
-            raise StructureError(f"empty section: {HEADINGS_EN[index]}")
-        bodies.append(body)
-    return StructuredSolution(*bodies)
-
-
-def _canonical_key(name: str) -> str:
-    key = name.strip()
-    lowered = key.lower()
-    return lowered if lowered in _HEADING_INDEX else key
+        bodies.append("\n".join(lines[start + 1:end]).strip())
+    return StructuredSolution(*bodies)  # which rejects an empty section
 
 
 def render_structured(solution: StructuredSolution, language=None) -> str:
@@ -171,14 +159,11 @@ _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 class PromptTemplate:
     name: PromptName
     body: str
-    placeholders: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self):
-        seen: list[str] = []
-        for match in _PLACEHOLDER_RE.finditer(self.body):
-            if match.group(1) not in seen:
-                seen.append(match.group(1))
-        object.__setattr__(self, "placeholders", tuple(seen))
+    @cached_property
+    def placeholders(self) -> tuple[str, ...]:
+        """The placeholder names in order of first use, each once."""
+        return tuple(dict.fromkeys(_PLACEHOLDER_RE.findall(self.body)))
 
 
 FINE_TUNE_BODY = (

@@ -714,3 +714,128 @@ def test_parser_leaves_stage_modules_unloaded():
 
 def test_curriculum_import_leaves_llm_client_unloaded():
     assert "ganitprep.llm_client" not in _modules_after("import ganitprep.curriculum")
+
+
+# ---------------------------------------------------------------------------
+# inputs that would be counted twice or ignored are refused
+
+
+def test_repeated_prediction_id_exits_1(tmp_path, capsys):
+    manifest_path, pred, out = tmp_path / "m.jsonl", tmp_path / "pred.tsv", tmp_path / "g"
+    save_manifest(make_manifest([make_problem(f"p{i}", raw_solution=f"#### {i}")
+                                 for i in range(2)]), manifest_path)
+    pred.write_text("p0\t#### 0\np1\t#### 1\np0\t#### 5\n", encoding="utf-8")
+    assert main(["evaluate", "grade", "--pred", str(pred), "--manifest", str(manifest_path),
+                 "--model", "m", "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{pred}:3: duplicate problem id 'p0'"
+    assert not out.exists()
+
+
+def test_repeated_grade_exits_1(demo_dir, tmp_path, capsys):
+    grades, out = demo_dir / "grades.jsonl", tmp_path / "report.txt"
+    assert main(["evaluate", "report", "--grades", str(grades), str(grades),
+                 "--manifest", str(demo_dir / "merged.jsonl"), "--out", str(out)]) == 1
+    message = _single_error(capsys)
+    assert message.startswith(f"{grades}, {grades}: second grade of problem ")
+    assert not out.exists()
+
+
+def test_repeated_annotation_id_exits_1(tmp_path, capsys):
+    manifest_path, annotations, out = tmp_path / "m.jsonl", tmp_path / "a.tsv", tmp_path / "o"
+    save_manifest(make_manifest([make_problem("a"), make_problem("b")]), manifest_path)
+    annotations.write_text("a\tEasy\nb\tMedium\na\tHard\n", encoding="utf-8")
+    assert main(["classify", "--in", str(manifest_path), "--annotations", str(annotations),
+                 "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{annotations}:3: duplicate id 'a'"
+    assert not out.exists()
+
+
+def test_negative_augment_target_exits_1(tmp_path, capsys):
+    manifest_path, config, out = tmp_path / "m.jsonl", tmp_path / "c.json", tmp_path / "o"
+    save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest_path)
+    config.write_text(json.dumps({"kind": "mock", "fixtures_dir": str(tmp_path)}),
+                      encoding="utf-8")
+    assert main(["augment", "--in", str(manifest_path), "--target", "-3",
+                 "--config", str(config), "--out", str(out)]) == 1
+    assert _single_error(capsys) == "target count must be nonnegative, got -3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", [["--math-levels"], ["--annotations", "a.tsv"]])
+def test_bottom_k_without_score_exits_1(tmp_path, capsys, route):
+    manifest_path, out = tmp_path / "m.jsonl", tmp_path / "o"
+    save_manifest(make_manifest([make_problem("a")]), manifest_path)
+    assert main(["classify", "--in", str(manifest_path), "--out", str(out), *route,
+                 "--bottom-k", "3"]) == 1
+    assert _single_error(capsys) == "--bottom-k requires --score"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# branches that only the benchmark ran
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("format", "ganitprep/split", "not a manifest file (format 'ganitprep/split')"),
+    ("version", 2, "unsupported manifest version 2"),
+])
+def test_manifest_header_of_another_kind_exits_1(tmp_path, capsys, key, value, message):
+    from ganitprep import corpus
+
+    manifest_path, out = tmp_path / "m.jsonl", tmp_path / "split.json"
+    save_manifest(make_manifest([make_problem("p", raw_solution="#### 1")]), manifest_path)
+    header, *records = manifest_path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(header)
+    assert header["checksum"] == corpus._lines_checksum(records)  # still valid below
+    header[key] = value
+    manifest_path.write_text("\n".join([json.dumps(header), *records]) + "\n",
+                             encoding="utf-8")
+    assert main(["curriculum", "split", "--in", str(manifest_path), "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{manifest_path}: {message}"
+    assert not out.exists()
+
+
+def test_classify_math_levels(tmp_path, capsys):
+    from ganitprep.corpus import Source
+
+    manifest_path, out = tmp_path / "m.jsonl", tmp_path / "o.jsonl"
+    problems = [make_problem(f"m{level}", source=Source.MATH, math_level=level)
+                for level in (1, 3, 5)] + [make_problem("g")]
+    save_manifest(make_manifest(problems), manifest_path)
+    assert main(["classify", "--in", str(manifest_path), "--out", str(out),
+                 "--math-levels"]) == 0
+    assert capsys.readouterr().out == "stage=classify in=4 out=4 flagged=0\n"
+    assert {p.id: p.difficulty for p in load_manifest(out)} == {
+        "m1": Difficulty.EASY, "m3": Difficulty.MEDIUM, "m5": Difficulty.HARD,
+        "g": Difficulty.UNCLASSIFIED}
+
+
+def test_report_without_out_writes_table_to_stdout(demo_dir, tmp_path, capsys):
+    grades = demo_dir / "grades.jsonl"
+    assert main(["evaluate", "report", "--grades", str(grades),
+                 "--manifest", str(demo_dir / "merged.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (demo_dir / "report.txt").read_text(encoding="utf-8")
+    count = len(grades.read_text(encoding="utf-8").splitlines())
+    assert captured.err.startswith(f"stage=evaluate-report in={count} out=")
+    assert captured.err.count("\n") == 1
+
+
+def test_module_entry_exit_codes(tmp_path):
+    # ``python -m ganitprep.cli`` runs ``main_entry``, as the console script does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(ganitprep.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ganitprep.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = run("ingest", "--format", "gsm8k", "--in", str(_gsm8k_file(tmp_path)),
+               "--out", "m.jsonl")
+    assert (done.returncode, done.stdout) == (0, "stage=ingest in=6 out=6 flagged=0\n")
+    done = run("ingest", "--format", "gsm8k", "--in", "missing.jsonl", "--out", "o.jsonl")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error=") and done.stderr.count("\n") == 1
+    assert "missing.jsonl" in done.stderr
+    done = run("ingest", "--format", "gsm8k", "--in", "m.jsonl", "--out", "o.jsonl", "--bogus")
+    assert done.returncode == 2 and "unrecognized arguments: --bogus" in done.stderr

@@ -92,6 +92,17 @@ class TestExtractAnswer:
         hi = render_trace(decompose_div(968, 16), Language.HINDI)
         assert extract_answer(hi) == AnswerValue.from_rational(Fraction(121, 2))
 
+    @pytest.mark.parametrize("text,expected", [
+        ("Final Answer: 5\nthen 8 more\nFinal Answer:", 8),  # on to the last number
+        ("#### 3\nso 9 in all\n#### ", 9),
+        ("Final Answer:\n#### 12", 12),  # on to the marker line
+    ])
+    def test_empty_last_answer_line_falls_through(self, text, expected):
+        assert extract_answer(text) == AnswerValue.from_rational(expected)
+
+    def test_number_ending_a_sentence(self):
+        assert extract_answer("#### 14661.") == AnswerValue.from_rational(14661)
+
 
 _rationals = st.builds(
     Fraction,
@@ -384,6 +395,15 @@ class TestAccuracyReport:
         assert header == ("model,language,source,difficulty,correct,incorrect,"
                           "unparseable,total,percent")
         assert "model-a,English,GSM8K,Unclassified,71,29,0,100,71" in csv_text
+
+    def test_one_grade_per_model_and_problem(self):
+        manifest, grades = _report_fixture()
+        with pytest.raises(EvaluationError,
+                           match="second grade of problem 'g0' for model 'model-a'"):
+            accuracy_report(grades + grades[:1], manifest)
+        other = GradeRecord("g0", "model-b", None, AnswerValue.from_rational(1),
+                            Verdict.UNPARSEABLE)
+        assert accuracy_report(grades + [other], manifest).models() == ["model-a", "model-b"]
 
     def test_unplanned_pair_gets_trailing_column_under_its_language(self):
         manifest, grades = _report_fixture()

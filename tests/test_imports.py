@@ -110,3 +110,12 @@ def test_no_module_reads_the_wall_clock_date():
                     or (isinstance(node.value, ast.Attribute)
                         and node.value.attr == "datetime"))}
     assert callers == set()
+
+
+def test_no_module_calls_object_setattr():
+    # A value that follows from a frozen dataclass's fields is a property;
+    # nothing stores it past the frozen guard.
+    callers = {name for name, node in _package_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+               and isinstance(node.value, ast.Name) and node.value.id == "object"}
+    assert callers == set()

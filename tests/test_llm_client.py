@@ -124,6 +124,21 @@ class TestHttpProvider:
             provider.generate("p")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("body", [json.dumps({"answer": "ok"}), json.dumps(["ok"]),
+                                      "not json"])
+    def test_malformed_reply_not_retried(self, body):
+        calls, sleeps = [], []
+
+        def transport(endpoint, payload, headers):
+            calls.append(1)
+            return 200, body
+
+        provider = HttpProvider(_http_config(), transport=transport, sleep=sleeps.append)
+        with pytest.raises(ProviderError, match="^malformed provider response: ") as raised:
+            provider.generate("p")
+        assert type(raised.value) is ProviderError
+        assert len(calls) == 1 and sleeps == []
+
     def test_rate_limited_retried(self):
         replies = [(429, "slow down"), (200, json.dumps({"text": "ok"}))]
         sleeps = []
