@@ -1,9 +1,11 @@
 """Command-line entry point composing the pipeline end to end.
 
-Exit codes: 0 success, 1 stage failure, 2 usage error. Every stage prints a
-summary line ``stage=<name> in=<n> out=<n> flagged=<n>``; failures print a
-single machine-parseable ``error="..."`` line on stderr. Output is plain
-text throughout (nothing colorized, so NO_COLOR needs no special casing).
+Exit codes: 0 success, 1 stage failure, 2 usage error. Every handler
+returns the :class:`StageSummary` of its stage, and :func:`main` alone prints
+it: its text, then the line ``stage=<name> in=<n> out=<n> flagged=<n>``.
+Failures print a single machine-parseable ``error="..."`` line on stderr.
+Output is plain text throughout (nothing colorized, so NO_COLOR needs no
+special casing).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
+from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     Language,
     Operation,
@@ -27,20 +30,14 @@ from ganitprep.corpus import (
 from ganitprep.errors import PipelineError, json_object_file, naming
 
 
-def _summary(stage: str, count_in: int, count_out: int, flagged: int = 0,
-             stream=None) -> None:
-    print(f"stage={stage} in={count_in} out={count_out} flagged={flagged}",
-          file=stream or sys.stdout)
-
-
 def _parse_language(value: str) -> Language | None:
     return {"auto": None, "en": Language.ENGLISH, "hi": Language.HINDI}[value]
 
 
-def _print_counts(label: str, counts) -> None:
-    """Print ``<label>: Easy=n, Hard=n``, difficulties in name order."""
-    print(f"{label}: " + ", ".join(f"{d.value}={n}" for d, n in sorted(
-        counts.items(), key=lambda item: item[0].value)))
+def _counts_text(label: str, counts) -> str:
+    """``<label>: Easy=n, Hard=n``, difficulties in name order."""
+    return f"{label}: " + ", ".join(f"{d.value}={n}" for d, n in sorted(
+        counts.items(), key=lambda item: item[0].value)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +47,20 @@ def _print_counts(label: str, counts) -> None:
 # only those; ``corpus`` and ``structure`` are needed by every stage.
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> StageSummary:
     ingestors = {"gsm8k": ingest_gsm8k, "math": ingest_math, "hawp": ingest_hawp}
     manifest = ingestors[args.format](args.infile)
     save_manifest(manifest, args.out)
-    _summary("ingest", len(manifest), len(manifest))
-    return 0
+    return StageSummary("ingest", len(manifest), len(manifest))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> StageSummary:
     from ganitprep import classify as classify_mod
 
     if args.bottom_k is not None and not args.score:
         raise PipelineError("--bottom-k requires --score")
     manifest = load_manifest(args.infile)
+    text = ""
     if args.math_levels:
         result = classify_mod.apply_math_levels(manifest)
     elif args.annotations:
@@ -71,17 +68,16 @@ def _cmd_classify(args) -> int:
         with naming(args.annotations):
             outcome = classify_mod.apply_annotations(manifest, annotations)
         result = outcome.manifest
-        _print_counts("annotated", outcome.counts)
+        text = _counts_text("annotated", outcome.counts)
     else:
         if args.bottom_k is None:
             raise PipelineError("--score requires --bottom-k N")
         result = classify_mod.rank_bottom_k(manifest, args.bottom_k)
     save_manifest(result, args.out)
-    _summary("classify", len(manifest), len(result))
-    return 0
+    return StageSummary("classify", len(manifest), len(result), text=text)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> StageSummary:
     from ganitprep import decompose as decompose_mod
 
     manifest = load_manifest(args.infile)
@@ -94,16 +90,13 @@ def _cmd_decompose(args) -> int:
     outcome = decompose_mod.apply_decomposition(
         manifest, operations=operations, language=_parse_language(args.lang))
     save_manifest(outcome.manifest, args.out)
-    print(f"rewritten={outcome.rewritten} skipped={outcome.skipped}")
-    _summary("decompose", len(manifest), len(outcome.manifest), outcome.skipped)
-    return 0
+    return outcome.summary("decompose")
 
 
-def _cmd_structure(args) -> int:
+def _cmd_structure(args) -> StageSummary:
     if args.action == "emit-config":
         structure_mod.emit_training_config(args.out)
-        _summary("structure", 0, 1)
-        return 0
+        return StageSummary("structure", 0, 1)
     if args.action == "prompt":
         template = structure_mod.get_template(args.template)
         with json_object_file(args.bindings, "bindings file") as bindings:
@@ -119,13 +112,10 @@ def _cmd_structure(args) -> int:
         rendered = structure_mod.render_structured(solution, _parse_language(args.lang))
     if args.out:
         write_text_atomic(args.out, rendered)
-    else:
-        sys.stdout.write(rendered)
-    _summary("structure", 1, 1, stream=sys.stderr if not args.out else None)
-    return 0
+    return StageSummary("structure", 1, 1, text="" if args.out else rendered)
 
 
-def _cmd_curriculum(args) -> int:
+def _cmd_curriculum(args) -> StageSummary:
     from ganitprep import curriculum as curriculum_mod
 
     if args.action == "pair":
@@ -135,22 +125,18 @@ def _cmd_curriculum(args) -> int:
             curriculum_mod.PairKey.BY_INDEX
         paired = curriculum_mod.pair_bilingual(en, hi, key)
         save_manifest(paired, args.out)
-        _summary("curriculum-pair", len(en) + len(hi), len(paired))
-        return 0
+        return StageSummary("curriculum-pair", len(en) + len(hi), len(paired))
     if args.action == "merge":
         manifests = [load_manifest(p) for p in args.infiles]
         outcome = curriculum_mod.merge_sources(manifests)
         save_manifest(outcome.manifest, args.out)
-        _print_counts("totals", outcome.totals)
-        _summary("curriculum-merge", sum(len(m) for m in manifests),
-                 len(outcome.manifest))
-        return 0
+        return StageSummary("curriculum-merge", sum(len(m) for m in manifests),
+                            len(outcome.manifest), text=_counts_text("totals", outcome.totals))
     if args.action == "split":
         manifest = load_manifest(args.infile)
         assignment = curriculum_mod.split(manifest, seed=args.seed, ratio=args.ratio)
         curriculum_mod.save_split(assignment, args.out)
-        _summary("curriculum-split", len(manifest), len(assignment.assignments))
-        return 0
+        return StageSummary("curriculum-split", len(manifest), len(assignment.assignments))
     if args.action == "build":
         manifest = load_manifest(args.infile)
         assignment = curriculum_mod.load_split(args.split)
@@ -161,21 +147,17 @@ def _cmd_curriculum(args) -> int:
                 cumulative=args.cumulative,
             )
         curriculum_mod.save_curriculum(built, args.out)
-        _summary("curriculum-build", len(manifest),
-                 sum(len(stage.train_ids) for stage in built.stages))
-        return 0
+        return StageSummary("curriculum-build", len(manifest),
+                            sum(len(stage.train_ids) for stage in built.stages))
     manifest = load_manifest(args.manifest)
     built = curriculum_mod.load_curriculum(args.curriculum)
     with naming(args.curriculum):
         outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
                                               seed=args.seed)
-    print(f"exported={outcome.exported} skipped={outcome.skipped}")
-    _summary("curriculum-export", len(built.stage(args.stage).train_ids),
-             outcome.exported, outcome.skipped)
-    return 0
+    return outcome.summary("curriculum-export")
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> StageSummary:
     from ganitprep import llm_client
 
     manifest = load_manifest(args.infile)
@@ -184,11 +166,10 @@ def _cmd_augment(args) -> int:
     template = structure_mod.get_template(structure_mod.PromptName.AUGMENT)
     outcome = llm_client.augment_batch(manifest, template, args.target, client)
     save_manifest(outcome.manifest, args.out)
-    _summary("augment", len(manifest), len(outcome.manifest), outcome.discarded)
-    return 0
+    return StageSummary("augment", len(manifest), len(outcome.manifest), outcome.flagged)
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> StageSummary:
     from ganitprep import evaluate as evaluate_mod
 
     if args.action == "grade":
@@ -199,59 +180,48 @@ def _cmd_evaluate(args) -> int:
         evaluate_mod.save_grades(grades, args.out)
         correct = sum(g.verdict is evaluate_mod.Verdict.CORRECT for g in grades)
         unparseable = sum(g.verdict is evaluate_mod.Verdict.UNPARSEABLE for g in grades)
-        print(f"graded={len(grades)} correct={correct} unparseable={unparseable}")
-        _summary("evaluate-grade", len(predictions), len(grades))
-        return 0
+        return StageSummary("evaluate-grade", len(predictions), len(grades), text=(
+            f"graded={len(grades)} correct={correct} unparseable={unparseable}\n"))
     if (args.out and args.format == "table"
             and Path(args.out).with_suffix(".csv") == Path(args.out)):
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
-    grades = []
-    for path in args.grades:
-        grades.extend(evaluate_mod.read_verdicts(path))
+    grades = evaluate_mod.read_verdicts(*args.grades)
     with naming(", ".join(args.grades)):
         report = evaluate_mod.accuracy_report(grades, manifest)
     rendered = report.render_table() if args.format == "table" else report.to_csv()
     if args.out:
         write_text_atomic(args.out, rendered)
         write_text_atomic(Path(args.out).with_suffix(".csv"), report.to_csv())
-    else:
-        sys.stdout.write(rendered)
-    _summary("evaluate-report", len(grades), len(report.cells),
-             stream=sys.stderr if not args.out else None)
-    return 0
+    return StageSummary("evaluate-report", len(grades), len(report.cells),
+                        text="" if args.out else rendered)
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> StageSummary:
     from ganitprep import evaluate as evaluate_mod
 
     counts = evaluate_mod.read_counts_matrix(args.counts)
     kappa = evaluate_mod.fleiss_kappa(counts)
-    print(f"kappa={kappa:.6f}")
-    _summary("kappa", len(counts), 1)
-    return 0
+    return StageSummary("kappa", len(counts), 1, text=f"kappa={kappa:.6f}\n")
 
 
 # ---------------------------------------------------------------------------
 # demo
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[StageSummary, ...]:
     from ganitprep import pipeline
 
     if args.config:
         config = pipeline.load_pipeline_config(args.config)
     else:
         config = pipeline.PipelineConfig()
-    if args.out:
-        config.out_dir = args.out
+    if args.out_dir:
+        config.out_dir = args.out_dir
     with naming(args.config):  # without --config, the defaults, which pass
         pipeline.check_settings(config)
-    for stage in pipeline.run(config).stages:
-        sys.stdout.write(stage.text)
-        _summary(stage.name, stage.count_in, stage.count_out, len(stage.flagged))
-    return 0
+    return pipeline.run(config).stages
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("demo", help="run the bundled end-to-end demonstration")
-    p.add_argument("--out", help="output directory (default demo_out)")
+    p.add_argument("--out", dest="out_dir", help="output directory (default demo_out)")
     p.add_argument("--config", help="pipeline config JSON overriding fixture paths")
     p.set_defaults(func=_cmd_demo)
 
@@ -383,11 +353,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        stages = args.func(args)
+        # A command given no --out writes its artifact on stdout and its stage
+        # line on stderr.
+        line_stream = sys.stdout if getattr(args, "out", True) else sys.stderr
+        for stage in (stages,) if isinstance(stages, StageSummary) else stages:
+            sys.stdout.write(stage.text)
+            print(stage.line(), file=line_stream)
     except (PipelineError, ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         message = str(exc)
         print(f"error={json.dumps(message, ensure_ascii=False)}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main_entry() -> None:

@@ -1,4 +1,5 @@
-"""The enums every record carries and the two artifact writers.
+"""The enums every record carries, the two artifact writers, and the record
+every stage reports.
 
 This module imports only the standard library, so any other module can
 import from it at module level without forming a cycle.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -64,3 +66,19 @@ def write_text_atomic(path, text: str) -> None:
 # with keyword arguments builds a new JSONEncoder each time.
 canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
                                   separators=(",", ":")).encode
+
+
+@dataclass(frozen=True)
+class StageSummary:
+    """What one stage did: records in and out, the ids it flagged with the
+    reason for each, and the text it reports before its summary line."""
+
+    name: str
+    count_in: int
+    count_out: int
+    flagged: dict[str, str] = field(default_factory=dict)
+    text: str = ""
+
+    def line(self) -> str:
+        return (f"stage={self.name} in={self.count_in} out={self.count_out} "
+                f"flagged={len(self.flagged)}")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
+from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     CorpusManifest,
     Difficulty,
@@ -289,8 +290,16 @@ def build_curriculum(
 
 class ExportOutcome(NamedTuple):
     exported: int
-    skipped: int
     flagged: dict[str, str]  # id -> why it was not exported
+
+    @property
+    def skipped(self) -> int:
+        return len(self.flagged)
+
+    def summary(self, name: str) -> StageSummary:
+        """Every train id of the stage is either exported or flagged."""
+        return StageSummary(name, self.exported + self.skipped, self.exported, self.flagged,
+                            f"exported={self.exported} skipped={self.skipped}\n")
 
 
 def export_stage(
@@ -337,7 +346,7 @@ def export_stage(
     lines = [canonical_json(header)]
     lines.extend(map(canonical_json, rows))
     write_text_atomic(out_path, "\n".join(lines) + "\n")
-    return ExportOutcome(exported=len(rows), skipped=len(flagged), flagged=flagged)
+    return ExportOutcome(exported=len(rows), flagged=flagged)
 
 
 def save_split(assignment: SplitAssignment, path) -> None:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ganitprep.answers import format_exact, map_devanagari_digits
+from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     CorpusManifest,
     Language,
@@ -209,8 +210,16 @@ def extract_operands(problem: Problem) -> OperandPair | None:
 class DecompositionOutcome(NamedTuple):
     manifest: CorpusManifest
     rewritten: int
-    skipped: int
     flagged: dict[str, str]  # id -> why it was left unchanged
+
+    @property
+    def skipped(self) -> int:
+        return len(self.flagged)
+
+    def summary(self, name: str) -> StageSummary:
+        """Every record is kept, rewritten or not: in and out are the manifest's size."""
+        return StageSummary(name, len(self.manifest), len(self.manifest), self.flagged,
+                            f"rewritten={self.rewritten} skipped={self.skipped}\n")
 
 
 def apply_decomposition(
@@ -248,9 +257,4 @@ def apply_decomposition(
         text = render_trace(trace, language or problem.language)
         records.append(replace(problem, raw_solution=text))
         rewritten += 1
-    return DecompositionOutcome(
-        manifest=replace_records(manifest, records),
-        rewritten=rewritten,
-        skipped=len(flagged),
-        flagged=flagged,
-    )
+    return DecompositionOutcome(replace_records(manifest, records), rewritten, flagged)

@@ -386,10 +386,7 @@ def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
     tallies: dict[CellKey, list[int]] = {}
     graded: set[tuple[str, str]] = set()
     for record in grades:
-        if (record.model_name, record.problem_id) in graded:
-            raise EvaluationError(f"second grade of problem {record.problem_id!r} "
-                                  f"for model {record.model_name!r}")
-        graded.add((record.model_name, record.problem_id))
+        _grade_once(graded, record)
         try:
             problem = manifest.by_id(record.problem_id)
         except KeyError:
@@ -407,6 +404,15 @@ def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
     return EvaluationReport(cells={
         key: CellStats(*counts) for key, counts in tallies.items()
     })
+
+
+def _grade_once(graded: set[tuple[str, str]], record) -> None:
+    """Add ``record``'s (model, problem) to ``graded``, refusing a second grade."""
+    key = (record.model_name, record.problem_id)
+    if key in graded:
+        raise EvaluationError(f"second grade of problem {record.problem_id!r} "
+                              f"for model {record.model_name!r}")
+    graded.add(key)
 
 
 def save_grades(grades: Sequence[GradeRecord], path) -> None:
@@ -448,13 +454,23 @@ def _verdict_row(data: dict) -> VerdictRow:
         raise EvaluationError(f"missing field {exc}") from None
 
 
-def read_verdicts(path) -> list[VerdictRow]:
-    """Read a grades file as verdict rows, leaving the answers undecoded.
+def read_verdicts(*paths) -> list[VerdictRow]:
+    """Read grades files as verdict rows, leaving the answers undecoded.
 
     The verdict checks of :class:`GradeRecord` still hold: a known verdict,
-    and Unparseable exactly when the prediction is absent.
+    and Unparseable exactly when the prediction is absent. A second grade of
+    one problem for one model, in any of the files, is refused naming its
+    file and line.
     """
-    return [row for _, _, row in numbered_lines(path, EvaluationError, "grade", _verdict_row)]
+    graded: set[tuple[str, str]] = set()
+
+    def row_once(data: dict) -> VerdictRow:
+        row = _verdict_row(data)
+        _grade_once(graded, row)
+        return row
+
+    return [row for path in paths
+            for _, _, row in numbered_lines(path, EvaluationError, "grade", row_once)]
 
 
 def read_predictions(path) -> list[tuple[str, str]]:

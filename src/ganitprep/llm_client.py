@@ -239,8 +239,11 @@ def parse_generated_problem(text: str) -> tuple[str, str] | None:
 class AugmentOutcome:
     manifest: CorpusManifest
     attempts: int = 0
-    discarded: int = 0
-    failures: list[str] = field(default_factory=list)
+    flagged: dict[str, str] = field(default_factory=dict)  # attempt-<n> -> why discarded
+
+    @property
+    def discarded(self) -> int:
+        return len(self.flagged)
 
 
 # One window of requests runs while one more waits in the executor's queue,
@@ -294,8 +297,7 @@ def augment_batch(
     window = getattr(getattr(client, "config", None), "concurrency", 1)
     generated: list[Problem] = []
     attempts = 0
-    discarded = 0
-    failures: list[str] = []
+    flagged: dict[str, str] = {}
     index = 0
     pending = deque()  # (seed, future), oldest first
     queued = _QUEUED_WINDOWS * window
@@ -315,8 +317,7 @@ def augment_batch(
             attempts += 1
             parsed = parse_generated_problem(future.result())
             if parsed is None:
-                discarded += 1
-                failures.append(f"seed {seed.id}: unparseable generation")
+                flagged[f"attempt-{attempts}"] = f"seed {seed.id}: unparseable generation"
             else:
                 question, answer = parsed
                 number = len(generated) + 1
@@ -331,11 +332,11 @@ def augment_batch(
                     extras={"seed_id": seed.id, "review_status": REVIEW_PENDING},
                 ))
             if attempts >= _MIN_ATTEMPTS_BEFORE_YIELD_CHECK:
-                yield_rate = (attempts - discarded) / attempts
+                yield_rate = (attempts - len(flagged)) / attempts
                 if yield_rate < _MIN_YIELD:
                     raise AugmentationError(
                         f"parse yield {yield_rate:.0%} after {attempts} attempts; "
-                        f"recent failures: {'; '.join(failures[-3:])}"
+                        f"recent failures: {'; '.join(list(flagged.values())[-3:])}"
                     )
     finally:
         # Only an abort leaves requests queued: cancel them rather than send
@@ -343,8 +344,7 @@ def augment_batch(
         pool.shutdown(cancel_futures=True)
     out = CorpusManifest.from_records(generated, SourceFormat.SYNTHETIC,
                                       created_at=manifest.created_at)
-    return AugmentOutcome(manifest=out, attempts=attempts, discarded=discarded,
-                          failures=failures)
+    return AugmentOutcome(manifest=out, attempts=attempts, flagged=flagged)
 
 
 def set_review_status(manifest: CorpusManifest, statuses: dict[str, str]) -> CorpusManifest:

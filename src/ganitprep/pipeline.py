@@ -10,12 +10,13 @@ fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from ganitprep import classify, corpus, curriculum, decompose, evaluate, structure
+from ganitprep.common import StageSummary
 from ganitprep.errors import PipelineError, check_fields, json_object_file
 
 DEMO_DATA_DIR = Path(str(resources.files("ganitprep") / "data" / "demo"))
@@ -48,18 +49,6 @@ def check_settings(config: PipelineConfig) -> curriculum.TrainingMode:
     mode = curriculum.TrainingMode(config.mode)
     curriculum.check_ratio(config.ratio)
     return mode
-
-
-@dataclass(frozen=True)
-class StageSummary:
-    """What one stage did: records in and out, the ids it flagged with the
-    reason for each, and the text it reports before its summary line."""
-
-    name: str
-    count_in: int
-    count_out: int
-    flagged: dict[str, str] = field(default_factory=dict)
-    text: str = ""
 
 
 class RunOutcome(NamedTuple):
@@ -113,9 +102,7 @@ def run(config: PipelineConfig) -> RunOutcome:
 
     decomposed = decompose.apply_decomposition(hawp)
     corpus.save_manifest(decomposed.manifest, out_dir / "hawp_decomposed.jsonl")
-    stages.append(StageSummary(
-        "decompose", len(hawp), len(decomposed.manifest), decomposed.flagged,
-        f"rewritten={decomposed.rewritten} skipped={decomposed.skipped}\n"))
+    stages.append(decomposed.summary("decompose"))
 
     paired = curriculum.pair_bilingual(imqa_en, imqa_hi, curriculum.PairKey.BY_INDEX)
     merged = curriculum.merge_sources([gsm8k, math, paired]).manifest
@@ -136,9 +123,7 @@ def run(config: PipelineConfig) -> RunOutcome:
         safe = stage.name.replace("+", "_")
         export = curriculum.export_stage(built, stage.name, merged,
                                          out_dir / f"train_{safe}.jsonl", seed=config.seed)
-        stages.append(StageSummary(
-            f"export-{stage.name}", len(stage.train_ids), export.exported, export.flagged,
-            f"exported={export.exported} skipped={export.skipped}\n"))
+        stages.append(export.summary(f"export-{stage.name}"))
     structure.emit_training_config(out_dir / "training_config.txt")
 
     predictions = evaluate.read_predictions(config.predictions_path)

@@ -115,9 +115,11 @@ def parse_structured(text: str) -> StructuredSolution:
     seen: set[int] = set()
     for lineno, line in enumerate(lines):
         match = _HEADING_LINE_RE.match(line)
-        if not match:
+        # The match ignores case, so it also takes spellings such as
+        # "ſolution" whose lowercase is no heading; those are body text.
+        index = _HEADING_INDEX.get(match.group(1).lower()) if match else None
+        if index is None:
             continue
-        index = _HEADING_INDEX[match.group(1).lower()]
         if index in seen:
             raise StructureError(f"duplicated section: {HEADINGS_EN[index]}")
         seen.add(index)

@@ -91,6 +91,18 @@ class TestBasicCommands:
         assert "Final Answer: 543 multiplied by 27 equals 14661." in rewritten
         assert load_manifest(mul_only).records[1].raw_solution == "968 ÷ 16 = 60.5"
 
+    def test_decompose_flagged_line_is_counted(self, tmp_path, capsys):
+        hawp, m = tmp_path / "hawp.jsonl", tmp_path / "m.jsonl"
+        write_jsonl(hawp, [
+            {"question": "कितने?", "operation": "mul", "solution": "12 × 3 = 36"},
+            {"question": "कितने?", "operation": "div", "solution": "7 ÷ 0 = ?"},
+        ])
+        assert main(["ingest", "--format", "hawp", "--in", str(hawp), "--out", str(m)]) == 0
+        capsys.readouterr()
+        assert main(["decompose", "--in", str(m), "--out", str(tmp_path / "d.jsonl")]) == 0
+        assert capsys.readouterr().out == ("rewritten=1 skipped=1\n"
+                                           "stage=decompose in=2 out=2 flagged=1\n")
+
     def test_decompose_rejects_unknown_op(self, tmp_path, capsys):
         hawp = tmp_path / "hawp.jsonl"
         write_jsonl(hawp, [{"question": "q?", "operation": "add"}])
@@ -152,6 +164,22 @@ class TestCurriculumFlow:
         assert "exported=7 skipped=0" in out
         lines = stage_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 8  # header + 7 records
+
+    def test_export_flags_a_problem_without_solution(self, tmp_path, capsys):
+        manifest_path, curriculum_path = tmp_path / "m.jsonl", tmp_path / "c.json"
+        problems = [make_problem("bare", difficulty=Difficulty.EASY)] + [
+            make_problem(f"e{i}", difficulty=Difficulty.EASY, raw_solution=f"#### {i}")
+            for i in range(3)]
+        save_manifest(make_manifest(problems), manifest_path)
+        curriculum_path.write_text(json.dumps({
+            "stages": [{"name": "SFT_easy", "train_ids": [p.id for p in problems],
+                        "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+            "mode": "en", "cumulative": False}), encoding="utf-8")
+        assert main(["curriculum", "export", "--curriculum", str(curriculum_path),
+                     "--manifest", str(manifest_path), "--stage", "SFT_easy",
+                     "--out", str(tmp_path / "stage.jsonl")]) == 0
+        assert capsys.readouterr().out == ("exported=3 skipped=1\n"
+                                           "stage=curriculum-export in=4 out=3 flagged=1\n")
 
     @pytest.mark.parametrize("payload,message", [
         ([], "split file must be a JSON object, not an array"),
@@ -736,7 +764,7 @@ def test_repeated_grade_exits_1(demo_dir, tmp_path, capsys):
     assert main(["evaluate", "report", "--grades", str(grades), str(grades),
                  "--manifest", str(demo_dir / "merged.jsonl"), "--out", str(out)]) == 1
     message = _single_error(capsys)
-    assert message.startswith(f"{grades}, {grades}: second grade of problem ")
+    assert message.startswith(f"{grades}:1: second grade of problem ")
     assert not out.exists()
 
 
@@ -819,6 +847,29 @@ def test_report_without_out_writes_table_to_stdout(demo_dir, tmp_path, capsys):
     count = len(grades.read_text(encoding="utf-8").splitlines())
     assert captured.err.startswith(f"stage=evaluate-report in={count} out=")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", ["parse", "render"])
+def test_structure_without_out_writes_text_to_stdout(tmp_path, capsys, action):
+    from ganitprep.structure import StructuredSolution, render_structured
+
+    text = render_structured(StructuredSolution.from_dict(_SOLUTION))
+    path = tmp_path / "solution"
+    path.write_text(text if action == "parse" else json.dumps(_SOLUTION), encoding="utf-8")
+    assert main(["structure", action, "--in", str(path)]) == 0
+    assert capsys.readouterr() == (text, "stage=structure in=1 out=1 flagged=0\n")
+
+
+@pytest.mark.parametrize("heading", ["ſolution", "SOLUTİON", "Solutıon"])
+def test_structure_parse_case_mapped_heading_exits_1(tmp_path, capsys, heading):
+    from ganitprep.structure import StructuredSolution, render_structured
+
+    text = render_structured(StructuredSolution.from_dict(_SOLUTION))
+    path, out = tmp_path / "solution.txt", tmp_path / "out.txt"
+    path.write_text(text.replace("Solution:", f"{heading}:"), encoding="utf-8")
+    assert main(["structure", "parse", "--in", str(path), "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{path}: missing section: Solution"
+    assert not out.exists()
 
 
 def test_module_entry_exit_codes(tmp_path):

@@ -245,6 +245,15 @@ class TestReadVerdicts:
         assert (record.predicted, record.reference) == (half, half)
         assert read_verdicts(path) == [("p1", "m", Verdict.CORRECT)]
 
+    def test_second_grade_across_files_names_its_line(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        first.write_text(_grade_line() + "\n", encoding="utf-8")
+        second.write_text(_grade_line(model_name="n") + "\n" + _grade_line() + "\n",
+                          encoding="utf-8")
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"{second}:2: second grade of problem 'p1' for model 'm'")):
+            read_verdicts(first, second)
+
     @pytest.mark.parametrize("changes,message", [
         ({"verdict": "Maybe"}, "unknown verdict 'Maybe'"),
         ({"verdict": ["Correct"]}, "unknown verdict ['Correct']"),

@@ -119,3 +119,25 @@ def test_no_module_calls_object_setattr():
                if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                and isinstance(node.value, ast.Name) and node.value.id == "object"}
     assert callers == set()
+
+
+def _printing_sites() -> set[tuple[str, str]]:
+    """(module, enclosing top-level function) of every ``print`` call and every
+    ``sys.stdout``/``sys.stderr`` name."""
+    sites = set()
+    for name in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            scope = getattr(top, "name", "")
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "print")
+                        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                            and isinstance(node.value, ast.Name) and node.value.id == "sys")):
+                    sites.add((name, scope))
+    return sites
+
+
+def test_only_cli_main_prints():
+    # A stage reports by returning its StageSummary; ``cli.main`` writes it.
+    assert _printing_sites() <= {("cli", "main")}

@@ -382,7 +382,7 @@ def _run(manifest, target, client):
     except AugmentationError as exc:
         return str(exc)
     return (outcome.manifest.checksum, outcome.attempts, outcome.discarded,
-            outcome.failures)
+            outcome.flagged)
 
 
 class TestAugmentOverlap:

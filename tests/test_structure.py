@@ -147,6 +147,31 @@ def test_round_trip_property(bodies, language):
     assert parse_structured(render_structured(solution, language)) == solution
 
 
+# Letters whose case mappings leave ASCII: the long s, the dotless and dotted
+# i, and the Kelvin sign. An ignore-case match takes each of them.
+_CASE_VARIANTS = {"s": "sSſ", "i": "iIıİ", "k": "kK\u212a"}
+
+
+@st.composite
+def _case_mapped(draw, heading):
+    return "".join(draw(st.sampled_from(_CASE_VARIANTS.get(c.lower(), c.lower() + c.upper())))
+                   for c in heading)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_case_mapped_headings_parse_or_raise_structure_error(data):
+    names = [*HEADINGS_EN[:5], data.draw(st.sampled_from(["Solution", "Answer"]))]
+    headings = [data.draw(_case_mapped(name)) for name in names]
+    text = "\n\n".join(f"{heading}:\n{body}"
+                        for heading, body in zip(headings, _minimal().sections()))
+    if all(heading.lower() == name.lower() for heading, name in zip(headings, names)):
+        assert parse_structured(text) == _minimal()
+    else:  # a heading whose lowercase is no heading is body text: a section is missing
+        with pytest.raises(StructureError, match="missing section"):
+            parse_structured(text)
+
+
 class TestPrompts:
     def test_fine_tune_matches_checked_in_fixture(self):
         fixture = (resources.files("ganitprep") / "data" / "templates" /
