@@ -16,11 +16,11 @@ from ganitprep.corpus import (
     Problem,
     Source,
     SourceFormat,
+    passes_review,
 )
 from ganitprep.llm_client import (
     MockProvider,
     augment_batch,
-    approved_only,
     set_review_status,
     write_mock_fixture,
 )
@@ -75,8 +75,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     reviewed = set_review_status(outcome.manifest,
                                  {"syn-000001": "approved", "syn-000002": "corrected"})
-    downstream = approved_only(reviewed)
-    print("after review gate:", [p.id for p in downstream])
+    print("after review gate:", [p.id for p in reviewed if passes_review(p)])
 
 with tempfile.NamedTemporaryFile(mode="r", suffix=".txt") as handle:
     emit_training_config(handle.name)

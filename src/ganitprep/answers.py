@@ -6,9 +6,6 @@ A value is one of two kinds:
   decimals and simple ``a/b`` fractions all normalize here, so
   ``from_decimal("0.5")`` equals ``from_rational(Fraction(1, 2))``.
 * ``EXPRESSION``: anything symbolic, stored as normalized text.
-
-Grades persisted with the retired ``"Decimal"`` kind load as the equal
-rational.
 """
 
 from __future__ import annotations
@@ -181,8 +178,8 @@ class AnswerValue:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnswerValue":
-        if data["kind"] == "Decimal":  # the retired kind, read as its rational
-            return cls.from_decimal(data["decimal_text"])
+        if type(data) is not dict:
+            raise ValueError(f"an answer must be an object, not {type(data).__name__}")
         kind = AnswerKind(data["kind"])
         if kind is AnswerKind.RATIONAL:
             num, den = data["rational"].split("/")

@@ -19,7 +19,6 @@ from ganitprep import structure as structure_mod
 from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     Language,
-    Operation,
     ingest_gsm8k,
     ingest_hawp,
     ingest_math,
@@ -30,8 +29,8 @@ from ganitprep.corpus import (
 from ganitprep.errors import PipelineError, json_object_file, naming
 
 
-def _parse_language(value: str) -> Language | None:
-    return {"auto": None, "en": Language.ENGLISH, "hi": Language.HINDI}[value]
+def _parse_language(value: str) -> Language:
+    return {"en": Language.ENGLISH, "hi": Language.HINDI}[value]
 
 
 def _counts_text(label: str, counts) -> str:
@@ -80,15 +79,7 @@ def _cmd_classify(args) -> StageSummary:
 def _cmd_decompose(args) -> StageSummary:
     from ganitprep import decompose as decompose_mod
 
-    manifest = load_manifest(args.infile)
-    operations = []
-    for name in args.ops.split(","):
-        name = name.strip().lower()
-        if name not in ("mul", "div"):
-            raise PipelineError(f"unsupported decomposition op {name!r}")
-        operations.append(Operation.MUL if name == "mul" else Operation.DIV)
-    outcome = decompose_mod.apply_decomposition(
-        manifest, operations=operations, language=_parse_language(args.lang))
+    outcome = decompose_mod.apply_decomposition(load_manifest(args.infile))
     save_manifest(outcome.manifest, args.out)
     return outcome.summary("decompose")
 
@@ -182,15 +173,14 @@ def _cmd_evaluate(args) -> StageSummary:
         unparseable = sum(g.verdict is evaluate_mod.Verdict.UNPARSEABLE for g in grades)
         return StageSummary("evaluate-grade", len(predictions), len(grades), text=(
             f"graded={len(grades)} correct={correct} unparseable={unparseable}\n"))
-    if (args.out and args.format == "table"
-            and Path(args.out).with_suffix(".csv") == Path(args.out)):
+    if args.out and Path(args.out).with_suffix(".csv") == Path(args.out):
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
     grades = evaluate_mod.read_verdicts(*args.grades)
     with naming(", ".join(args.grades)):
         report = evaluate_mod.accuracy_report(grades, manifest)
-    rendered = report.render_table() if args.format == "table" else report.to_csv()
+    rendered = report.render_table()
     if args.out:
         write_text_atomic(args.out, rendered)
         write_text_atomic(Path(args.out).with_suffix(".csv"), report.to_csv())
@@ -260,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "place-value decompositions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ops", default="mul,div")
-    p.add_argument("--lang", default="auto", choices=["auto", "en", "hi"])
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("structure", help="structured solutions and prompts")
@@ -329,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = actions.add_parser("report")
     a.add_argument("--grades", nargs="+", required=True)
     a.add_argument("--manifest", required=True)
-    a.add_argument("--format", default="table", choices=["table", "csv"])
     a.add_argument("--out", help="output path; a machine-readable .csv "
                                  "companion is written alongside")
     p.set_defaults(func=_cmd_evaluate)

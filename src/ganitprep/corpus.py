@@ -83,11 +83,12 @@ def _decode(enum: type[Enum], value):
         return enum(value)  # raises the Enum's own ValueError
 
 
-# (field, JSON type, may be null) for each scalar field a record persists,
+# (field, JSON type, may be null) for each field a record persists but the enums,
 # checked at load; the exact type, so a bool is no int.
 _FIELD_TYPES = (("id", str, False), ("question", str, False), ("pair_id", str, False),
                 ("raw_solution", str, True), ("topic", str, True),
-                ("math_level", int, True), ("extras", dict, False))
+                ("math_level", int, True), ("extras", dict, False),
+                ("structured_solution", dict, True))
 
 
 def nfc(text: str) -> str:
@@ -159,7 +160,7 @@ class Problem:
             question=data["question"],
             raw_solution=data.get("raw_solution"),
             structured_solution=(
-                StructuredSolution.from_dict(structured) if structured else None
+                StructuredSolution.from_dict(structured) if structured is not None else None
             ),
             difficulty=_decode(Difficulty, data.get("difficulty", "Unclassified")),
             topic=data.get("topic"),
@@ -340,7 +341,6 @@ class _Layout:
     solution: str
     id_prefix: str | None = None  # None: the record's own "id" field
     topic: str | None = None
-    keep_empty_solution: bool = False  # else an empty solution reads as absent
     # Layout-specific validation returning extra Problem fields.
     check: Callable[[dict], dict] | None = None
 
@@ -393,7 +393,7 @@ _MATH = _Layout(Source.MATH, SourceFormat.MATH, ("problem", "level", "solution")
                 topic="type", check=_check_math)
 _HAWP = _Layout(Source.HAWP, SourceFormat.HAWP, ("question", "operation"),
                 question="question", solution="solution", id_prefix="hawp",
-                keep_empty_solution=True, check=_check_hawp)
+                check=_check_hawp)
 _INDIMATHQA = _Layout(Source.INDIMATHQA, SourceFormat.INDIMATHQA, ("id", "question"),
                       question="question", solution="solution", topic="topic")
 
@@ -411,7 +411,7 @@ def _ingest(path, layout: _Layout, language: Language) -> CorpusManifest:
         except RecordFormatError as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
         solution = record.get(layout.solution)
-        if isinstance(solution, str) and (solution or layout.keep_empty_solution):
+        if isinstance(solution, str) and solution:  # an empty solution reads as absent
             fields["raw_solution"] = nfc(solution)
         topic = record.get(layout.topic)
         records.append(Problem(

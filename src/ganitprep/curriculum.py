@@ -250,7 +250,14 @@ def build_curriculum(
     mode: TrainingMode = TrainingMode.BILINGUAL_COMBINED,
     cumulative: bool = False,
 ) -> CurriculumManifest:
-    """Assemble the two training stages from a classified, split corpus."""
+    """Assemble the two training stages from a classified, split corpus.
+
+    The split must assign every problem of the manifest a side.
+    """
+    unassigned = [p.id for p in manifest if p.id not in assignment.assignments]
+    if unassigned:
+        raise CurriculumError(f"the split assigns neither side to {len(unassigned)} of "
+                              f"the manifest's problems, among them {unassigned[:5]}")
     pool = [p for p in manifest if passes_review(p)]  # pending review never trains
     if mode is TrainingMode.MONOLINGUAL_EN:
         pool = [p for p in pool if p.language is Language.ENGLISH]
@@ -261,7 +268,7 @@ def build_curriculum(
         return tuple(
             p.id for p in pool
             if p.difficulty is difficulty
-            and assignment.assignments.get(p.id) is Assign.TRAIN
+            and assignment.assignments[p.id] is Assign.TRAIN
         )
 
     easy = train_ids(Difficulty.EASY)
@@ -313,8 +320,8 @@ def export_stage(
 
     Each record holds the rendered fine-tuning prompt for one problem
     (structured solution preferred, raw solution otherwise). Ordering is a
-    seeded shuffle recorded in the header line; problems with no solution
-    text are skipped and flagged.
+    seeded shuffle recorded in the header line; problems that do not pass
+    the review gate or have no solution text are skipped and flagged.
     """
     stage = curriculum.stage(stage_name)
     ids = sorted(stage.train_ids)
@@ -324,6 +331,9 @@ def export_stage(
     flagged = {}
     for problem_id in ids:
         problem = manifest.by_id(problem_id)
+        if not passes_review(problem):
+            flagged[problem_id] = "pending review"
+            continue
         if problem.structured_solution is not None:
             response = render_structured(problem.structured_solution, problem.language)
         elif problem.raw_solution:
@@ -401,6 +411,10 @@ def load_curriculum(path) -> CurriculumManifest:
         for row in payload["stages"]:
             check_json_object(row, {"train_ids": list[str]}, CurriculumError,
                               "curriculum file stage")
+            ids = row["train_ids"]
+            if len(set(ids)) < len(ids):
+                repeat = next(pid for pid in ids if ids.count(pid) > 1)
+                raise CurriculumError(f"stage {row['name']!r} repeats train id {repeat!r}")
         return CurriculumManifest(
             stages=tuple(
                 Stage(

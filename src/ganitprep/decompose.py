@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ganitprep.answers import format_exact, map_devanagari_digits
 from ganitprep.common import StageSummary
@@ -222,24 +222,19 @@ class DecompositionOutcome(NamedTuple):
                             f"rewritten={self.rewritten} skipped={self.skipped}\n")
 
 
-def apply_decomposition(
-    manifest: CorpusManifest,
-    operations: Sequence[Operation] = (Operation.MUL, Operation.DIV),
-    language: Language | None = None,
-) -> DecompositionOutcome:
-    """Rewrite Mul/Div problems' solutions as decomposition text.
+def apply_decomposition(manifest: CorpusManifest) -> DecompositionOutcome:
+    """Rewrite Mul/Div solutions as decomposition text, each in its problem's language.
 
     Problems whose operands cannot be extracted or decomposed (a zero
     divisor, a negative operand, one at or past 10^18) are flagged and kept
-    unchanged; everything else passes through untouched. Manifest size,
+    unchanged; every other operation passes through untouched. Manifest size,
     order, and ids are preserved.
     """
-    wanted = {op for op in operations if op in (Operation.MUL, Operation.DIV)}
     records = []
     rewritten = 0
     flagged = {}
     for problem in manifest:
-        if problem.operation not in wanted:
+        if problem.operation not in (Operation.MUL, Operation.DIV):
             records.append(problem)
             continue
         pair = extract_operands(problem)
@@ -254,7 +249,7 @@ def apply_decomposition(
             flagged[problem.id] = f"decomposition failed: {exc}"
             records.append(problem)
             continue
-        text = render_trace(trace, language or problem.language)
+        text = render_trace(trace, problem.language)
         records.append(replace(problem, raw_solution=text))
         rewritten += 1
     return DecompositionOutcome(replace_records(manifest, records), rewritten, flagged)

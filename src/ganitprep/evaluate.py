@@ -216,7 +216,7 @@ class GradeRecord:
         return cls(
             problem_id=row.problem_id,
             model_name=row.model_name,
-            predicted=AnswerValue.from_dict(predicted) if predicted else None,
+            predicted=AnswerValue.from_dict(predicted) if predicted is not None else None,
             reference=AnswerValue.from_dict(data["reference"]),
             verdict=row.verdict,
         )
@@ -446,7 +446,7 @@ def _verdict_row(data: dict) -> VerdictRow:
         verdict = _VERDICTS[value]
     except (KeyError, TypeError):  # unknown or unhashable value
         raise EvaluationError(f"unknown verdict {value!r}") from None
-    if (verdict is Verdict.UNPARSEABLE) == bool(data.get("predicted")):
+    if (verdict is Verdict.UNPARSEABLE) == (data.get("predicted") is not None):
         raise EvaluationError("Unparseable verdict must pair with an absent prediction")
     try:
         return VerdictRow(data["problem_id"], data["model_name"], verdict)

@@ -35,7 +35,6 @@ from ganitprep.corpus import (
     Source,
     SourceFormat,
     nfc,
-    passes_review,
     replace_records,
     write_text_atomic,
 )
@@ -358,8 +357,3 @@ def set_review_status(manifest: CorpusManifest, statuses: dict[str, str]) -> Cor
         for p in manifest
     ]
     return replace_records(manifest, records)
-
-
-def approved_only(manifest: CorpusManifest) -> CorpusManifest:
-    """Keep reviewed-and-approved items; problems without a review gate pass."""
-    return replace_records(manifest, filter(passes_review, manifest))

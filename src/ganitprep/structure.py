@@ -99,7 +99,7 @@ class StructuredSolution:
         final = data.get("final_answer")
         return cls(
             **{name: data[name] for name in SECTION_FIELDS},
-            final_answer=AnswerValue.from_dict(final) if final else None,
+            final_answer=AnswerValue.from_dict(final) if final is not None else None,
         )
 
 

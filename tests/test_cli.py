@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ import pytest
 import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
 from ganitprep.cli import build_parser, main
-from ganitprep.corpus import Difficulty, load_manifest, save_manifest
+from ganitprep.corpus import Difficulty, Source, load_manifest, save_manifest
 from ganitprep.errors import PipelineError
 from ganitprep.pipeline import PipelineConfig, load_pipeline_config
 
@@ -83,13 +84,6 @@ class TestBasicCommands:
         output = capsys.readouterr().out
         assert "rewritten=2 skipped=0" in output
         assert "stage=decompose" in output
-        mul_only = tmp_path / "mul.jsonl"
-        assert main(["decompose", "--in", str(m), "--out", str(mul_only),
-                     "--ops", "mul", "--lang", "en"]) == 0
-        assert "rewritten=1 skipped=0" in capsys.readouterr().out
-        rewritten = load_manifest(mul_only).records[0].raw_solution
-        assert "Final Answer: 543 multiplied by 27 equals 14661." in rewritten
-        assert load_manifest(mul_only).records[1].raw_solution == "968 ÷ 16 = 60.5"
 
     def test_decompose_flagged_line_is_counted(self, tmp_path, capsys):
         hawp, m = tmp_path / "hawp.jsonl", tmp_path / "m.jsonl"
@@ -102,17 +96,6 @@ class TestBasicCommands:
         assert main(["decompose", "--in", str(m), "--out", str(tmp_path / "d.jsonl")]) == 0
         assert capsys.readouterr().out == ("rewritten=1 skipped=1\n"
                                            "stage=decompose in=2 out=2 flagged=1\n")
-
-    def test_decompose_rejects_unknown_op(self, tmp_path, capsys):
-        hawp = tmp_path / "hawp.jsonl"
-        write_jsonl(hawp, [{"question": "q?", "operation": "add"}])
-        m = tmp_path / "m.jsonl"
-        assert main(["ingest", "--format", "hawp", "--in", str(hawp),
-                     "--out", str(m)]) == 0
-        rc = main(["decompose", "--in", str(m), "--out", str(tmp_path / "o.jsonl"),
-                   "--ops", "add"])
-        assert rc == 1
-        assert "unsupported decomposition op" in capsys.readouterr().err
 
     def test_structure_prompt_and_config(self, tmp_path, capsys):
         bindings = tmp_path / "b.json"
@@ -148,6 +131,19 @@ class TestCurriculumFlow:
         save_manifest(make_manifest(problems), path)
         return path
 
+    @staticmethod
+    def _export(tmp_path, problems) -> int:
+        """Export stage SFT_easy, training ``problems`` in this order, to stage.jsonl."""
+        manifest_path, curriculum_path = tmp_path / "m.jsonl", tmp_path / "c.json"
+        save_manifest(make_manifest(problems), manifest_path)
+        curriculum_path.write_text(json.dumps({
+            "stages": [{"name": "SFT_easy", "train_ids": [p.id for p in problems],
+                        "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+            "mode": "en", "cumulative": False}), encoding="utf-8")
+        return main(["curriculum", "export", "--curriculum", str(curriculum_path),
+                     "--manifest", str(manifest_path), "--stage", "SFT_easy",
+                     "--out", str(tmp_path / "stage.jsonl")])
+
     def test_split_build_export(self, tmp_path, capsys):
         manifest = self._classified_manifest(tmp_path)
         split_path = tmp_path / "split.json"
@@ -166,20 +162,37 @@ class TestCurriculumFlow:
         assert len(lines) == 8  # header + 7 records
 
     def test_export_flags_a_problem_without_solution(self, tmp_path, capsys):
-        manifest_path, curriculum_path = tmp_path / "m.jsonl", tmp_path / "c.json"
         problems = [make_problem("bare", difficulty=Difficulty.EASY)] + [
             make_problem(f"e{i}", difficulty=Difficulty.EASY, raw_solution=f"#### {i}")
             for i in range(3)]
-        save_manifest(make_manifest(problems), manifest_path)
-        curriculum_path.write_text(json.dumps({
-            "stages": [{"name": "SFT_easy", "train_ids": [p.id for p in problems],
-                        "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
-            "mode": "en", "cumulative": False}), encoding="utf-8")
-        assert main(["curriculum", "export", "--curriculum", str(curriculum_path),
-                     "--manifest", str(manifest_path), "--stage", "SFT_easy",
-                     "--out", str(tmp_path / "stage.jsonl")]) == 0
+        assert self._export(tmp_path, problems) == 0
         assert capsys.readouterr().out == ("exported=3 skipped=1\n"
                                            "stage=curriculum-export in=4 out=3 flagged=1\n")
+
+    def test_export_flags_a_pending_item(self, tmp_path, capsys):
+        pending = make_problem("syn-000001", source=Source.SYNTHETIC, raw_solution="#### 1",
+                               difficulty=Difficulty.EASY, extras={"review_status": "pending"})
+        assert self._export(tmp_path, [pending]) == 0
+        assert capsys.readouterr().out == ("exported=0 skipped=1\n"
+                                           "stage=curriculum-export in=1 out=0 flagged=1\n")
+        assert "syn-000001" not in (tmp_path / "stage.jsonl").read_text(encoding="utf-8")
+
+    def test_build_with_a_stale_split_exits_1(self, tmp_path, capsys):
+        manifest, split_path = self._classified_manifest(tmp_path), tmp_path / "split.json"
+        assert main(["curriculum", "split", "--in", str(manifest),
+                     "--out", str(split_path)]) == 0
+        payload = json.loads(split_path.read_text(encoding="utf-8"))
+        for pid in ("m3", "m2", "m1", "m0", "e1", "e0"):
+            del payload["assignments"][pid]
+        split_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["curriculum", "build", "--in", str(manifest),
+                   "--split", str(split_path), "--out", str(tmp_path / "c.json")])
+        assert rc == 1
+        assert _single_error(capsys) == (
+            f"{split_path}: the split assigns neither side to 6 of the manifest's "
+            "problems, among them ['e0', 'e1', 'm0', 'm1', 'm2']")
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("payload,message", [
         ([], "split file must be a JSON object, not an array"),
@@ -205,6 +218,10 @@ class TestCurriculumFlow:
         ({"stages": [{"name": "SFT_easy", "train_ids": "e1", "parent_checkpoint": None,
                       "checkpoint_name": "SFT_easy"}], "mode": "en", "cumulative": False},
          "curriculum file stage key 'train_ids' must be an array of strings, not a string"),
+        ({"stages": [{"name": "SFT_easy", "train_ids": ["e0", "e1", "e0"],
+                      "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+          "mode": "en", "cumulative": False},
+         "stage 'SFT_easy' repeats train id 'e0'"),
     ])
     def test_export_bad_curriculum_file_exits_1(self, tmp_path, capsys, payload, message):
         curriculum_path = tmp_path / "curriculum.json"
@@ -238,6 +255,10 @@ class TestCurriculumFlow:
          "structured solution is malformed: 'Bogus' is not a valid AnswerKind"),
         ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]},
          "structured solution has no key 'data_identification'"),
+        *(pytest.param({**_SOLUTION, "final_answer": value},
+                       "structured solution is malformed: an answer must be an object, "
+                       f"not {type(value).__name__}", id=f"final_answer-{value!r}")
+          for value in ([], "", 0, False)),
     ])
     def test_render_bad_structure_file_exits_1(self, tmp_path, capsys, payload, message):
         solution_path = tmp_path / "solution.json"
@@ -368,11 +389,6 @@ class TestEvaluateAndAugmentCommands:
         assert "stage=augment in=3 out=2 flagged=1" in captured.out
         assert captured.err == "" and caplog.records == []
 
-    def test_augment_has_no_template_option(self, capsys):
-        assert main(["augment", "--in", "x", "--target", "1", "--config", "c",
-                     "--out", "o", "--template", "augment"]) == 2
-        assert "--template" in capsys.readouterr().err
-
 
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):
@@ -400,20 +416,17 @@ class TestEvaluateReport:
 
     def test_table_onto_csv_path_refused(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert self._report(demo_dir, out, "--format", "table") == 1
+        assert self._report(demo_dir, out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error=") and str(out) in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_csv_onto_csv_path_kept(self, demo_dir, tmp_path):
-        out = tmp_path / "r.csv"
-        assert self._report(demo_dir, out, "--format", "csv") == 0
-        assert out.read_bytes() == (demo_dir / "report.csv").read_bytes()
-        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
-
     @pytest.mark.parametrize("changes,message", [
         ({"verdict": "Maybe"}, "unknown verdict 'Maybe'"),
         ({"verdict": "Unparseable"}, "Unparseable verdict must pair"),
+        *(pytest.param({"verdict": "Unparseable", "predicted": value},
+                       "Unparseable verdict must pair", id=f"predicted-{value!r}")
+          for value in ([], "", 0, False)),
     ])
     def test_bad_grade_line_exits_1(self, demo_dir, tmp_path, capsys, changes, message):
         lines = (demo_dir / "grades.jsonl").read_text(encoding="utf-8").splitlines()
@@ -470,7 +483,12 @@ def test_unknown_id_names_its_file(demo_dir, tmp_path, capsys, argv, text, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("structured", ["text", [1]])
+@pytest.mark.parametrize("structured", [
+    "text", [1],
+    *(pytest.param(value, id=f"structured-{value!r}") for value in ([], "", 0, False)),
+    *(pytest.param({**_SOLUTION, "final_answer": value}, id=f"final_answer-{value!r}")
+      for value in ([], "", 0, False)),
+])
 def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
     manifest_path = tmp_path / "m.jsonl"
     problem = make_problem("p", raw_solution="#### 1")
@@ -717,6 +735,57 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def _option_pairs(parser, command=()):
+    """(command, option) for every option of every subcommand, in parser order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _option_pairs(subparser, (*command, name))
+        elif not isinstance(action, argparse._HelpAction):
+            yield from ((" ".join(command), option) for option in action.option_strings)
+
+
+# Every option of the CLI. A flag added or removed shows in the diff of this table.
+CLI_OPTIONS = {
+    "ingest": "--format --in --out",
+    "classify": "--in --out --math-levels --score --annotations --bottom-k",
+    "decompose": "--in --out",
+    "structure parse": "--in --lang --out",
+    "structure render": "--in --lang --out",
+    "structure prompt": "--template --bindings --out",
+    "structure emit-config": "--out",
+    "curriculum pair": "--en --hi --key --out",
+    "curriculum merge": "--in --out",
+    "curriculum split": "--in --seed --ratio --out",
+    "curriculum build": "--in --split --mode --cumulative --out",
+    "curriculum export": "--curriculum --manifest --stage --seed --out",
+    "augment": "--in --target --config --out",
+    "evaluate grade": "--pred --manifest --model --out",
+    "evaluate report": "--grades --manifest --out",
+    "kappa": "--counts",
+    "demo": "--out --config",
+}
+
+
+def test_option_census():
+    pairs = list(_option_pairs(build_parser()))
+    assert pairs == [(command, option) for command, options in CLI_OPTIONS.items()
+                     for option in options.split()]
+    assert len(pairs) == 55
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--in", "m", "--out", "o", "--ops", "add"],
+    ["decompose", "--in", "m", "--out", "o", "--lang", "en"],
+    ["evaluate", "report", "--grades", "g", "--manifest", "m", "--format", "csv"],
+    ["augment", "--in", "m", "--target", "1", "--config", "c", "--out", "o",
+     "--template", "augment"],
+], ids=["decompose-ops", "decompose-lang", "report-format", "augment-template"])
+def test_removed_option_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_cli_import_leaves_thread_pool_unloaded():

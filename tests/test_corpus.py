@@ -150,10 +150,10 @@ class TestIngestHawp:
         assert manifest.records[0].question == unicodedata.normalize("NFC", decomposed)
 
 
-    def test_empty_solution_kept_empty(self, tmp_path):
+    def test_empty_solution_reads_as_absent(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_jsonl(path, [{"question": "q?", "operation": "add", "solution": ""}])
-        assert ingest_hawp(path).records[0].raw_solution == ""
+        assert ingest_hawp(path).records[0].raw_solution is None
 
 
 class TestIngestIndiMathQA:
@@ -496,6 +496,8 @@ class TestRecordDecoding:
         {**_SECTIONS, "data_identification": 1},
         {**_SECTIONS, "final_answer": "7"},
         {**_SECTIONS, "final_answer": {"kind": "Rational", "rational": "1/0"}},
+        *(pytest.param({**_SECTIONS, "final_answer": value}, id=f"final_answer-{value!r}")
+          for value in ([], "", 0, False)),
     ])
     def test_wrong_typed_field_names_path_and_line(self, tmp_path, structured):
         path = tmp_path / "m.jsonl"
@@ -515,6 +517,10 @@ class TestRecordDecoding:
         ("math_level", True, "int or null, not bool"),
         ("extras", [1], "dict, not list"),
         ("extras", None, "dict, not NoneType"),
+        ("structured_solution", [], "dict or null, not list"),
+        ("structured_solution", "", "dict or null, not str"),
+        ("structured_solution", 0, "dict or null, not int"),
+        ("structured_solution", False, "dict or null, not bool"),
     ])
     def test_wrong_typed_scalar_names_field_path_and_line(self, tmp_path, key, value,
                                                           expected):

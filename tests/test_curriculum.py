@@ -1,19 +1,23 @@
 import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep.corpus import REVIEW_STATUSES, Difficulty, Language, Source
+from ganitprep.corpus import REVIEW_STATUSES, Difficulty, Language, Source, passes_review
 from ganitprep.curriculum import (
     Assign,
     CurriculumError,
+    CurriculumManifest,
     PairKey,
     STAGE_EASY,
     STAGE_EASY_MEDIUM,
     SplitAssignment,
+    Stage,
     TrainingMode,
     build_curriculum,
     export_stage,
@@ -25,7 +29,6 @@ from ganitprep.curriculum import (
     save_split,
     split,
 )
-from ganitprep.llm_client import approved_only
 from ganitprep.structure import FINE_TUNE_BODY, StructuredSolution
 
 
@@ -318,6 +321,17 @@ class TestBuildCurriculum:
         save_curriculum(built, path)
         assert load_curriculum(path) == built
 
+    def test_repeated_train_id_refused(self, tmp_path):
+        manifest = _classified_corpus()
+        built = build_curriculum(manifest, split(manifest, seed=1))
+        easy = built.stages[0]
+        path = tmp_path / "curriculum.json"
+        save_curriculum(replace(built, stages=(
+            replace(easy, train_ids=easy.train_ids + easy.train_ids[:1]),)), path)
+        with pytest.raises(CurriculumError, match=re.escape(
+                f"{path}: stage 'SFT_easy' repeats train id {easy.train_ids[0]!r}")):
+            load_curriculum(path)
+
     def test_pending_review_never_trains(self):
         problems = [
             make_problem(f"{status or 'none'}-{difficulty.value}", source=Source.SYNTHETIC,
@@ -339,7 +353,7 @@ class TestBuildCurriculum:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.sampled_from(REVIEW_STATUSES), st.text(max_size=12)),
                     max_size=8))
-    def test_review_gate_matches_approved_only(self, statuses):
+    def test_review_gate_matches_passes_review(self, statuses):
         # Absent (None), known and unknown statuses; two ungated anchors keep
         # both training strata nonempty.
         problems = [make_problem(f"anchor-{d.value}", difficulty=d, raw_solution="#### 1")
@@ -355,7 +369,18 @@ class TestBuildCurriculum:
                                      assignments={p.id: Assign.TRAIN for p in manifest})
         built = build_curriculum(manifest, everything, cumulative=True)
         assert sorted(built.stage(STAGE_EASY_MEDIUM).train_ids) == sorted(
-            p.id for p in approved_only(manifest))
+            p.id for p in manifest if passes_review(p))
+
+    def test_split_leaving_a_problem_unassigned_refused(self):
+        manifest = _classified_corpus()
+        assignment = split(manifest, seed=1)
+        stale = replace(assignment, assignments={
+            pid: side for pid, side in assignment.assignments.items()
+            if pid != manifest.records[3].id})
+        with pytest.raises(CurriculumError, match=re.escape(
+                f"assigns neither side to 1 of the manifest's problems, among them "
+                f"{[manifest.records[3].id]}")):
+            build_curriculum(manifest, stale)
 
 
 class TestExportStage:
@@ -379,6 +404,18 @@ class TestExportStage:
         export_stage(built, STAGE_EASY, manifest, a, seed=3)
         export_stage(built, STAGE_EASY, manifest, b, seed=3)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pending_item_flagged_not_written(self, tmp_path):
+        problems = [make_problem(f"syn-{status}", source=Source.SYNTHETIC, raw_solution="#### 1",
+                                 difficulty=Difficulty.EASY, extras={"review_status": status})
+                    for status in REVIEW_STATUSES]
+        manifest = make_manifest(problems)
+        built = CurriculumManifest((Stage(STAGE_EASY, tuple(p.id for p in problems), "",
+                                          STAGE_EASY),), TrainingMode.BILINGUAL_COMBINED, False)
+        out = tmp_path / "s.jsonl"
+        outcome = export_stage(built, STAGE_EASY, manifest, out)
+        assert (outcome.exported, outcome.flagged) == (2, {"syn-pending": "pending review"})
+        assert "syn-pending" not in out.read_text(encoding="utf-8")
 
     def test_missing_solution_flagged(self, tmp_path):
         problems = [

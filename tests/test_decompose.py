@@ -232,15 +232,6 @@ class TestApplyDecomposition:
         assert len(outcome.manifest) == len(manifest)
         assert [p.id for p in outcome.manifest] == [p.id for p in manifest]
 
-    def test_ops_filter_mul_only(self):
-        outcome = apply_decomposition(self._manifest(), operations=[Operation.MUL])
-        assert outcome.rewritten == 1
-        assert outcome.manifest.by_id("p-div").raw_solution == "968 ÷ 16 = 60.5"
-
-    def test_language_override(self):
-        outcome = apply_decomposition(self._manifest(), language=Language.ENGLISH)
-        assert "Final Answer:" in outcome.manifest.by_id("p-mul").raw_solution
-
     @pytest.mark.parametrize("problem,reason", [
         (_hawp_problem("p-bad", Operation.DIV, "5 ÷ 0 = 0"),
          "decomposition failed: division by zero"),

@@ -235,16 +235,6 @@ class TestReadVerdicts:
                 f"{path}:1: unreadable grade: 'Bogus' is not a valid AnswerKind")):
             load_grades(path)
 
-    def test_retired_decimal_kind_loads_as_rational(self, tmp_path):
-        path = tmp_path / "grades.jsonl"
-        decimal = {"kind": "Decimal", "decimal_text": "0.50"}
-        path.write_text(_grade_line(predicted=decimal, reference=decimal) + "\n",
-                        encoding="utf-8")
-        half = AnswerValue.from_rational(Fraction(1, 2))
-        [record] = load_grades(path)
-        assert (record.predicted, record.reference) == (half, half)
-        assert read_verdicts(path) == [("p1", "m", Verdict.CORRECT)]
-
     def test_second_grade_across_files_names_its_line(self, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         first.write_text(_grade_line() + "\n", encoding="utf-8")
@@ -260,6 +250,9 @@ class TestReadVerdicts:
         ({"verdict": "Unparseable"}, "Unparseable verdict must pair"),
         ({"predicted": None}, "Unparseable verdict must pair"),
         ({"model_name": None}, "missing field 'model_name'"),
+        *(pytest.param({"verdict": "Unparseable", "predicted": value},
+                       "Unparseable verdict must pair", id=f"predicted-{value!r}")
+          for value in ([], "", 0, False)),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, changes, message):
         record = json.loads(_grade_line(**changes))
@@ -279,6 +272,8 @@ class TestReadVerdicts:
         {"reference": {"kind": "Rational", "rational": "1/0"}},
         {"reference": {"kind": "Decimal", "decimal_text": "abc"}},
         {"reference": None},
+        {"reference": {"kind": "Decimal", "decimal_text": "0.50"}},  # the retired kind
+        *({"predicted": value} for value in ([], "", 0, False)),
     ])
     def test_wrong_typed_answer_names_path_and_line(self, tmp_path, changes):
         path = tmp_path / "grades.jsonl"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep.corpus import Difficulty, Source
+from ganitprep.corpus import Difficulty, Source, passes_review
 from ganitprep.llm_client import (
     AugmentationError,
     ClientConfig,
@@ -19,7 +19,6 @@ from ganitprep.llm_client import (
     ProviderError,
     RetryPolicy,
     TransportError,
-    approved_only,
     augment_batch,
     load_client_config,
     make_client,
@@ -527,7 +526,7 @@ class TestReviewGate:
             make_problem("plain"),
         ]
         manifest = make_manifest(problems)
-        kept = {p.id for p in approved_only(manifest)}
+        kept = {p.id for p in manifest if passes_review(p)}
         assert kept == {"s2", "s3", "plain"}
 
     def test_set_review_status(self):
