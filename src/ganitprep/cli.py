@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
-from ganitprep.common import StageSummary
+from ganitprep.common import StageSummary, write_text_atomic
 from ganitprep.corpus import (
     Language,
     ingest_gsm8k,
@@ -24,7 +24,6 @@ from ganitprep.corpus import (
     ingest_math,
     load_manifest,
     save_manifest,
-    write_text_atomic,
 )
 from ganitprep.errors import PipelineError, json_object_file, naming
 

@@ -1,5 +1,5 @@
-"""The enums every record carries, the two artifact writers, and the record
-every stage reports.
+"""The enums every record carries, the atomic artifact writers (whole text, or
+line by line), and the record every stage reports.
 
 This module imports only the standard library, so any other module can
 import from it at module level without forming a cycle.
@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 
 class Language(Enum):
@@ -43,8 +45,9 @@ class Operation(Enum):
     NONE = "None"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) in one rename.
+@contextmanager
+def _atomic_file(path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose content replaces ``path`` in one rename.
 
     The text goes to a temp file beside ``path`` first, so a crash or error
     mid-write leaves the previous file, or none, never a truncated one. The
@@ -55,11 +58,30 @@ def write_text_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) in one rename."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
+def write_lines_atomic(path, lines: Iterable[str]) -> None:
+    """Replace ``path`` with each of ``lines`` and its "\\n" (UTF-8) in one rename.
+
+    The lines are written as the iterable yields them, so no whole-file copy
+    is built; no lines make an empty file. If the iterable raises, the
+    previous file stays.
+    """
+    with _atomic_file(path) as handle:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
 # Sorted keys, raw UTF-8, no spaces. One encoder for every call: json.dumps

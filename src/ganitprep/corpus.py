@@ -21,12 +21,13 @@ checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
 object per line behind a single JSON header line carrying the format version
 and a sha256 checksum over the record lines. The checksum is derived from
 the records and computed at most once per manifest: save serialises each
-record once and hashes the lines it writes, and load verifies the checksum
-over the record lines as read, so a stale, corrupted or hand-edited file is
-rejected. Every line-delimited artifact (manifests, grades, training
-exports) goes through one canonical encoder (sorted keys, raw UTF-8, no
-spaces); split and curriculum files are sorted-key UTF-8 JSON indented by
-one space.
+record once, hashes the lines it writes and streams them to the file one
+line at a time, never as one whole-file string; load hashes each record line
+as it reads it and checks the checksum over the lines as read, so a stale,
+corrupted or hand-edited file is rejected. Every line-delimited artifact
+(manifests, grades, training exports) goes through one canonical encoder
+(sorted keys, raw UTF-8, no spaces) and one line writer; split and
+curriculum files are sorted-key UTF-8 JSON indented by one space.
 
 Question and solution text is normalized to Unicode NFC at ingestion so
 Devanagari text from mixed sources compares stably. Unknown fields in source
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -51,7 +53,7 @@ from ganitprep.common import (
     Operation,
     Source,
     canonical_json,
-    write_text_atomic,
+    write_lines_atomic,
 )
 from ganitprep.errors import (MALFORMED, IntegrityError, PipelineError, RecordFormatError,
                               check_json_object, naming, numbered_lines)
@@ -279,7 +281,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
         "count": len(lines),
         "checksum": checksum,
     }
-    write_text_atomic(path, "\n".join([canonical_json(header), *lines]) + "\n")
+    write_lines_atomic(path, chain((canonical_json(header),), lines))
 
 
 def load_manifest(path) -> CorpusManifest:
@@ -291,20 +293,24 @@ def load_manifest(path) -> CorpusManifest:
         raise IntegrityError(f"{path}: not a manifest file (format {header.get('format')!r})")
     if header.get("version") != MANIFEST_VERSION:
         raise IntegrityError(f"{path}: unsupported manifest version {header.get('version')!r}")
-    records, record_lines = [], []
-    for lineno, line, data in lines:
-        try:
-            records.append(Problem.from_dict(data))
-        # TypeError and AttributeError: a field holding the wrong JSON type.
-        except (PipelineError, *MALFORMED) as exc:
-            raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
-        record_lines.append(line)
+    records = []
+
+    def record_lines() -> Iterator[str]:
+        for lineno, line, data in lines:
+            try:
+                records.append(Problem.from_dict(data))
+            # TypeError and AttributeError: a field holding the wrong JSON type.
+            except (PipelineError, *MALFORMED) as exc:
+                raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
+            yield line
+
+    # The record lines as read, hashed one at a time, not a re-serialisation
+    # of the parsed records.
+    checksum = _lines_checksum(record_lines())
     if header.get("count") != len(records):
         raise IntegrityError(
             f"{path}: header count {header.get('count')} != {len(records)} records"
         )
-    # The record lines as read, not a re-serialisation of the parsed records.
-    checksum = _lines_checksum(record_lines)
     if checksum != header.get("checksum"):
         raise IntegrityError(
             f"{path}: checksum mismatch (header {header.get('checksum')}, "

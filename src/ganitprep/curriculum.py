@@ -19,9 +19,10 @@ import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
-from ganitprep.common import StageSummary
+from ganitprep.common import StageSummary, write_lines_atomic, write_text_atomic
 from ganitprep.corpus import (
     CorpusManifest,
     Difficulty,
@@ -31,7 +32,6 @@ from ganitprep.corpus import (
     SourceFormat,
     canonical_json,
     passes_review,
-    write_text_atomic,
 )
 from ganitprep.errors import PipelineError, check_json_object, json_object_file
 from ganitprep.structure import PromptName, get_template, render_prompt, render_structured
@@ -343,7 +343,8 @@ def export_stage(
             continue
         text = render_prompt(template, {"Question": problem.question,
                                         "Response": response})
-        rows.append({"id": problem_id, "language": problem.language.value, "text": text})
+        rows.append(canonical_json({"id": problem_id, "language": problem.language.value,
+                                    "text": text}))
     header = {
         "format": "ganitprep/training",
         "version": 1,
@@ -353,9 +354,7 @@ def export_stage(
         "seed": seed,
         "count": len(rows),
     }
-    lines = [canonical_json(header)]
-    lines.extend(map(canonical_json, rows))
-    write_text_atomic(out_path, "\n".join(lines) + "\n")
+    write_lines_atomic(out_path, chain((canonical_json(header),), rows))
     return ExportOutcome(exported=len(rows), flagged=flagged)
 
 

@@ -30,6 +30,7 @@ from ganitprep.answers import (
     parse_candidate,
     parse_value,
 )
+from ganitprep.common import write_lines_atomic
 from ganitprep.corpus import (
     CorpusManifest,
     Difficulty,
@@ -37,7 +38,6 @@ from ganitprep.corpus import (
     Problem,
     Source,
     canonical_json,
-    write_text_atomic,
 )
 from ganitprep.errors import PipelineError, numbered_lines
 
@@ -416,8 +416,7 @@ def _grade_once(graded: set[tuple[str, str]], record) -> None:
 
 
 def save_grades(grades: Sequence[GradeRecord], path) -> None:
-    lines = [canonical_json(g.to_dict()) for g in grades]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_lines_atomic(path, (canonical_json(g.to_dict()) for g in grades))
 
 
 def load_grades(path) -> list[GradeRecord]:
@@ -446,21 +445,30 @@ def _verdict_row(data: dict) -> VerdictRow:
         verdict = _VERDICTS[value]
     except (KeyError, TypeError):  # unknown or unhashable value
         raise EvaluationError(f"unknown verdict {value!r}") from None
-    if (verdict is Verdict.UNPARSEABLE) == (data.get("predicted") is not None):
+    predicted = data.get("predicted")
+    if (verdict is Verdict.UNPARSEABLE) == (predicted is not None):
         raise EvaluationError("Unparseable verdict must pair with an absent prediction")
     try:
-        return VerdictRow(data["problem_id"], data["model_name"], verdict)
+        row = VerdictRow(data["problem_id"], data["model_name"], verdict)
+        reference = data["reference"]
     except KeyError as exc:
         raise EvaluationError(f"missing field {exc}") from None
+    # The answers' shapes, not their values: a report leaves them undecoded.
+    if predicted is not None and type(predicted) is not dict:
+        raise TypeError(f"predicted must be an object or null, not {type(predicted).__name__}")
+    if type(reference) is not dict:
+        raise TypeError(f"reference must be an object, not {type(reference).__name__}")
+    return row
 
 
 def read_verdicts(*paths) -> list[VerdictRow]:
     """Read grades files as verdict rows, leaving the answers undecoded.
 
-    The verdict checks of :class:`GradeRecord` still hold: a known verdict,
-    and Unparseable exactly when the prediction is absent. A second grade of
-    one problem for one model, in any of the files, is refused naming its
-    file and line.
+    The checks of :class:`GradeRecord` still hold, with its messages: a known
+    verdict, Unparseable exactly when the prediction is absent, a prediction
+    that is an object or null, and a reference that is an object. A second
+    grade of one problem for one model, in any of the files, is refused
+    naming its file and line.
     """
     graded: set[tuple[str, str]] = set()
 

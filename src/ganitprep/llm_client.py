@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ganitprep.common import write_text_atomic
 from ganitprep.corpus import (
     REVIEW_PENDING,
     REVIEW_STATUSES,
@@ -36,7 +37,6 @@ from ganitprep.corpus import (
     SourceFormat,
     nfc,
     replace_records,
-    write_text_atomic,
 )
 from ganitprep.errors import PipelineError, check_fields, json_object_file
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ganitprep import classify, corpus, curriculum, decompose, evaluate, structure
-from ganitprep.common import StageSummary
+from ganitprep.common import StageSummary, write_text_atomic
 from ganitprep.errors import PipelineError, check_fields, json_object_file
 
 DEMO_DATA_DIR = Path(str(resources.files("ganitprep") / "data" / "demo"))
@@ -131,7 +131,7 @@ def run(config: PipelineConfig) -> RunOutcome:
     evaluate.save_grades(grades, out_dir / "grades.jsonl")
     report = evaluate.accuracy_report(grades, merged)
     table = report.render_table()
-    corpus.write_text_atomic(out_dir / "report.txt", table)
-    corpus.write_text_atomic(out_dir / "report.csv", report.to_csv())
+    write_text_atomic(out_dir / "report.txt", table)
+    write_text_atomic(out_dir / "report.csv", report.to_csv())
     stages.append(StageSummary("evaluate", len(grades), len(report.cells), text=table))
     return RunOutcome(merged, assignment, built, tuple(stages))

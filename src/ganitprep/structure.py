@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 
 from ganitprep.answers import AnswerValue
-from ganitprep.common import Language, write_text_atomic
+from ganitprep.common import Language, write_lines_atomic
 from ganitprep.errors import PipelineError, check_json_object
 
 
@@ -254,4 +254,4 @@ TRAINING_CONFIG = (
 
 def emit_training_config(path) -> None:
     """Write the fine-tuning sampling configuration as key=value lines."""
-    write_text_atomic(path, "".join(f"{key}={value}\n" for key, value in TRAINING_CONFIG))
+    write_lines_atomic(path, (f"{key}={value}" for key, value in TRAINING_CONFIG))

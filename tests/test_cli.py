@@ -427,12 +427,21 @@ class TestEvaluateReport:
         *(pytest.param({"verdict": "Unparseable", "predicted": value},
                        "Unparseable verdict must pair", id=f"predicted-{value!r}")
           for value in ([], "", 0, False)),
+        pytest.param({"predicted": "7"},
+                     "unreadable grade: predicted must be an object or null, not str",
+                     id="predicted-str"),
+        pytest.param({"reference": None}, "missing field 'reference'", id="no-reference"),
+        pytest.param({"verdict": "Unparseable", "predicted": None, "reference": "7"},
+                     "unreadable grade: reference must be an object, not str",
+                     id="reference-str"),
     ])
     def test_bad_grade_line_exits_1(self, demo_dir, tmp_path, capsys, changes, message):
         lines = (demo_dir / "grades.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
         assert record["predicted"] is not None
         record.update(changes)
+        if "reference" in changes and changes["reference"] is None:  # the key is absent
+            del record["reference"]
         lines[1] = json.dumps(record)
         grades = tmp_path / "grades.jsonl"
         grades.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,11 +1,12 @@
 import json
 import os
 import re
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
@@ -27,8 +28,12 @@ from ganitprep.corpus import (
     save_manifest,
 )
 from ganitprep.cli import build_parser
+from ganitprep.common import canonical_json, write_lines_atomic
 from ganitprep.curriculum import (
     STAGE_EASY,
+    CurriculumManifest,
+    Stage,
+    TrainingMode,
     build_curriculum,
     export_stage,
     save_curriculum,
@@ -559,7 +564,8 @@ def _small_curriculum():
     return manifest, assignment, build_curriculum(manifest, assignment)
 
 
-_WRITERS = ["manifest", "export", "split", "curriculum", "grades", "training_config"]
+_WRITERS = ["manifest", "export", "split", "curriculum", "grades", "training_config",
+            "lines"]
 
 
 def _write_each(kind, path):
@@ -574,6 +580,8 @@ def _write_each(kind, path):
         save_curriculum(built, path)
     elif kind == "training_config":
         emit_training_config(path)
+    elif kind == "lines":
+        write_lines_atomic(path, iter(["a", "ब\u2028c", ""]))
     else:
         one = AnswerValue.from_rational(1)
         save_grades([GradeRecord("e0", "m", one, one, Verdict.CORRECT)], path)
@@ -591,6 +599,27 @@ class TestAtomicWrite:
             save_grades([GradeRecord("a", "m\ud800", one, one, Verdict.CORRECT)], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["grades.jsonl"]
+
+    @pytest.mark.parametrize("kind,error", [("grades", UnicodeEncodeError),
+                                            ("lines", RuntimeError)])
+    def test_iterator_raising_on_its_third_line_keeps_previous_file(self, tmp_path, kind,
+                                                                     error):
+        path = tmp_path / "out.jsonl"
+        path.write_text("previous\n", encoding="utf-8")
+        one = AnswerValue.from_rational(1)
+
+        def lines():
+            yield from ("a", "b")
+            raise RuntimeError("third line")
+
+        with pytest.raises(error):
+            if kind == "grades":  # the third model name cannot be encoded as UTF-8
+                save_grades([GradeRecord(pid, name, one, one, Verdict.CORRECT)
+                             for pid, name in [("a", "m"), ("b", "m"), ("c", "m\ud800")]], path)
+            else:
+                write_lines_atomic(path, lines())
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     @pytest.mark.parametrize("kind", _WRITERS)
     def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch, kind):
@@ -614,6 +643,105 @@ class TestAtomicWrite:
         _write_each(kind, fresh)
         assert path.read_bytes() == fresh.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
+# Any text but lone surrogates, which UTF-8 cannot encode, with line separators
+# and Devanagari drawn often.
+_line_text = st.text(st.characters(blacklist_categories=("Cs",))
+                     | st.sampled_from("\u2028\u2029\u0085\r\nकखग१२"), max_size=12)
+
+
+@settings(max_examples=50, deadline=None)
+@example(texts=[])
+@given(texts=st.lists(_line_text, max_size=4))
+def test_streamed_files_equal_the_joined_lines(tmp_path_factory, texts):
+    # The bytes a whole-file "\n".join wrote before the writers streamed.
+    out = tmp_path_factory.mktemp("stream")
+    problems = [make_problem(f"p{i}", question=text, raw_solution=text, extras={"k": text})
+                for i, text in enumerate(texts)]
+    header = {"format": corpus.MANIFEST_FORMAT, "version": corpus.MANIFEST_VERSION,
+              "source_format": "mixed", "created_at": "2024-01-01T00:00:00+00:00",
+              "count": len(problems), "checksum": records_checksum(problems)}
+    lines = [canonical_json(header), *(canonical_json(p.to_dict()) for p in problems)]
+    save_manifest(make_manifest(problems), out / "m.jsonl")
+    assert (out / "m.jsonl").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    grades = [GradeRecord(p.id, text, None, AnswerValue.from_expression(f"x{text}"),
+                          Verdict.UNPARSEABLE) for p, text in zip(problems, texts)]
+    lines = [canonical_json(g.to_dict()) for g in grades]
+    save_grades(grades, out / "g.jsonl")
+    assert (out / "g.jsonl").read_bytes() == (
+        ("\n".join(lines) + "\n").encode() if lines else b"")  # no grades: an empty file
+
+    write_lines_atomic(out / "t.txt", iter(texts))
+    assert (out / "t.txt").read_bytes() == "".join(f"{text}\n" for text in texts).encode()
+
+
+def _large_manifest(count: int = 2000):
+    """Half English, half Hindi problems with multi-line solutions."""
+    problems = []
+    for i in range(count):
+        hindi = i % 2 == 1
+        question = (f"राम के पास {i} सेब हैं। वह {i + 3} और खरीदता है। अब कितने सेब हैं?" if hindi
+                    else f"Ram has {i} apples. He buys {i + 3} more. How many apples now?")
+        step = f"{'चरण' if hindi else 'Step'} 1: {i} + {i + 3} = {2 * i + 3}\n"
+        problems.append(make_problem(
+            f"p{i:05d}", language=Language.HINDI if hindi else Language.ENGLISH,
+            source=Source.HAWP if hindi else Source.GSM8K, question=question,
+            raw_solution=step * 4 + f"#### {2 * i + 3}",
+            difficulty=(Difficulty.EASY, Difficulty.MEDIUM, Difficulty.HARD)[i % 3]))
+    return make_manifest(problems)
+
+
+def _traced(call):
+    """(result, peak, retained): bytes the call allocated at its peak and kept."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
+
+
+class TestStreamingMemory:
+    """No line-delimited artifact is copied whole in memory on its way to or
+    from its file: a whole-file string, and its UTF-8 encoding, would cost
+    several times the file size."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self):
+        return _large_manifest()
+
+    def test_save_manifest_peak(self, manifest, tmp_path):
+        # The record lines are held (the header's checksum comes first), the
+        # file is not.
+        _, peak, _ = _traced(lambda: save_manifest(manifest, tmp_path / "m.jsonl"))
+        assert peak <= 2 * (tmp_path / "m.jsonl").stat().st_size
+
+    def test_load_manifest_transient(self, manifest, tmp_path):
+        save_manifest(manifest, tmp_path / "m.jsonl")
+        loaded, peak, retained = _traced(lambda: load_manifest(tmp_path / "m.jsonl"))
+        assert loaded == manifest
+        assert peak - retained <= 0.5 * (tmp_path / "m.jsonl").stat().st_size
+
+    def test_save_grades_peak(self, manifest, tmp_path):
+        one = AnswerValue.from_rational(1)
+        grades = [GradeRecord(p.id, "मॉडल", one, AnswerValue.from_rational(i),
+                              Verdict.CORRECT if i == 1 else Verdict.INCORRECT)
+                  for i, p in enumerate(manifest)]
+        _, peak, _ = _traced(lambda: save_grades(grades, tmp_path / "g.jsonl"))
+        assert peak <= 0.5 * (tmp_path / "g.jsonl").stat().st_size
+
+    def test_export_stage_peak(self, manifest, tmp_path):
+        # The encoded rows are held (the header's count comes first), the
+        # file is not.
+        stage = Stage(STAGE_EASY, tuple(p.id for p in manifest), "", STAGE_EASY)
+        built = CurriculumManifest((stage,), TrainingMode.BILINGUAL_COMBINED, cumulative=True)
+        outcome, peak, _ = _traced(
+            lambda: export_stage(built, STAGE_EASY, manifest, tmp_path / "e.jsonl"))
+        assert outcome.exported == len(manifest)
+        assert peak <= 2 * (tmp_path / "e.jsonl").stat().st_size
 
 
 # Writers whose target name is fixed or that read inputs of their own.

@@ -253,16 +253,27 @@ class TestReadVerdicts:
         *(pytest.param({"verdict": "Unparseable", "predicted": value},
                        "Unparseable verdict must pair", id=f"predicted-{value!r}")
           for value in ([], "", 0, False)),
+        *(pytest.param(changes, message, id=id) for id, changes, message in [
+            ("predicted-str", {"predicted": "7"},
+             "unreadable grade: predicted must be an object or null, not str"),
+            ("predicted-list", {"predicted": []},
+             "unreadable grade: predicted must be an object or null, not list"),
+            ("no-reference", {"reference": None}, "missing field 'reference'"),
+            ("reference-str", {"verdict": "Unparseable", "predicted": None, "reference": "7"},
+             "unreadable grade: reference must be an object, not str"),
+        ]),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, changes, message):
         record = json.loads(_grade_line(**changes))
-        if record.get("model_name") is None:
-            del record["model_name"]
+        for key in ("model_name", "reference"):  # None here: the key is absent
+            if key in changes and changes[key] is None:
+                del record[key]
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n\n" + json.dumps(record) + "\n",
                         encoding="utf-8")
-        with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: {message}")):
-            read_verdicts(path)
+        for reader in (read_verdicts, load_grades):  # one message from both
+            with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: {message}")):
+                reader(path)
 
     @pytest.mark.parametrize("changes", [
         {"reference": "text"},

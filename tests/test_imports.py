@@ -141,3 +141,22 @@ def _printing_sites() -> set[tuple[str, str]]:
 def test_only_cli_main_prints():
     # A stage reports by returning its StageSummary; ``cli.main`` writes it.
     assert _printing_sites() <= {("cli", "main")}
+
+
+def _is_newline_join(node: ast.AST) -> bool:
+    """A ``"\\n".join(...)`` call, or a ``+`` with one on either side."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_newline_join(node.left) or _is_newline_join(node.right)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+            and node.func.value.value == "\n")
+
+
+def test_line_files_go_through_the_line_writer():
+    # A line-delimited artifact joined into one string and handed to
+    # write_text_atomic is copied whole in memory; write_lines_atomic streams it.
+    callers = {name for name, node in _package_nodes()
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "write_text_atomic"
+               and any(map(_is_newline_join, [*node.args, *(k.value for k in node.keywords)]))}
+    assert callers == set()
