@@ -13,10 +13,10 @@ import tempfile
 from pathlib import Path
 
 from ganitprep.classify import score_complexity
-from ganitprep.pipeline import PipelineConfig, run
+from ganitprep.pipeline import run
 
 with tempfile.TemporaryDirectory() as tmp:
-    outcome = run(PipelineConfig(out_dir=tmp))
+    outcome = run(tmp)
     exported = (Path(tmp) / "train_SFT_easy.jsonl").read_text(encoding="utf-8").splitlines()[1:]
 merged = outcome.merged
 

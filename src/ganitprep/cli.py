@@ -92,13 +92,9 @@ def _cmd_structure(args) -> StageSummary:
         with json_object_file(args.bindings, "bindings file") as bindings:
             rendered = structure_mod.render_prompt(template, bindings)
     else:
-        if args.action == "parse":
-            with naming(args.infile):
-                solution = structure_mod.parse_structured(
-                    Path(args.infile).read_text(encoding="utf-8"))
-        else:
-            with json_object_file(args.infile, "structured solution") as data:
-                solution = structure_mod.StructuredSolution.from_dict(data)
+        with naming(args.infile):
+            solution = structure_mod.parse_structured(
+                Path(args.infile).read_text(encoding="utf-8"))
         rendered = structure_mod.render_structured(solution, _parse_language(args.lang))
     if args.out:
         write_text_atomic(args.out, rendered)
@@ -202,15 +198,7 @@ def _cmd_kappa(args) -> StageSummary:
 def _cmd_demo(args) -> tuple[StageSummary, ...]:
     from ganitprep import pipeline
 
-    if args.config:
-        config = pipeline.load_pipeline_config(args.config)
-    else:
-        config = pipeline.PipelineConfig()
-    if args.out_dir:
-        config.out_dir = args.out_dir
-    with naming(args.config):  # without --config, the defaults, which pass
-        pipeline.check_settings(config)
-    return pipeline.run(config).stages
+    return pipeline.run(args.out_dir).stages
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", help="structured solutions and prompts")
     actions = p.add_subparsers(dest="action", required=True)
     a = actions.add_parser("parse", help="validate and canonicalize a solution text")
-    a.add_argument("--in", dest="infile", required=True)
-    a.add_argument("--lang", default="en", choices=["en", "hi"])
-    a.add_argument("--out")
-    a = actions.add_parser("render", help="render solution sections from JSON")
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--lang", default="en", choices=["en", "hi"])
     a.add_argument("--out")
@@ -325,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("demo", help="run the bundled end-to-end demonstration")
-    p.add_argument("--out", dest="out_dir", help="output directory (default demo_out)")
-    p.add_argument("--config", help="pipeline config JSON overriding fixture paths")
+    p.add_argument("--out", dest="out_dir", default="demo_out",
+                   help="output directory (default demo_out)")
     p.set_defaults(func=_cmd_demo)
 
     return parser

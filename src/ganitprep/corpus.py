@@ -284,11 +284,17 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
     write_lines_atomic(path, chain((canonical_json(header),), lines))
 
 
+_HEADER_TYPES = {"format": str, "version": int, "source_format": str, "created_at": str,
+                 "count": int, "checksum": str}
+
+
 def load_manifest(path) -> CorpusManifest:
     lines = numbered_lines(path, IntegrityError, "record")
     _, _, header = next(lines, (0, "", None))
     if header is None:
         raise IntegrityError(f"{path}: empty manifest file")
+    with naming(path, "manifest header", IntegrityError):
+        check_json_object(header, _HEADER_TYPES, IntegrityError, "manifest header")
     if header.get("format") != MANIFEST_FORMAT:
         raise IntegrityError(f"{path}: not a manifest file (format {header.get('format')!r})")
     if header.get("version") != MANIFEST_VERSION:
@@ -317,7 +323,6 @@ def load_manifest(path) -> CorpusManifest:
             f"recomputed {checksum})"
         )
     with naming(path, "manifest header", IntegrityError):
-        check_json_object(header, {"created_at": str}, IntegrityError, "manifest header")
         return CorpusManifest.from_records(
             records,
             SourceFormat(header["source_format"]),

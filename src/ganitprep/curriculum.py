@@ -175,19 +175,14 @@ def _stratum_seed(seed: int, label: tuple[str, ...]) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def check_ratio(ratio: float) -> None:
-    """Reject a train share outside the open interval (0, 1)."""
-    if not 0 < ratio < 1:
-        raise CurriculumError(f"ratio must be in (0, 1), got {ratio}")
-
-
 def split(manifest: CorpusManifest, seed: int, ratio: float = 0.70) -> SplitAssignment:
     """Stratified, pair-co-assigned train/test split.
 
     Deterministic given (manifest, seed, ratio); the train share per
     stratum is round(ratio * size) up to the pairing constraint.
     """
-    check_ratio(ratio)
+    if not 0 < ratio < 1:
+        raise CurriculumError(f"ratio must be in (0, 1), got {ratio}")
     groups: dict[str, list[Problem]] = {}
     for problem in manifest:
         key = problem.pair_id or f"solo:{problem.id}"
@@ -408,8 +403,9 @@ def load_curriculum(path) -> CurriculumManifest:
     types = {"stages": list, "mode": str, "cumulative": bool}
     with json_object_file(path, "curriculum file", CurriculumError, types) as payload:
         for row in payload["stages"]:
-            check_json_object(row, {"train_ids": list[str]}, CurriculumError,
-                              "curriculum file stage")
+            check_json_object(row, {"name": str, "train_ids": list[str],
+                                    "parent_checkpoint": str, "checkpoint_name": str},
+                              CurriculumError, "curriculum file stage")
             ids = row["train_ids"]
             if len(set(ids)) < len(ids):
                 repeat = next(pid for pid in ids if ids.count(pid) > 1)

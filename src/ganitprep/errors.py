@@ -37,8 +37,7 @@ def _has_type(value, kind) -> bool:
     return type(value) is kind or (kind is float and type(value) is int)
 
 
-def check_json_object(data, types: dict, error: type = PipelineError,
-                      what: str = "config") -> None:
+def check_json_object(data, types: dict, error: type, what: str) -> None:
     """Raise ``error`` unless ``data`` is a JSON object whose keys hold their types.
 
     ``types`` maps a key to the Python type its decoded value must have;
@@ -54,8 +53,7 @@ def check_json_object(data, types: dict, error: type = PipelineError,
                         f"not {_json_name(data[key])}")
 
 
-def check_fields(data, cls, error: type = PipelineError, what: str = "config",
-                 **types) -> None:
+def check_fields(data, cls, error: type, what: str, **types) -> None:
     """Raise ``error`` unless ``data`` is a JSON object of dataclass ``cls``'s fields.
 
     A field's default has the type its JSON value must decode to, unless

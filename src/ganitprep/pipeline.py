@@ -1,54 +1,24 @@
-"""The paper's preparation chain, run in one process from one config.
+"""The paper's preparation chain over the bundled fixtures, run in one process.
 
-``run`` ingests the four corpora, classifies them by difficulty, decomposes
-HAWP's Mul/Div solutions by place value, pairs and merges the corpora,
-splits the result, stages the Easy -> Easy+Medium curriculum, exports each
-stage for fine-tuning, and grades the bundled predictions. ``ganitprep
-demo`` is ``run`` over the config below, whose defaults are the bundled
-fixtures.
+``run`` ingests the four corpora under :data:`DEMO_DATA_DIR`, classifies
+them by difficulty, decomposes HAWP's Mul/Div solutions by place value,
+pairs and merges the corpora, splits the result, stages the Easy ->
+Easy+Medium curriculum, exports each stage for fine-tuning, and grades the
+bundled predictions. ``ganitprep demo`` is ``run``; the stage commands run
+the same chain on other inputs and settings, one process per stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from ganitprep import classify, corpus, curriculum, decompose, evaluate, structure
 from ganitprep.common import StageSummary, write_text_atomic
-from ganitprep.errors import PipelineError, check_fields, json_object_file
 
 DEMO_DATA_DIR = Path(str(resources.files("ganitprep") / "data" / "demo"))
-
-
-@dataclass
-class PipelineConfig:
-    gsm8k_path: str = str(DEMO_DATA_DIR / "gsm8k.jsonl")
-    math_path: str = str(DEMO_DATA_DIR / "math.jsonl")
-    hawp_path: str = str(DEMO_DATA_DIR / "hawp.jsonl")
-    indimathqa_en_path: str = str(DEMO_DATA_DIR / "indimathqa_en.jsonl")
-    indimathqa_hi_path: str = str(DEMO_DATA_DIR / "indimathqa_hi.jsonl")
-    annotations_path: str = str(DEMO_DATA_DIR / "annotations.tsv")
-    predictions_path: str = str(DEMO_DATA_DIR / "predictions.tsv")
-    out_dir: str = "demo_out"
-    seed: int = 7
-    ratio: float = 0.70
-    mode: str = "bilingual"
-    cumulative: bool = False
-
-
-def load_pipeline_config(path) -> PipelineConfig:
-    with json_object_file(path, "config") as data:
-        check_fields(data, PipelineConfig)
-        return PipelineConfig(**data)
-
-
-def check_settings(config: PipelineConfig) -> curriculum.TrainingMode:
-    """Reject an unknown training mode or a ratio outside (0, 1); return the mode."""
-    mode = curriculum.TrainingMode(config.mode)
-    curriculum.check_ratio(config.ratio)
-    return mode
+_SEED = 7  # of the split and of each stage's export order
 
 
 class RunOutcome(NamedTuple):
@@ -58,41 +28,38 @@ class RunOutcome(NamedTuple):
     stages: tuple[StageSummary, ...]
 
 
-def run(config: PipelineConfig) -> RunOutcome:
-    """Run the chain over ``config``'s inputs, writing ten files into its ``out_dir``.
+def run(out_dir) -> RunOutcome:
+    """Run the chain over the bundled fixtures, writing ten files into ``out_dir``.
 
-    The config is checked before anything is written; nothing is printed.
-    GSM8K's ten lowest-complexity problems (all of them, if fewer) become
-    Easy, MATH maps its published levels, and IndiMathQA takes the one
-    annotation file, whose ids end in ``-en`` or ``-hi``. HAWP is decomposed
-    and written to ``hawp_decomposed.jsonl`` but not merged: its problems
-    carry no difficulty label, so in the merge they would only add
-    Unclassified rows that no curriculum stage trains on and no prediction
-    grades.
+    Nothing is printed. The split is 70/30 with seed 7, and the curriculum
+    is bilingual and not cumulative. GSM8K's ten
+    lowest-complexity problems (all of them, if fewer) become Easy, MATH
+    maps its published levels, and IndiMathQA takes the one annotation
+    file, whose ids end in ``-en`` or ``-hi``. HAWP is decomposed and
+    written to ``hawp_decomposed.jsonl`` but not merged: its problems carry
+    no difficulty label, so in the merge they would only add Unclassified
+    rows that no curriculum stage trains on and no prediction grades.
     """
-    inputs = [getattr(config, f.name) for f in fields(config) if f.name.endswith("_path")]
-    missing = [path or '""' for path in inputs if not path or not Path(path).exists()]
-    if missing:
-        raise PipelineError(f"missing input paths: {', '.join(missing)}")
-    mode = check_settings(config)
-    out_dir = Path(config.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = []
 
-    gsm8k = corpus.ingest_gsm8k(config.gsm8k_path)
+    gsm8k = corpus.ingest_gsm8k(DEMO_DATA_DIR / "gsm8k.jsonl")
     stages.append(StageSummary("ingest-gsm8k", len(gsm8k), len(gsm8k)))
-    math = corpus.ingest_math(config.math_path)
+    math = corpus.ingest_math(DEMO_DATA_DIR / "math.jsonl")
     stages.append(StageSummary("ingest-math", len(math), len(math)))
-    hawp = corpus.ingest_hawp(config.hawp_path)
+    hawp = corpus.ingest_hawp(DEMO_DATA_DIR / "hawp.jsonl")
     stages.append(StageSummary("ingest-hawp", len(hawp), len(hawp)))
-    imqa_en = corpus.ingest_indimathqa(config.indimathqa_en_path, corpus.Language.ENGLISH)
-    imqa_hi = corpus.ingest_indimathqa(config.indimathqa_hi_path, corpus.Language.HINDI)
+    imqa_en = corpus.ingest_indimathqa(DEMO_DATA_DIR / "indimathqa_en.jsonl",
+                                       corpus.Language.ENGLISH)
+    imqa_hi = corpus.ingest_indimathqa(DEMO_DATA_DIR / "indimathqa_hi.jsonl",
+                                       corpus.Language.HINDI)
     imqa_total = len(imqa_en) + len(imqa_hi)
     stages.append(StageSummary("ingest-indimathqa", imqa_total, imqa_total))
 
     gsm8k = classify.rank_bottom_k(gsm8k, k=min(10, len(gsm8k)))
     math = classify.apply_math_levels(math)
-    annotations = classify.read_annotations(config.annotations_path)
+    annotations = classify.read_annotations(DEMO_DATA_DIR / "annotations.tsv")
     en_notes = {k: v for k, v in annotations.items() if k.endswith("-en")}
     hi_notes = {k: v for k, v in annotations.items() if k.endswith("-hi")}
     imqa_en = classify.apply_annotations(imqa_en, en_notes).manifest
@@ -109,12 +76,13 @@ def run(config: PipelineConfig) -> RunOutcome:
     corpus.save_manifest(merged, out_dir / "merged.jsonl")
     stages.append(StageSummary("merge", len(gsm8k) + len(math) + len(paired), len(merged)))
 
-    assignment = curriculum.split(merged, seed=config.seed, ratio=config.ratio)
+    assignment = curriculum.split(merged, seed=_SEED, ratio=0.70)
     curriculum.save_split(assignment, out_dir / "split.json")
     stages.append(StageSummary("split", len(merged), len(assignment.assignments)))
 
-    built = curriculum.build_curriculum(merged, assignment, mode=mode,
-                                         cumulative=config.cumulative)
+    built = curriculum.build_curriculum(merged, assignment,
+                                         mode=curriculum.TrainingMode.BILINGUAL_COMBINED,
+                                         cumulative=False)
     curriculum.save_curriculum(built, out_dir / "curriculum.json")
     stages.append(StageSummary("build", len(merged),
                                sum(len(stage.train_ids) for stage in built.stages)))
@@ -122,11 +90,11 @@ def run(config: PipelineConfig) -> RunOutcome:
     for stage in built.stages:
         safe = stage.name.replace("+", "_")
         export = curriculum.export_stage(built, stage.name, merged,
-                                         out_dir / f"train_{safe}.jsonl", seed=config.seed)
+                                         out_dir / f"train_{safe}.jsonl", seed=_SEED)
         stages.append(export.summary(f"export-{stage.name}"))
     structure.emit_training_config(out_dir / "training_config.txt")
 
-    predictions = evaluate.read_predictions(config.predictions_path)
+    predictions = evaluate.read_predictions(DEMO_DATA_DIR / "predictions.tsv")
     grades = evaluate.grade_predictions(predictions, merged, "demo-model")
     evaluate.save_grades(grades, out_dir / "grades.jsonl")
     report = evaluate.accuracy_report(grades, merged)

@@ -28,7 +28,7 @@ from ganitprep.evaluate import (
     fleiss_kappa,
     grade,
 )
-from ganitprep.pipeline import PipelineConfig, run
+from ganitprep.pipeline import run
 from ganitprep.structure import (
     FINE_TUNE_BODY,
     PromptName,
@@ -191,7 +191,7 @@ def test_c05_split_properties(tmp_path):
 
 
 def test_c06_curriculum_invariants(tmp_path):
-    manifest = run(PipelineConfig(out_dir=str(tmp_path / "demo"))).merged
+    manifest = run(tmp_path / "demo").merged
     assignment = split(manifest, seed=42)
     checks = []
     for cumulative in (False, True):

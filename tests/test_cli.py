@@ -12,8 +12,6 @@ import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
 from ganitprep.cli import build_parser, main
 from ganitprep.corpus import Difficulty, Source, load_manifest, save_manifest
-from ganitprep.errors import PipelineError
-from ganitprep.pipeline import PipelineConfig, load_pipeline_config
 
 
 _SOLUTION = {"data_identification": "2 and 2", "problem_analysis": "a sum",
@@ -138,7 +136,7 @@ class TestCurriculumFlow:
         save_manifest(make_manifest(problems), manifest_path)
         curriculum_path.write_text(json.dumps({
             "stages": [{"name": "SFT_easy", "train_ids": [p.id for p in problems],
-                        "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+                        "parent_checkpoint": "", "checkpoint_name": "SFT_easy"}],
             "mode": "en", "cumulative": False}), encoding="utf-8")
         return main(["curriculum", "export", "--curriculum", str(curriculum_path),
                      "--manifest", str(manifest_path), "--stage", "SFT_easy",
@@ -215,13 +213,22 @@ class TestCurriculumFlow:
          "curriculum file has no key 'train_ids'"),
         ({"stages": [], "mode": "fr", "cumulative": False},
          "curriculum file is malformed: 'fr' is not a valid TrainingMode"),
-        ({"stages": [{"name": "SFT_easy", "train_ids": "e1", "parent_checkpoint": None,
+        ({"stages": [{"name": "SFT_easy", "train_ids": "e1", "parent_checkpoint": "",
                       "checkpoint_name": "SFT_easy"}], "mode": "en", "cumulative": False},
          "curriculum file stage key 'train_ids' must be an array of strings, not a string"),
         ({"stages": [{"name": "SFT_easy", "train_ids": ["e0", "e1", "e0"],
-                      "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+                      "parent_checkpoint": "", "checkpoint_name": "SFT_easy"}],
           "mode": "en", "cumulative": False},
          "stage 'SFT_easy' repeats train id 'e0'"),
+        ({"stages": [{"name": "SFT_easy", "train_ids": ["e0"], "parent_checkpoint": "",
+                      "checkpoint_name": ["x"]}], "mode": "en", "cumulative": False},
+         "curriculum file stage key 'checkpoint_name' must be a string, not an array"),
+        ({"stages": [{"name": "SFT_easy", "train_ids": ["e0"], "parent_checkpoint": 7,
+                      "checkpoint_name": "SFT_easy"}], "mode": "en", "cumulative": False},
+         "curriculum file stage key 'parent_checkpoint' must be a string, not an integer"),
+        ({"stages": [{"name": 5, "train_ids": ["e0"], "parent_checkpoint": "",
+                      "checkpoint_name": "SFT_easy"}], "mode": "en", "cumulative": False},
+         "curriculum file stage key 'name' must be a string, not an integer"),
     ])
     def test_export_bad_curriculum_file_exits_1(self, tmp_path, capsys, payload, message):
         curriculum_path = tmp_path / "curriculum.json"
@@ -241,33 +248,6 @@ class TestCurriculumFlow:
         assert rc == 1
         assert _single_error(capsys).startswith(f"{split_path}: split file is malformed: ")
         assert not (tmp_path / "c.json").exists()
-
-    @pytest.mark.parametrize("payload,message", [
-        ([1], "structured solution must be a JSON object, not an array"),
-        ({**_SOLUTION, "computation": 5},
-         "structured solution key 'computation' must be a string, not an integer"),
-        ({**_SOLUTION, "answer": None},
-         "structured solution key 'answer' must be a string, not null"),
-        ({**_SOLUTION, "final_answer": "x"}, "structured solution is malformed: "),
-        ({**_SOLUTION, "final_answer": {"kind": "Rational", "rational": "1/0"}},
-         "structured solution is malformed: Fraction(1, 0)"),
-        ({**_SOLUTION, "final_answer": {"kind": "Bogus"}},
-         "structured solution is malformed: 'Bogus' is not a valid AnswerKind"),
-        ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]},
-         "structured solution has no key 'data_identification'"),
-        *(pytest.param({**_SOLUTION, "final_answer": value},
-                       "structured solution is malformed: an answer must be an object, "
-                       f"not {type(value).__name__}", id=f"final_answer-{value!r}")
-          for value in ([], "", 0, False)),
-    ])
-    def test_render_bad_structure_file_exits_1(self, tmp_path, capsys, payload, message):
-        solution_path = tmp_path / "solution.json"
-        solution_path.write_text(json.dumps(payload), encoding="utf-8")
-        out = tmp_path / "solution.txt"
-        rc = main(["structure", "render", "--in", str(solution_path), "--out", str(out)])
-        assert rc == 1
-        assert _single_error(capsys).startswith(f"{solution_path}: {message}")
-        assert not out.exists()
 
     def test_build_without_classify_errors(self, tmp_path, capsys):
         problems = [make_problem(f"u{i}", raw_solution="#### 1") for i in range(10)]
@@ -469,7 +449,7 @@ _GRADE_LINE = json.dumps({"problem_id": "zzz", "model_name": "m", "predicted": N
                           "reference": {"kind": "Rational", "rational": "1/1"},
                           "verdict": "Unparseable"})
 _STAGES = json.dumps({"stages": [{"name": "SFT_easy", "train_ids": ["zzz"],
-                                  "parent_checkpoint": None, "checkpoint_name": "SFT_easy"}],
+                                  "parent_checkpoint": "", "checkpoint_name": "SFT_easy"}],
                       "mode": "en", "cumulative": False})
 
 
@@ -492,13 +472,9 @@ def test_unknown_id_names_its_file(demo_dir, tmp_path, capsys, argv, text, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("structured", [
-    "text", [1],
-    *(pytest.param(value, id=f"structured-{value!r}") for value in ([], "", 0, False)),
-    *(pytest.param({**_SOLUTION, "final_answer": value}, id=f"final_answer-{value!r}")
-      for value in ([], "", 0, False)),
-])
-def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
+def _unreadable_structured(tmp_path, capsys, structured) -> str:
+    """What ``curriculum split`` says of a manifest whose line 3 holds a record
+    with ``structured`` as its structured solution, after ``unreadable record: ``."""
     manifest_path = tmp_path / "m.jsonl"
     problem = make_problem("p", raw_solution="#### 1")
     save_manifest(make_manifest([problem]), manifest_path)
@@ -508,10 +484,37 @@ def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
     rc = main(["curriculum", "split", "--in", str(manifest_path),
                "--out", str(tmp_path / "split.json")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error=") and err.count("\n") == 1
-    assert f"{manifest_path}:3: unreadable record: " in json.loads(err[len("error="):])
     assert not (tmp_path / "split.json").exists()
+    prefix, _, rest = _single_error(capsys).partition("unreadable record: ")
+    assert prefix == f"{manifest_path}:3: "
+    return rest
+
+
+@pytest.mark.parametrize("structured", [
+    "text", [1],
+    *(pytest.param(value, id=f"structured-{value!r}") for value in ([], "", 0, False)),
+    *(pytest.param({**_SOLUTION, "final_answer": value}, id=f"final_answer-{value!r}")
+      for value in ([], "", 0, False)),
+])
+def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
+    _unreadable_structured(tmp_path, capsys, structured)
+
+
+@pytest.mark.parametrize("structured,message", [
+    ({**_SOLUTION, "computation": 5},
+     "structured solution key 'computation' must be a string, not an integer"),
+    ({**_SOLUTION, "answer": None},
+     "structured solution key 'answer' must be a string, not null"),
+    ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]}, "'data_identification'"),
+    ({**_SOLUTION, "final_answer": "x"}, "an answer must be an object, not str"),
+    ({**_SOLUTION, "final_answer": {"kind": "Rational", "rational": "1/0"}},
+     "Fraction(1, 0)"),
+    ({**_SOLUTION, "final_answer": {"kind": "Bogus"}}, "'Bogus' is not a valid AnswerKind"),
+], ids=["computation-5", "answer-null", "no-data_identification", "final_answer-x",
+        "final_answer-1/0", "final_answer-Bogus"])
+def test_malformed_manifest_structured_solution_exits_1(tmp_path, capsys, structured,
+                                                        message):
+    assert _unreadable_structured(tmp_path, capsys, structured).startswith(message)
 
 
 @pytest.mark.parametrize("key,value,argv", [
@@ -547,65 +550,10 @@ def test_non_object_manifest_line_exits_1(tmp_path, capsys):
     assert f"{manifest_path}:3: record is not an object" in json.loads(err[len("error="):])
 
 
-class TestPipelineConfig:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": 13, "ratio": 0.8, "cumulative": True,
-                                    "out_dir": "somewhere"}), encoding="utf-8")
-        assert load_pipeline_config(path) == PipelineConfig(
-            seed=13, ratio=0.8, cumulative=True, out_dir="somewhere")
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"sneaky": 1}), encoding="utf-8")
-        with pytest.raises(PipelineError, match="sneaky"):
-            load_pipeline_config(path)
-
-    @pytest.mark.parametrize("key", ["log_level", "provider_config"])
-    def test_deleted_keys_rejected(self, tmp_path, key):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({key: ""}), encoding="utf-8")
-        with pytest.raises(PipelineError, match=key):
-            load_pipeline_config(path)
-
-    def test_int_accepted_for_float(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"ratio": 1}), encoding="utf-8")
-        assert load_pipeline_config(path).ratio == 1
-
-    @pytest.mark.parametrize("data,message", [
-        ([], "config must be a JSON object, not an array"),
-        ({"seed": True}, "'seed' must be an integer, not a boolean"),
-        ({"cumulative": 1}, "'cumulative' must be a boolean, not an integer"),
-        ({"out_dir": None}, "'out_dir' must be a string, not null"),
-    ])
-    def test_wrong_shape_or_type_rejected(self, tmp_path, data, message):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(PipelineError, match=message):
-            load_pipeline_config(path)
-
-
 def _single_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error=") and err.count("\n") == 1
     return json.loads(err[len("error="):])
-
-
-@pytest.mark.parametrize("config,message", [
-    ({"ratio": "0.7"}, "config key 'ratio' must be a number, not a string"),
-    ({"seed": [1]}, "config key 'seed' must be an integer, not an array"),
-    ({"ratio": 1.5}, "ratio must be in (0, 1), got 1.5"),
-    ({"mode": "fr"}, "'fr' is not a valid TrainingMode"),
-])
-def test_demo_bad_config_writes_nothing(tmp_path, capsys, config, message):
-    config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    rc = main(["demo", "--out", str(out_dir), "--config", str(config_path)])
-    assert rc == 1
-    assert _single_error(capsys) == f"{config_path}: {message}"
-    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("config,message", [
@@ -649,8 +597,7 @@ def test_augment_bad_config_writes_nothing(tmp_path, capsys, monkeypatch, config
     ["augment", "--in", "{manifest}", "--target", "1", "--config", "{path}",
      "--out", "{out}"],
     ["structure", "prompt", "--template", "finetune", "--bindings", "{path}", "--out", "{out}"],
-    ["demo", "--out", "{out}", "--config", "{path}"],
-], ids=["client config", "bindings", "pipeline config"])
+], ids=["client config", "bindings"])
 def test_non_json_file_exits_1(tmp_path, capsys, argv, text):
     manifest = tmp_path / "seeds.jsonl"
     save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest)
@@ -709,16 +656,6 @@ class TestDemo:
         for name, before in snapshots.items():
             assert (out_dir / name).read_bytes() == before, name
 
-    @pytest.mark.parametrize("path", ["{tmp}/nope.jsonl", ""], ids=["absent-file", "empty"])
-    def test_missing_config_path_validated(self, tmp_path, capsys, path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"gsm8k_path": path.format(tmp=tmp_path)}),
-                               encoding="utf-8")
-        rc = main(["demo", "--out", str(tmp_path / "o"), "--config", str(config_path)])
-        assert rc == 1
-        assert "missing input paths" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
 
 def _modules_after(code: str) -> set[str]:
     """Names in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
@@ -739,11 +676,17 @@ def test_readme_cli_examples_parse():
              for line in block.splitlines() if line.startswith("ganitprep ")]
     assert len(lines) > 15
     parser = build_parser()
+    shown = set()
     for line in lines:
+        argv = shlex.split(line)[1:]
         try:
-            parser.parse_args(shlex.split(line)[1:])
+            args = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        shown |= {(command, arg) for arg in argv if arg.startswith("--")}
+    # Every option of every command appears in an example of that command.
+    assert set(_option_pairs(parser)) - shown == set()
 
 
 def _option_pairs(parser, command=()):
@@ -762,7 +705,6 @@ CLI_OPTIONS = {
     "classify": "--in --out --math-levels --score --annotations --bottom-k",
     "decompose": "--in --out",
     "structure parse": "--in --lang --out",
-    "structure render": "--in --lang --out",
     "structure prompt": "--template --bindings --out",
     "structure emit-config": "--out",
     "curriculum pair": "--en --hi --key --out",
@@ -774,7 +716,7 @@ CLI_OPTIONS = {
     "evaluate grade": "--pred --manifest --model --out",
     "evaluate report": "--grades --manifest --out",
     "kappa": "--counts",
-    "demo": "--out --config",
+    "demo": "--out",
 }
 
 
@@ -782,7 +724,7 @@ def test_option_census():
     pairs = list(_option_pairs(build_parser()))
     assert pairs == [(command, option) for command, options in CLI_OPTIONS.items()
                      for option in options.split()]
-    assert len(pairs) == 55
+    assert len(pairs) == 51
 
 
 @pytest.mark.parametrize("argv", [
@@ -791,7 +733,10 @@ def test_option_census():
     ["evaluate", "report", "--grades", "g", "--manifest", "m", "--format", "csv"],
     ["augment", "--in", "m", "--target", "1", "--config", "c", "--out", "o",
      "--template", "augment"],
-], ids=["decompose-ops", "decompose-lang", "report-format", "augment-template"])
+    ["demo", "--out", "d", "--config", "c"],
+    ["structure", "render", "--in=s.json"],
+], ids=["decompose-ops", "decompose-lang", "report-format", "augment-template",
+        "demo-config", "structure-render"])
 def test_removed_option_exits_2(capsys, argv):
     assert main(argv) == 2
     assert argv[-2] in capsys.readouterr().err
@@ -884,6 +829,10 @@ def test_bottom_k_without_score_exits_1(tmp_path, capsys, route):
 @pytest.mark.parametrize("key,value,message", [
     ("format", "ganitprep/split", "not a manifest file (format 'ganitprep/split')"),
     ("version", 2, "unsupported manifest version 2"),
+    ("version", True, "manifest header key 'version' must be an integer, not a boolean"),
+    ("version", 1.0, "manifest header key 'version' must be an integer, not a number"),
+    ("count", True, "manifest header key 'count' must be an integer, not a boolean"),
+    ("count", 1.0, "manifest header key 'count' must be an integer, not a number"),
 ])
 def test_manifest_header_of_another_kind_exits_1(tmp_path, capsys, key, value, message):
     from ganitprep import corpus
@@ -927,14 +876,13 @@ def test_report_without_out_writes_table_to_stdout(demo_dir, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("action", ["parse", "render"])
-def test_structure_without_out_writes_text_to_stdout(tmp_path, capsys, action):
+def test_structure_without_out_writes_text_to_stdout(tmp_path, capsys):
     from ganitprep.structure import StructuredSolution, render_structured
 
     text = render_structured(StructuredSolution.from_dict(_SOLUTION))
-    path = tmp_path / "solution"
-    path.write_text(text if action == "parse" else json.dumps(_SOLUTION), encoding="utf-8")
-    assert main(["structure", action, "--in", str(path)]) == 0
+    path = tmp_path / "solution.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["structure", "parse", "--in", str(path)]) == 0
     assert capsys.readouterr() == (text, "stage=structure in=1 out=1 flagged=0\n")
 
 

@@ -8,7 +8,6 @@ import contextlib
 import io
 import json
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,11 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ganitprep import llm_client
-from ganitprep.answers import AnswerValue
 from ganitprep.cli import main
 from ganitprep.corpus import load_manifest
 from ganitprep.pipeline import DEMO_DATA_DIR
-from ganitprep.structure import StructuredSolution
 
 # A value of every JSON type, to put in place of one of another type.
 JSON_VALUES = (None, True, 0, 1.5, "x", [], {}, ["x"], {"x": 1})
@@ -34,14 +31,9 @@ def valid(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["demo", "--out", str(demo)]) == 0
     texts = {
-        "pipeline config": json.dumps({"seed": 7, "ratio": 0.7, "mode": "bilingual",
-                                       "cumulative": False}),
         "client config": json.dumps({"kind": "http", "endpoint": "http://example.test",
                                      "concurrency": 2, "retry": {"max_attempts": 2}}),
         "bindings": json.dumps({"Question": "What is 2 + 2?", "Response": "4"}),
-        "structure": json.dumps(StructuredSolution(
-            "2 and 2", "a sum", "addition", "add", "2 + 2 = 4", "4",
-            AnswerValue.from_rational(Fraction(4))).to_dict()),
         "counts": "3 0\n2 1\n0 3\n",
         "structure text": "".join(f"{heading}:\n{heading} text\n\n" for heading in (
             "Data Identification", "Problem Analysis", "Theoretical Framework",
@@ -73,12 +65,10 @@ def _argv(reader: str, path: Path, files: dict, out: Path) -> list[str]:
         "curriculum": ["curriculum", "export", "--curriculum", str(path),
                        "--manifest", manifest, "--stage", "SFT_easy",
                        "--out", str(out / "s.jsonl")],
-        "pipeline config": ["demo", "--out", str(out / "demo"), "--config", str(path)],
         "client config": ["augment", "--in", manifest, "--target", "1",
                           "--config", str(path), "--out", str(out / "a.jsonl")],
         "bindings": ["structure", "prompt", "--template", "finetune",
                      "--bindings", str(path), "--out", str(out / "p.txt")],
-        "structure": ["structure", "render", "--in", str(path), "--out", str(out / "r.txt")],
         "structure text": ["structure", "parse", "--in", str(path), "--out", str(out / "r.txt")],
         "manifest": ["curriculum", "split", "--in", str(path), "--out", str(out / "s.json")],
         "grades": ["evaluate", "report", "--grades", str(path), "--manifest", manifest,
@@ -135,9 +125,9 @@ def _damaged(draw, data: bytes, is_json: bool) -> bytes:
 
 
 TEXT_READERS = {"predictions", "annotations", "counts", "structure text"}
-READERS = ["split", "curriculum", "pipeline config", "client config", "bindings",
-           "structure", "structure text", "manifest", "grades", "predictions",
-           "annotations", "counts", "gsm8k", "math", "hawp"]
+READERS = ["split", "curriculum", "client config", "bindings", "structure text",
+           "manifest", "grades", "predictions", "annotations", "counts", "gsm8k", "math",
+           "hawp"]
 
 
 @pytest.mark.parametrize("reader", READERS)
