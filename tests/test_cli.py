@@ -130,10 +130,13 @@ class TestCurriculumFlow:
         return path
 
     @staticmethod
-    def _export(tmp_path, problems) -> int:
-        """Export stage SFT_easy, training ``problems`` in this order, to stage.jsonl."""
+    def _export(tmp_path, problems, extra_records=()) -> int:
+        """Export stage SFT_easy, training ``problems`` in this order, to stage.jsonl.
+        ``extra_records`` are appended to m.jsonl as raw JSON lines."""
         manifest_path, curriculum_path = tmp_path / "m.jsonl", tmp_path / "c.json"
         save_manifest(make_manifest(problems), manifest_path)
+        with manifest_path.open("a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(record) + "\n" for record in extra_records)
         curriculum_path.write_text(json.dumps({
             "stages": [{"name": "SFT_easy", "train_ids": [p.id for p in problems],
                         "parent_checkpoint": "", "checkpoint_name": "SFT_easy"}],
@@ -238,6 +241,22 @@ class TestCurriculumFlow:
                    "--stage", "SFT_easy", "--out", str(tmp_path / "stage.jsonl")])
         assert rc == 1
         assert _single_error(capsys) == f"{curriculum_path}: {message}"
+
+    @pytest.mark.parametrize("structured,message", [
+        pytest.param([1], "field 'structured_solution' must be dict or null, not list",
+                     id="payload0-structured solution is an array"),
+        *(pytest.param({**_SOLUTION, "final_answer": value},
+                       f"an answer must be an object, not {type(value).__name__}",
+                       id=f"final_answer-{value!r}") for value in ([], "", 0, False)),
+    ])
+    def test_render_bad_structure_file_exits_1(self, tmp_path, capsys, structured, message):
+        # Export renders each structured solution, so a wrongly typed one stops it
+        # at the manifest line that holds it, before anything is written.
+        problem = make_problem("p", raw_solution="#### 1")
+        bad = {**problem.to_dict(), "id": "q", "structured_solution": structured}
+        assert self._export(tmp_path, [problem], extra_records=[bad]) == 1
+        assert _single_error(capsys) == f"{tmp_path / 'm.jsonl'}:3: unreadable record: {message}"
+        assert not (tmp_path / "stage.jsonl").exists()
 
     @pytest.mark.parametrize("text", ["", "{", "\ufeff{}", "[1"])
     def test_build_unreadable_split_file_exits_1(self, tmp_path, capsys, text):
