@@ -17,7 +17,7 @@ from ganitprep.corpus import (
     load_manifest,
     save_manifest,
 )
-from ganitprep.errors import IntegrityError
+from ganitprep.errors import PipelineError
 from ganitprep.pipeline import DEMO_DATA_DIR
 
 gsm8k = ingest_gsm8k(DEMO_DATA_DIR / "gsm8k.jsonl")
@@ -52,5 +52,5 @@ with tempfile.TemporaryDirectory() as tmp:
     broken.write_bytes(corrupted)
     try:
         load_manifest(broken)
-    except IntegrityError as exc:
+    except PipelineError as exc:
         print("corrupted file rejected:", str(exc)[:60], "...")

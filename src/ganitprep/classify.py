@@ -23,14 +23,10 @@ from ganitprep.corpus import CorpusManifest, Difficulty, Problem, replace_record
 from ganitprep.errors import PipelineError, numbered_lines
 
 
-class ClassifyError(PipelineError):
-    pass
-
-
 def map_math_level(level: int) -> Difficulty:
     """Map a competition level 1..5 to a difficulty band."""
     if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= 5:
-        raise ClassifyError(f"level must be in 1..5, got {level!r}")
+        raise PipelineError(f"level must be in 1..5, got {level!r}")
     if level == 1:
         return Difficulty.EASY
     if level in (2, 3):
@@ -190,7 +186,7 @@ def rank_bottom_k(manifest: CorpusManifest, k: int) -> CorpusManifest:
     Ties break by id, so the selection is invariant under input order.
     """
     if k < 0 or k > len(manifest):
-        raise ClassifyError(f"k must be in 0..{len(manifest)}, got {k}")
+        raise PipelineError(f"k must be in 0..{len(manifest)}, got {k}")
     # The total alone, without building a ComplexityScore.
     ranked = sorted(
         manifest,
@@ -216,7 +212,7 @@ def apply_annotations(
     known = {p.id for p in manifest}
     unknown = sorted(set(annotations) - known)
     if unknown:
-        raise ClassifyError(f"annotations reference unknown ids: {', '.join(unknown)}")
+        raise PipelineError(f"annotations reference unknown ids: {', '.join(unknown)}")
     records = [
         replace(p, difficulty=annotations[p.id]) if p.id in annotations else p
         for p in manifest
@@ -230,15 +226,15 @@ def apply_annotations(
 def read_annotations(path) -> dict[str, Difficulty]:
     """Read a line-delimited ``id<TAB>difficulty`` annotation file, one line per id."""
     annotations: dict[str, Difficulty] = {}
-    for lineno, line, _ in numbered_lines(path, ClassifyError):
+    for lineno, line, _ in numbered_lines(path):
         parts = line.strip().split("\t")
         if len(parts) != 2:
-            raise ClassifyError(f"{path}:{lineno}: expected id<TAB>difficulty")
+            raise PipelineError(f"{path}:{lineno}: expected id<TAB>difficulty")
         problem_id, label = parts
         if problem_id in annotations:
-            raise ClassifyError(f"{path}:{lineno}: duplicate id {problem_id!r}")
+            raise PipelineError(f"{path}:{lineno}: duplicate id {problem_id!r}")
         try:
             annotations[problem_id] = Difficulty(label)
         except ValueError:
-            raise ClassifyError(f"{path}:{lineno}: unknown difficulty {label!r}") from None
+            raise PipelineError(f"{path}:{lineno}: unknown difficulty {label!r}") from None
     return annotations

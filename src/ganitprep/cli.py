@@ -89,7 +89,8 @@ def _cmd_structure(args) -> StageSummary:
         return StageSummary("structure", 0, 1)
     if args.action == "prompt":
         template = structure_mod.get_template(args.template)
-        with json_object_file(args.bindings, "bindings file") as bindings:
+        with json_object_file(args.bindings, "bindings file",
+                              dict.fromkeys(template.placeholders, str)) as bindings:
             rendered = structure_mod.render_prompt(template, bindings)
     else:
         with naming(args.infile):

@@ -55,8 +55,7 @@ from ganitprep.common import (
     canonical_json,
     write_lines_atomic,
 )
-from ganitprep.errors import (MALFORMED, IntegrityError, PipelineError, RecordFormatError,
-                              check_json_object, naming, numbered_lines)
+from ganitprep.errors import MALFORMED, PipelineError, check_json_object, naming, numbered_lines
 from ganitprep.structure import StructuredSolution
 
 MANIFEST_FORMAT = "ganitprep/manifest"
@@ -114,15 +113,15 @@ class Problem:
 
     def __post_init__(self):
         if not self.id:
-            raise IntegrityError("problem id must be nonempty")
+            raise PipelineError("problem id must be nonempty")
         if self.source is Source.MATH:
             if self.math_level is None or not 1 <= self.math_level <= 5:
-                raise IntegrityError(
+                raise PipelineError(
                     f"problem {self.id}: MATH source requires math_level in 1..5, "
                     f"got {self.math_level!r}"
                 )
         elif self.math_level is not None:
-            raise IntegrityError(
+            raise PipelineError(
                 f"problem {self.id}: math_level is only valid for MATH source"
             )
 
@@ -206,18 +205,18 @@ def _validate_records(records: tuple[Problem, ...]) -> None:
     pairs: dict[str, list[Problem]] = {}
     for problem in records:
         if problem.id in seen:
-            raise IntegrityError(f"duplicate problem id: {problem.id}")
+            raise PipelineError(f"duplicate problem id: {problem.id}")
         seen.add(problem.id)
         if problem.pair_id:
             pairs.setdefault(problem.pair_id, []).append(problem)
     for pair_id, members in pairs.items():
         languages = {p.language for p in members}
         if len(languages) != len(members):
-            raise IntegrityError(f"pair {pair_id}: members must have distinct languages")
+            raise PipelineError(f"pair {pair_id}: members must have distinct languages")
         if len({p.source for p in members}) != 1:
-            raise IntegrityError(f"pair {pair_id}: members must share one source")
+            raise PipelineError(f"pair {pair_id}: members must share one source")
         if len({p.difficulty for p in members}) != 1:
-            raise IntegrityError(f"pair {pair_id}: members must share one difficulty")
+            raise PipelineError(f"pair {pair_id}: members must share one difficulty")
 
 
 @dataclass(frozen=True)
@@ -289,16 +288,16 @@ _HEADER_TYPES = {"format": str, "version": int, "source_format": str, "created_a
 
 
 def load_manifest(path) -> CorpusManifest:
-    lines = numbered_lines(path, IntegrityError, "record")
+    lines = numbered_lines(path, "record")
     _, _, header = next(lines, (0, "", None))
     if header is None:
-        raise IntegrityError(f"{path}: empty manifest file")
-    with naming(path, "manifest header", IntegrityError):
-        check_json_object(header, _HEADER_TYPES, IntegrityError, "manifest header")
+        raise PipelineError(f"{path}: empty manifest file")
+    with naming(path, "manifest header"):
+        check_json_object(header, _HEADER_TYPES, "manifest header")
     if header.get("format") != MANIFEST_FORMAT:
-        raise IntegrityError(f"{path}: not a manifest file (format {header.get('format')!r})")
+        raise PipelineError(f"{path}: not a manifest file (format {header.get('format')!r})")
     if header.get("version") != MANIFEST_VERSION:
-        raise IntegrityError(f"{path}: unsupported manifest version {header.get('version')!r}")
+        raise PipelineError(f"{path}: unsupported manifest version {header.get('version')!r}")
     records = []
 
     def record_lines() -> Iterator[str]:
@@ -307,22 +306,22 @@ def load_manifest(path) -> CorpusManifest:
                 records.append(Problem.from_dict(data))
             # TypeError and AttributeError: a field holding the wrong JSON type.
             except (PipelineError, *MALFORMED) as exc:
-                raise IntegrityError(f"{path}:{lineno}: unreadable record: {exc}") from exc
+                raise PipelineError(f"{path}:{lineno}: unreadable record: {exc}") from exc
             yield line
 
     # The record lines as read, hashed one at a time, not a re-serialisation
     # of the parsed records.
     checksum = _lines_checksum(record_lines())
     if header.get("count") != len(records):
-        raise IntegrityError(
+        raise PipelineError(
             f"{path}: header count {header.get('count')} != {len(records)} records"
         )
     if checksum != header.get("checksum"):
-        raise IntegrityError(
+        raise PipelineError(
             f"{path}: checksum mismatch (header {header.get('checksum')}, "
             f"recomputed {checksum})"
         )
-    with naming(path, "manifest header", IntegrityError):
+    with naming(path, "manifest header"):
         return CorpusManifest.from_records(
             records,
             SourceFormat(header["source_format"]),
@@ -361,7 +360,7 @@ _FINAL_MARKER_RE = re.compile(r"^#### ", re.MULTILINE)
 
 def _check_gsm8k(record: dict) -> dict:
     if not _FINAL_MARKER_RE.search(record["answer"]):
-        raise RecordFormatError("no final-answer marker")
+        raise PipelineError("no final-answer marker")
     return {}
 
 
@@ -372,10 +371,10 @@ def _check_math(record: dict) -> dict:
     level_text = record["level"]
     match = _LEVEL_RE.match(level_text)
     if not match:
-        raise RecordFormatError(f"unparseable level {level_text!r}")
+        raise PipelineError(f"unparseable level {level_text!r}")
     level = int(match.group(1))
     if not 1 <= level <= 5:
-        raise RecordFormatError(f"level {level} outside 1..5")
+        raise PipelineError(f"level {level} outside 1..5")
     return {"math_level": level}
 
 
@@ -392,7 +391,7 @@ def _check_hawp(record: dict) -> dict:
     operation = _OPERATION_TAGS.get(tag.strip().lower())
     if operation is None:
         valid = ", ".join(sorted(_OPERATION_TAGS))
-        raise RecordFormatError(f"unknown operation tag {tag!r} (valid tags: {valid})")
+        raise PipelineError(f"unknown operation tag {tag!r} (valid tags: {valid})")
     return {"operation": operation}
 
 
@@ -412,15 +411,15 @@ _INDIMATHQA = _Layout(Source.INDIMATHQA, SourceFormat.INDIMATHQA, ("id", "questi
 def _ingest(path, layout: _Layout, language: Language) -> CorpusManifest:
     consumed = {layout.question, layout.solution, layout.topic, *layout.required}
     records = []
-    for lineno, _, record in numbered_lines(path, RecordFormatError, "record"):
+    for lineno, _, record in numbered_lines(path, "record"):
         try:
             for name in layout.required:
                 value = record.get(name)
                 if not isinstance(value, str) or not value.strip():
-                    raise RecordFormatError(f"missing field {name!r}")
+                    raise PipelineError(f"missing field {name!r}")
             fields = layout.check(record) if layout.check else {}
-        except RecordFormatError as exc:
-            raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+        except PipelineError as exc:
+            raise PipelineError(f"{path}:{lineno}: {exc}") from None
         solution = record.get(layout.solution)
         if isinstance(solution, str) and solution:  # an empty solution reads as absent
             fields["raw_solution"] = nfc(solution)
@@ -434,7 +433,7 @@ def _ingest(path, layout: _Layout, language: Language) -> CorpusManifest:
             extras={k: v for k, v in record.items() if k not in consumed},
             **fields,
         ))
-    with naming(path, error=RecordFormatError):  # a duplicate id
+    with naming(path):  # a duplicate id
         return CorpusManifest.from_records(records, layout.source_format,
                                            created_at=file_created_at(path))
 

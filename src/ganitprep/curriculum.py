@@ -40,10 +40,6 @@ STAGE_EASY = "SFT_easy"
 STAGE_EASY_MEDIUM = "SFT_easy+medium"
 
 
-class CurriculumError(PipelineError):
-    pass
-
-
 class PairKey(Enum):
     BY_ID = "ById"
     BY_INDEX = "ByIndex"
@@ -73,7 +69,7 @@ def pair_bilingual(
     for manifest, language in ((en, Language.ENGLISH), (hi, Language.HINDI)):
         wrong = [p.id for p in manifest if p.language is not language]
         if wrong:
-            raise CurriculumError(
+            raise PipelineError(
                 f"{language.value} manifest has foreign-language problems: "
                 f"{', '.join(wrong[:5])}"
             )
@@ -82,12 +78,12 @@ def pair_bilingual(
         hi_ids = {p.id for p in hi}
         if en_ids != hi_ids:
             missing = sorted(en_ids ^ hi_ids)
-            raise CurriculumError(f"id sets differ: {', '.join(missing[:5])}")
+            raise PipelineError(f"id sets differ: {', '.join(missing[:5])}")
         order = sorted(en_ids)
         pairs = [(en.by_id(pid), hi.by_id(pid)) for pid in order]
     else:
         if len(en) != len(hi):
-            raise CurriculumError(f"size mismatch: {len(en)} English vs {len(hi)} Hindi")
+            raise PipelineError(f"size mismatch: {len(en)} English vs {len(hi)} Hindi")
         pairs = list(zip(en.records, hi.records))
 
     mismatched = [
@@ -96,7 +92,7 @@ def pair_bilingual(
     ]
     if mismatched:
         listing = "; ".join(f"{a}/{b}" for a, b in mismatched[:5])
-        raise CurriculumError(f"pairs disagree on difficulty or source: {listing}")
+        raise PipelineError(f"pairs disagree on difficulty or source: {listing}")
 
     collisions = {p.id for p in en} & {p.id for p in hi}
     en_out, hi_out = [], []
@@ -134,13 +130,13 @@ def merge_sources(
     discrepancies, not errors.
     """
     if not manifests:
-        raise CurriculumError("nothing to merge")
+        raise PipelineError("nothing to merge")
     seen: set[str] = set()
     records: list[Problem] = []
     for manifest in manifests:
         for problem in manifest:
             if problem.id in seen:
-                raise CurriculumError(f"id collision while merging: {problem.id}")
+                raise PipelineError(f"id collision while merging: {problem.id}")
             seen.add(problem.id)
             records.append(problem)
     created = max(m.created_at for m in manifests)
@@ -182,7 +178,7 @@ def split(manifest: CorpusManifest, seed: int, ratio: float = 0.70) -> SplitAssi
     stratum is round(ratio * size) up to the pairing constraint.
     """
     if not 0 < ratio < 1:
-        raise CurriculumError(f"ratio must be in (0, 1), got {ratio}")
+        raise PipelineError(f"ratio must be in (0, 1), got {ratio}")
     groups: dict[str, list[Problem]] = {}
     for problem in manifest:
         key = problem.pair_id or f"solo:{problem.id}"
@@ -236,7 +232,7 @@ class CurriculumManifest:
         for stage in self.stages:
             if stage.name == name:
                 return stage
-        raise CurriculumError(f"no stage named {name!r}")
+        raise PipelineError(f"no stage named {name!r}")
 
 
 def build_curriculum(
@@ -251,7 +247,7 @@ def build_curriculum(
     """
     unassigned = [p.id for p in manifest if p.id not in assignment.assignments]
     if unassigned:
-        raise CurriculumError(f"the split assigns neither side to {len(unassigned)} of "
+        raise PipelineError(f"the split assigns neither side to {len(unassigned)} of "
                               f"the manifest's problems, among them {unassigned[:5]}")
     pool = [p for p in manifest if passes_review(p)]  # pending review never trains
     if mode is TrainingMode.MONOLINGUAL_EN:
@@ -270,17 +266,17 @@ def build_curriculum(
     medium = train_ids(Difficulty.MEDIUM)
     if not easy or not medium:
         if any(p.difficulty is Difficulty.UNCLASSIFIED for p in pool):
-            raise CurriculumError("Unclassified problems in Easy/Medium strata; "
+            raise PipelineError("Unclassified problems in Easy/Medium strata; "
                                   "classify the corpus first")
         missing = "Easy" if not easy else "Medium"
-        raise CurriculumError(f"empty {missing} train stratum")
+        raise PipelineError(f"empty {missing} train stratum")
 
     stage_two_ids = easy + medium if cumulative else medium
     test_ids = assignment.test_ids()
     for ids in (easy, stage_two_ids):
         leaked = test_ids.intersection(ids)
         if leaked:
-            raise CurriculumError(f"test ids leaked into training: {sorted(leaked)[:5]}")
+            raise PipelineError(f"test ids leaked into training: {sorted(leaked)[:5]}")
     stages = (
         Stage(name=STAGE_EASY, train_ids=easy, parent_checkpoint="",
               checkpoint_name=STAGE_EASY),
@@ -369,7 +365,7 @@ def save_split(assignment: SplitAssignment, path) -> None:
 
 def load_split(path) -> SplitAssignment:
     types = {"seed": int, "ratio": float, "assignments": dict[str, str], "strata": list}
-    with json_object_file(path, "split file", CurriculumError, types) as payload:
+    with json_object_file(path, "split file", types) as payload:
         return SplitAssignment(
             seed=payload["seed"],
             ratio=payload["ratio"],
@@ -401,15 +397,15 @@ def save_curriculum(curriculum: CurriculumManifest, path) -> None:
 
 def load_curriculum(path) -> CurriculumManifest:
     types = {"stages": list, "mode": str, "cumulative": bool}
-    with json_object_file(path, "curriculum file", CurriculumError, types) as payload:
+    with json_object_file(path, "curriculum file", types) as payload:
         for row in payload["stages"]:
             check_json_object(row, {"name": str, "train_ids": list[str],
                                     "parent_checkpoint": str, "checkpoint_name": str},
-                              CurriculumError, "curriculum file stage")
+                              "curriculum file stage")
             ids = row["train_ids"]
             if len(set(ids)) < len(ids):
                 repeat = next(pid for pid in ids if ids.count(pid) > 1)
-                raise CurriculumError(f"stage {row['name']!r} repeats train id {repeat!r}")
+                raise PipelineError(f"stage {row['name']!r} repeats train id {repeat!r}")
         return CurriculumManifest(
             stages=tuple(
                 Stage(

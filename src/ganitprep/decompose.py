@@ -184,16 +184,16 @@ def extract_operands(problem: Problem) -> OperandPair | None:
 
     Explicit ``extras["operand_a"/"operand_b"]`` win; otherwise the last
     line of the raw solution matching ``<int> <op> <int> = <number>`` is
-    used, with Devanagari digits accepted. Returns None when nothing
-    matches or the line's operator disagrees with the problem's tag.
+    used, with Devanagari digits accepted. Returns None when an explicit
+    operand is not a JSON integer, when nothing matches, or when the line's
+    operator disagrees with the problem's tag.
     """
     extras = problem.extras
     if "operand_a" in extras and "operand_b" in extras:
-        try:
-            return OperandPair(int(extras["operand_a"]), int(extras["operand_b"]),
-                               problem.operation)
-        except (TypeError, ValueError, OverflowError):
+        a, b = extras["operand_a"], extras["operand_b"]
+        if type(a) is not int or type(b) is not int:  # a bool is no operand
             return None
+        return OperandPair(a, b, problem.operation)
     if not problem.raw_solution:
         return None
     for line in reversed(map_devanagari_digits(problem.raw_solution).splitlines()):

@@ -1,4 +1,4 @@
-"""Shared exception hierarchy, and the one read path for every artifact file:
+"""The package's one error type, and the one read path for every artifact file:
 a failed read is one error worded ``<path>: <what>`` or ``<path>:<line>: <what>``.
 """
 
@@ -8,15 +8,8 @@ from dataclasses import fields
 
 
 class PipelineError(Exception):
-    """Base class for every error this package raises deliberately."""
-
-
-class RecordFormatError(PipelineError):
-    """A source record does not match its declared file format."""
-
-
-class IntegrityError(PipelineError):
-    """A persisted artifact fails its checksum or an invariant check."""
+    """The one error this package raises deliberately: bad input, a broken
+    artifact or a refused request. Its message is the whole report."""
 
 
 # What decoding JSON nested too deep, or building a value from decoded JSON
@@ -37,8 +30,8 @@ def _has_type(value, kind) -> bool:
     return type(value) is kind or (kind is float and type(value) is int)
 
 
-def check_json_object(data, types: dict, error: type, what: str) -> None:
-    """Raise ``error`` unless ``data`` is a JSON object whose keys hold their types.
+def check_json_object(data, types: dict, what: str) -> None:
+    """Raise unless ``data`` is a JSON object whose keys hold their types.
 
     ``types`` maps a key to the Python type its decoded value must have;
     absent keys and keys not in ``types`` pass. A bool is not an int, an int
@@ -46,24 +39,24 @@ def check_json_object(data, types: dict, error: type, what: str) -> None:
     for string items.
     """
     if type(data) is not dict:
-        raise error(f"{what} must be a JSON object, not {_json_name(data)}")
+        raise PipelineError(f"{what} must be a JSON object, not {_json_name(data)}")
     for key, kind in types.items():
         if key in data and not _has_type(data[key], kind):
-            raise error(f"{what} key {key!r} must be {_JSON_NAMES[kind]}, "
-                        f"not {_json_name(data[key])}")
+            raise PipelineError(f"{what} key {key!r} must be {_JSON_NAMES[kind]}, "
+                                f"not {_json_name(data[key])}")
 
 
-def check_fields(data, cls, error: type, what: str, **types) -> None:
-    """Raise ``error`` unless ``data`` is a JSON object of dataclass ``cls``'s fields.
+def check_fields(data, cls, what: str, **types) -> None:
+    """Raise unless ``data`` is a JSON object of dataclass ``cls``'s fields.
 
     A field's default has the type its JSON value must decode to, unless
     ``types`` gives another; a key that names no field is rejected.
     """
     types = {f.name: type(f.default) for f in fields(cls)} | types
-    check_json_object(data, types, error, what)
+    check_json_object(data, types, what)
     unknown = set(data) - set(types)
     if unknown:
-        raise error(f"unknown {what} keys: {sorted(unknown)}")
+        raise PipelineError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _json_name(value) -> str:
@@ -71,34 +64,34 @@ def _json_name(value) -> str:
 
 
 @contextmanager
-def naming(path, what: str = "", error: type = PipelineError):
-    """Raise a failure in the ``with`` body as an ``error`` naming ``path``;
+def naming(path, what: str = ""):
+    """Raise a failure in the ``with`` body as an error naming ``path``;
     ``what`` names the content for a missing key or a malformed value."""
     try:
         yield
     except PipelineError as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise PipelineError(f"{path}: {exc}") from exc
     except KeyError as exc:
-        raise error(f"{path}: {what} has no key {exc}" if what else
-                    f"{path}: {exc.args[0]}") from exc
+        raise PipelineError(f"{path}: {what} has no key {exc}" if what else
+                            f"{path}: {exc.args[0]}") from exc
     except MALFORMED as exc:  # a decode error too
-        raise error(f"{path}: {what} is malformed: {exc}" if what else f"{path}: {exc}") from exc
+        raise PipelineError(f"{path}: {what} is malformed: {exc}" if what else
+                            f"{path}: {exc}") from exc
 
 
 @contextmanager
-def json_object_file(path, what: str, error: type = PipelineError, types: dict = {}):
+def json_object_file(path, what: str, types: dict = {}):
     """Yield the JSON object in the UTF-8 file ``path``, whose keys hold ``types``;
-    any failure, in the ``with`` body too, is raised as an ``error`` naming the path.
+    any failure, in the ``with`` body too, is raised as an error naming the path.
     """
-    with naming(path, what, error):
+    with naming(path, what):
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        check_json_object(data, types, error, what)
+        check_json_object(data, types, what)
         yield data
 
 
-def numbered_lines(path, error: type = PipelineError, what: str | None = None,
-                   build=None):
+def numbered_lines(path, what: str | None = None, build=None):
     r"""Yield ``(line number, line, object)`` for each nonblank line of ``path``.
 
     The UTF-8 file is streamed. Only "\n" ends a line (a "\r\n" ending goes
@@ -117,7 +110,8 @@ def numbered_lines(path, error: type = PipelineError, what: str | None = None,
                 if build:
                     data = build(data)
             except PipelineError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from exc
+                raise PipelineError(f"{path}:{lineno}: {exc}") from exc
             except MALFORMED as exc:  # not UTF-8 or not JSON too
-                raise error(f"{path}:{lineno}: unreadable {what or 'line'}: {exc}") from exc
+                raise PipelineError(
+                    f"{path}:{lineno}: unreadable {what or 'line'}: {exc}") from exc
             yield lineno, line, data

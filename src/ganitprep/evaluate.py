@@ -46,10 +46,6 @@ RELATIVE_TOLERANCE = Fraction(1, 10**6)
 FINAL_ANSWER_MARKERS = ("Final Answer", "अंतिम उत्तर", "उत्तर")
 
 
-class EvaluationError(PipelineError):
-    pass
-
-
 class Verdict(Enum):
     CORRECT = "Correct"
     INCORRECT = "Incorrect"
@@ -195,7 +191,7 @@ class GradeRecord:
 
     def __post_init__(self):
         if (self.verdict is Verdict.UNPARSEABLE) != (self.predicted is None):
-            raise EvaluationError(
+            raise PipelineError(
                 f"{self.problem_id}: Unparseable verdict must pair with an "
                 "absent prediction"
             )
@@ -247,7 +243,7 @@ def grade_predictions(
         problem = manifest.by_id(problem_id)
         reference = reference_answer(problem)
         if reference is None:
-            raise EvaluationError(f"{problem_id}: no extractable reference answer")
+            raise PipelineError(f"{problem_id}: no extractable reference answer")
         predicted = extract_answer(output)
         records.append(GradeRecord(
             problem_id=problem_id,
@@ -262,7 +258,7 @@ def grade_predictions(
 def half_up_percent(correct: int, total: int) -> int:
     """Integer percentage, rounding halves up (2/3 -> 67)."""
     if total <= 0:
-        raise EvaluationError("percentage of an empty cell")
+        raise PipelineError("percentage of an empty cell")
     return (200 * correct + total) // (2 * total)
 
 
@@ -390,7 +386,7 @@ def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
         try:
             problem = manifest.by_id(record.problem_id)
         except KeyError:
-            raise EvaluationError(
+            raise PipelineError(
                 f"grade references unknown problem id {record.problem_id!r}"
             ) from None
         key = (record.model_name, problem.language, problem.source, problem.difficulty)
@@ -410,7 +406,7 @@ def _grade_once(graded: set[tuple[str, str]], record) -> None:
     """Add ``record``'s (model, problem) to ``graded``, refusing a second grade."""
     key = (record.model_name, record.problem_id)
     if key in graded:
-        raise EvaluationError(f"second grade of problem {record.problem_id!r} "
+        raise PipelineError(f"second grade of problem {record.problem_id!r} "
                               f"for model {record.model_name!r}")
     graded.add(key)
 
@@ -421,7 +417,7 @@ def save_grades(grades: Sequence[GradeRecord], path) -> None:
 
 def load_grades(path) -> list[GradeRecord]:
     return [grade for _, _, grade in
-            numbered_lines(path, EvaluationError, "grade", GradeRecord.from_dict)]
+            numbered_lines(path, "grade", GradeRecord.from_dict)]
 
 
 class VerdictRow(NamedTuple):
@@ -439,20 +435,20 @@ def _verdict_row(data: dict) -> VerdictRow:
     """The verdict row of a decoded grade line, checked as a GradeRecord is."""
     for key in ("problem_id", "model_name"):
         if not isinstance(data.get(key, ""), str):
-            raise EvaluationError(f"{key} is not a string")
+            raise PipelineError(f"{key} is not a string")
     value = data.get("verdict")
     try:
         verdict = _VERDICTS[value]
     except (KeyError, TypeError):  # unknown or unhashable value
-        raise EvaluationError(f"unknown verdict {value!r}") from None
+        raise PipelineError(f"unknown verdict {value!r}") from None
     predicted = data.get("predicted")
     if (verdict is Verdict.UNPARSEABLE) == (predicted is not None):
-        raise EvaluationError("Unparseable verdict must pair with an absent prediction")
+        raise PipelineError("Unparseable verdict must pair with an absent prediction")
     try:
         row = VerdictRow(data["problem_id"], data["model_name"], verdict)
         reference = data["reference"]
     except KeyError as exc:
-        raise EvaluationError(f"missing field {exc}") from None
+        raise PipelineError(f"missing field {exc}") from None
     # The answers' shapes, not their values: a report leaves them undecoded.
     if predicted is not None and type(predicted) is not dict:
         raise TypeError(f"predicted must be an object or null, not {type(predicted).__name__}")
@@ -478,7 +474,7 @@ def read_verdicts(*paths) -> list[VerdictRow]:
         return row
 
     return [row for path in paths
-            for _, _, row in numbered_lines(path, EvaluationError, "grade", row_once)]
+            for _, _, row in numbered_lines(path, "grade", row_once)]
 
 
 def read_predictions(path) -> list[tuple[str, str]]:
@@ -486,12 +482,12 @@ def read_predictions(path) -> list[tuple[str, str]]:
     ``\n`` unescapes to newlines."""
     pairs = []
     seen: set[str] = set()
-    for lineno, line, _ in numbered_lines(path, EvaluationError):
+    for lineno, line, _ in numbered_lines(path):
         if "\t" not in line:
-            raise EvaluationError(f"{path}:{lineno}: expected problem_id<TAB>output")
+            raise PipelineError(f"{path}:{lineno}: expected problem_id<TAB>output")
         problem_id, text = line.split("\t", 1)
         if problem_id in seen:
-            raise EvaluationError(f"{path}:{lineno}: duplicate problem id {problem_id!r}")
+            raise PipelineError(f"{path}:{lineno}: duplicate problem id {problem_id!r}")
         seen.add(problem_id)
         pairs.append((problem_id, text.replace("\\n", "\n")))
     return pairs
@@ -516,12 +512,12 @@ def fleiss_kappa(counts: Sequence[Sequence[int]]) -> float:
     kappa = (mean(P_i) - P_e) / (1 - P_e).
     """
     if not counts or not counts[0]:
-        raise EvaluationError("counts matrix must be nonempty")
+        raise PipelineError("counts matrix must be nonempty")
     items, categories, n = len(counts), len(counts[0]), sum(counts[0])
     for index, row in enumerate(counts):
         fault = _row_fault(row, categories, n)
         if fault:
-            raise EvaluationError(f"row {index} {fault}")
+            raise PipelineError(f"row {index} {fault}")
     total = items * n
     p_bar = Fraction(
         sum(sum(c * (c - 1) for c in row) for row in counts),
@@ -535,7 +531,7 @@ def fleiss_kappa(counts: Sequence[Sequence[int]]) -> float:
     if p_expected == 1:
         if p_bar == 1:
             return 1.0
-        raise EvaluationError("degenerate marginals")
+        raise PipelineError("degenerate marginals")
     return float((p_bar - p_expected) / (1 - p_expected))
 
 
@@ -543,19 +539,19 @@ def read_counts_matrix(path) -> list[list[int]]:
     """Read a rater-counts matrix: one row per item, whitespace or commas, each
     row checked against the first as :func:`fleiss_kappa` checks it."""
     rows = []
-    for lineno, line, _ in numbered_lines(path, EvaluationError):
+    for lineno, line, _ in numbered_lines(path):
         line = line.strip()
         if line.startswith("#"):
             continue
         try:
             row = [int(tok) for tok in line.replace(",", " ").split()]
         except ValueError:
-            raise EvaluationError(f"{path}:{lineno}: non-integer count") from None
+            raise PipelineError(f"{path}:{lineno}: non-integer count") from None
         first = rows[0] if rows else row
         fault = _row_fault(row, len(first), sum(first))
         if fault:
-            raise EvaluationError(f"{path}:{lineno}: row {fault}")
+            raise PipelineError(f"{path}:{lineno}: row {fault}")
         rows.append(row)
     if not rows:
-        raise EvaluationError(f"{path}: counts matrix must be nonempty")
+        raise PipelineError(f"{path}: counts matrix must be nonempty")
     return rows

@@ -42,18 +42,6 @@ from ganitprep.errors import PipelineError, check_fields, json_object_file
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 
-class ProviderError(PipelineError):
-    pass
-
-
-class TransportError(ProviderError):
-    pass
-
-
-class AugmentationError(PipelineError):
-    pass
-
-
 # Sampling settings sent with every request; the same values as the sampling
 # entries of ``structure.TRAINING_CONFIG``.
 SAMPLING_PARAMS = {"sampling": True, "top_k": 40, "temperature": 0.8, "top_p": 0.90,
@@ -70,7 +58,7 @@ class RetryPolicy:
         for name, least in (("max_attempts", 1), ("base_seconds", 0), ("factor", 0)):
             value = getattr(self, name)
             if value < least:
-                raise ProviderError(f"retry {name} must be >= {least}, got {value}")
+                raise PipelineError(f"retry {name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,16 +73,16 @@ class ClientConfig:
 
     def __post_init__(self):
         if self.kind not in ("mock", "http"):
-            raise ProviderError(f"unknown provider kind {self.kind!r}")
+            raise PipelineError(f"unknown provider kind {self.kind!r}")
         if self.concurrency < 1:
-            raise ProviderError("concurrency must be >= 1")
+            raise PipelineError("concurrency must be >= 1")
 
 
 def load_client_config(path) -> ClientConfig:
-    with json_object_file(path, "client config", ProviderError) as data:
-        check_fields(data, ClientConfig, ProviderError, "client config", retry=dict)
+    with json_object_file(path, "client config") as data:
+        check_fields(data, ClientConfig, "client config", retry=dict)
         retry = data.get("retry", {})
-        check_fields(retry, RetryPolicy, ProviderError, "client config retry")
+        check_fields(retry, RetryPolicy, "client config retry")
         return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
 
 
@@ -112,7 +100,7 @@ class MockProvider:
         digest = prompt_digest(prompt)
         path = self.fixtures_dir / f"{digest}.txt"
         if not path.exists():
-            raise ProviderError(f"no mock fixture for prompt digest {digest}")
+            raise PipelineError(f"no mock fixture for prompt digest {digest}")
         return path.read_text(encoding="utf-8")
 
 
@@ -141,7 +129,7 @@ class HttpProvider:
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep,
                  clock=time.monotonic):
         if not config.endpoint:
-            raise ProviderError("http provider requires an endpoint")
+            raise PipelineError("http provider requires an endpoint")
         self.config = config
         self._transport = transport or _requests_transport
         self._sleep = sleep
@@ -192,16 +180,16 @@ class HttpProvider:
                         try:
                             return json.loads(body)["text"]
                         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                            raise ProviderError(
+                            raise PipelineError(
                                 f"malformed provider response: {exc}") from exc
                     if status is not None and status < 500 and status != 429:
                         # Provider-reported content error; surfaced verbatim.
-                        raise ProviderError(body)
+                        raise PipelineError(body)
                     if status is not None:
                         last_error = f"HTTP {status}"
                     if attempt < policy.max_attempts:
                         self._sleep(policy.base_seconds * policy.factor ** (attempt - 1))
-                raise TransportError(
+                raise PipelineError(
                     f"{policy.max_attempts} attempts exhausted: {last_error}")
             finally:
                 with self._lock:
@@ -211,7 +199,7 @@ class HttpProvider:
 def make_client(config: ClientConfig, transport=None):
     if config.kind == "mock":
         if not config.fixtures_dir:
-            raise ProviderError("mock provider requires fixtures_dir")
+            raise PipelineError("mock provider requires fixtures_dir")
         return MockProvider(config.fixtures_dir)
     return HttpProvider(config, transport=transport)
 
@@ -286,13 +274,13 @@ def augment_batch(
     from concurrent.futures import ThreadPoolExecutor
 
     if template.name is not PromptName.AUGMENT:
-        raise AugmentationError(f"augmentation requires the {PromptName.AUGMENT.value} "
+        raise PipelineError(f"augmentation requires the {PromptName.AUGMENT.value} "
                                 f"template, got {template.name.value}")
     if target_count < 0:
-        raise AugmentationError(f"target count must be nonnegative, got {target_count}")
+        raise PipelineError(f"target count must be nonnegative, got {target_count}")
     seeds = [p for p in manifest if p.raw_solution or p.structured_solution]
     if not seeds and target_count > 0:
-        raise AugmentationError("no seed problems with solutions to augment from")
+        raise PipelineError("no seed problems with solutions to augment from")
     window = getattr(getattr(client, "config", None), "concurrency", 1)
     generated: list[Problem] = []
     attempts = 0
@@ -333,7 +321,7 @@ def augment_batch(
             if attempts >= _MIN_ATTEMPTS_BEFORE_YIELD_CHECK:
                 yield_rate = (attempts - len(flagged)) / attempts
                 if yield_rate < _MIN_YIELD:
-                    raise AugmentationError(
+                    raise PipelineError(
                         f"parse yield {yield_rate:.0%} after {attempts} attempts; "
                         f"recent failures: {'; '.join(list(flagged.values())[-3:])}"
                     )
@@ -350,7 +338,7 @@ def set_review_status(manifest: CorpusManifest, statuses: dict[str, str]) -> Cor
     """Record reviewer verdicts in problem extras."""
     for status in statuses.values():
         if status not in REVIEW_STATUSES:
-            raise AugmentationError(f"unknown review status {status!r}")
+            raise PipelineError(f"unknown review status {status!r}")
     records = [
         replace(p, extras={**p.extras, "review_status": statuses[p.id]})
         if p.id in statuses else p

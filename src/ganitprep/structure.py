@@ -19,14 +19,6 @@ from ganitprep.common import Language, write_lines_atomic
 from ganitprep.errors import PipelineError, check_json_object
 
 
-class StructureError(PipelineError):
-    pass
-
-
-class PromptError(PipelineError):
-    pass
-
-
 SECTION_FIELDS = (
     "data_identification",
     "problem_analysis",
@@ -82,7 +74,7 @@ class StructuredSolution:
         for name in SECTION_FIELDS:
             if not getattr(self, name).strip():
                 heading = HEADINGS_EN[SECTION_FIELDS.index(name)]
-                raise StructureError(f"empty section: {heading}")
+                raise PipelineError(f"empty section: {heading}")
 
     def sections(self) -> tuple[str, ...]:
         return tuple(getattr(self, name) for name in SECTION_FIELDS)
@@ -94,8 +86,10 @@ class StructuredSolution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StructuredSolution":
-        check_json_object(data, dict.fromkeys(SECTION_FIELDS, str), StructureError,
-                          "structured solution")
+        check_json_object(data, dict.fromkeys(SECTION_FIELDS, str), "structured solution")
+        for name in SECTION_FIELDS:
+            if name not in data:
+                raise PipelineError(f"structured solution has no key {name!r}")
         final = data.get("final_answer")
         return cls(
             **{name: data[name] for name in SECTION_FIELDS},
@@ -107,7 +101,7 @@ def parse_structured(text: str) -> StructuredSolution:
     """Parse text containing the six headings into a structured solution.
 
     Markdown bold and hash markers around headings are tolerated. Raises
-    :class:`StructureError` on a missing, duplicated, out-of-order, or empty
+    :class:`PipelineError` on a missing, duplicated, out-of-order, or empty
     section.
     """
     lines = text.splitlines()
@@ -121,15 +115,15 @@ def parse_structured(text: str) -> StructuredSolution:
         if index is None:
             continue
         if index in seen:
-            raise StructureError(f"duplicated section: {HEADINGS_EN[index]}")
+            raise PipelineError(f"duplicated section: {HEADINGS_EN[index]}")
         seen.add(index)
         found.append((index, lineno))
     for index, heading in enumerate(HEADINGS_EN):
         if index not in seen:
-            raise StructureError(f"missing section: {heading}")
+            raise PipelineError(f"missing section: {heading}")
     order = [index for index, _ in found]
     if order != sorted(order):
-        raise StructureError(
+        raise PipelineError(
             "sections out of order: " + " > ".join(HEADINGS_EN[i] for i in order)
         )
     bodies = []
@@ -234,7 +228,7 @@ def render_prompt(template: PromptTemplate, bindings: dict) -> str:
     """Instantiate a template; every placeholder must be bound."""
     missing = [key for key in template.placeholders if key not in bindings]
     if missing:
-        raise PromptError(f"missing binding: {missing[0]}")
+        raise PipelineError(f"missing binding: {missing[0]}")
 
     def substitute(match):
         return str(bindings[match.group(1)])

@@ -4,7 +4,6 @@ from conftest import make_manifest, make_problem
 from ganitprep.classify import (
     CRITERIA,
     DEFAULT_WEIGHTS,
-    ClassifyError,
     apply_annotations,
     apply_math_levels,
     extract_features,
@@ -14,6 +13,7 @@ from ganitprep.classify import (
     score_complexity,
 )
 from ganitprep.corpus import Difficulty, Source
+from ganitprep.errors import PipelineError
 
 
 class TestMapMathLevel:
@@ -33,7 +33,7 @@ class TestMapMathLevel:
 
     @pytest.mark.parametrize("level", [0, 6, -1, "3", 2.5])
     def test_out_of_range(self, level):
-        with pytest.raises(ClassifyError):
+        with pytest.raises(PipelineError, match=rf"^level must be in 1\.\.5, got {level!r}$"):
             map_math_level(level)
 
     def test_apply_to_manifest(self):
@@ -129,7 +129,7 @@ class TestRankBottomK:
         assert all(p.difficulty is Difficulty.UNCLASSIFIED for p in result)
 
     def test_k_too_large(self):
-        with pytest.raises(ClassifyError):
+        with pytest.raises(PipelineError, match=r"^k must be in 0\.\.5, got 6$"):
             rank_bottom_k(self._manifest(), 6)
 
     def test_permutation_invariance(self):
@@ -175,7 +175,7 @@ class TestApplyAnnotations:
 
     def test_unknown_id_listed(self):
         manifest = make_manifest([make_problem("a")])
-        with pytest.raises(ClassifyError, match="ghost"):
+        with pytest.raises(PipelineError, match="ghost"):
             apply_annotations(manifest, {"ghost": Difficulty.EASY})
 
     def test_only_difficulty_changes(self):
@@ -195,5 +195,5 @@ class TestApplyAnnotations:
     def test_read_rejects_bad_label(self, tmp_path):
         path = tmp_path / "ann.tsv"
         path.write_text("a\tTricky\n", encoding="utf-8")
-        with pytest.raises(ClassifyError, match="Tricky"):
+        with pytest.raises(PipelineError, match="Tricky"):
             read_annotations(path)

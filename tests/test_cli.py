@@ -524,7 +524,8 @@ def test_wrong_typed_manifest_field_exits_1(tmp_path, capsys, structured):
      "structured solution key 'computation' must be a string, not an integer"),
     ({**_SOLUTION, "answer": None},
      "structured solution key 'answer' must be a string, not null"),
-    ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]}, "'data_identification'"),
+    ({key: _SOLUTION[key] for key in list(_SOLUTION)[1:]},
+     "structured solution has no key 'data_identification'"),
     ({**_SOLUTION, "final_answer": "x"}, "an answer must be an object, not str"),
     ({**_SOLUTION, "final_answer": {"kind": "Rational", "rational": "1/0"}},
      "Fraction(1, 0)"),
@@ -626,6 +627,19 @@ def test_non_json_file_exits_1(tmp_path, capsys, argv, text):
     assert rc == 1
     message = _single_error(capsys)
     assert message.startswith(f"{path}: ") and " is malformed: " in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,kind", [(None, "null"), (["x"], "an array"),
+                                        (True, "a boolean")], ids=["null", "array", "boolean"])
+def test_non_string_binding_exits_1(tmp_path, capsys, value, kind):
+    path, out = tmp_path / "b.json", tmp_path / "out"
+    path.write_text(json.dumps({"Question": value, "Response": "R"}), encoding="utf-8")
+    rc = main(["structure", "prompt", "--template", "finetune", "--bindings", str(path),
+               "--out", str(out)])
+    assert rc == 1
+    assert _single_error(capsys) == (f"{path}: bindings file key 'Question' must be "
+                                     f"a string, not {kind}")
     assert not out.exists()
 
 

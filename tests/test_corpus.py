@@ -40,8 +40,8 @@ from ganitprep.curriculum import (
     save_split,
     split,
 )
+from ganitprep.errors import PipelineError
 from ganitprep.evaluate import GradeRecord, Verdict, save_grades
-from ganitprep.errors import IntegrityError, RecordFormatError
 from ganitprep.llm_client import prompt_digest, write_mock_fixture
 from ganitprep.pipeline import DEMO_DATA_DIR
 from ganitprep.structure import (
@@ -78,13 +78,13 @@ class TestIngestGsm8k:
             {"question": "ok?", "answer": "fine\n#### 1"},
             {"question": "bad?", "answer": "no marker here"},
         ])
-        with pytest.raises(RecordFormatError, match=re.escape(f"{path}:2: no final-answer marker")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:2: no final-answer marker")):
             ingest_gsm8k(path)
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "g.jsonl"
         write_jsonl(path, [{"question": "only question"}])
-        with pytest.raises(RecordFormatError, match=re.escape(f"{path}:1: missing field 'answer'")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:1: missing field 'answer'")):
             ingest_gsm8k(path)
 
     def test_extras_preserved(self, tmp_path):
@@ -116,13 +116,13 @@ class TestIngestMath:
     def test_level_out_of_range(self, tmp_path):
         path = tmp_path / "m.jsonl"
         self._write(path, "Level 9")
-        with pytest.raises(RecordFormatError, match="outside 1..5"):
+        with pytest.raises(PipelineError, match="outside 1..5"):
             ingest_math(path)
 
     def test_level_unparseable(self, tmp_path):
         path = tmp_path / "m.jsonl"
         self._write(path, "Lvl three")
-        with pytest.raises(RecordFormatError, match="unparseable level"):
+        with pytest.raises(PipelineError, match="unparseable level"):
             ingest_math(path)
 
 
@@ -143,7 +143,7 @@ class TestIngestHawp:
     def test_unknown_tag_lists_valid(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_jsonl(path, [{"question": "q?", "operation": "mod"}])
-        with pytest.raises(RecordFormatError, match="add, div, mul, sub"):
+        with pytest.raises(PipelineError, match="add, div, mul, sub"):
             ingest_hawp(path)
 
     def test_nfc_normalization(self, tmp_path):
@@ -196,7 +196,7 @@ class TestIngestIndiMathQA:
         path = tmp_path / "i.jsonl"
         write_jsonl(path, [{"id": "a", "question": "q?"}, record])
         expected = re.escape(f"{path}:2: missing field {field!r}")
-        with pytest.raises(RecordFormatError, match=expected):
+        with pytest.raises(PipelineError, match=expected):
             ingest_indimathqa(path, Language.ENGLISH)
 
     def test_unknown_field_kept_in_extras(self, tmp_path):
@@ -233,24 +233,24 @@ def test_demo_fixture_checksum(name):
 
 class TestProblemInvariants:
     def test_empty_id_rejected(self):
-        with pytest.raises(IntegrityError):
+        with pytest.raises(PipelineError, match="^problem id must be nonempty$"):
             make_problem("")
 
     def test_math_requires_level(self):
-        with pytest.raises(IntegrityError, match="math_level"):
+        with pytest.raises(PipelineError, match="math_level"):
             Problem(id="x", language=Language.ENGLISH, source=Source.MATH, question="q")
 
     def test_level_only_for_math(self):
-        with pytest.raises(IntegrityError, match="only valid for MATH"):
+        with pytest.raises(PipelineError, match="only valid for MATH"):
             make_problem("x", source=Source.GSM8K, math_level=2)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(IntegrityError, match="duplicate"):
+        with pytest.raises(PipelineError, match="duplicate"):
             make_manifest([make_problem("a"), make_problem("a")])
 
     def test_pair_same_language_rejected(self):
         problems = [make_problem("a", pair_id="p"), make_problem("b", pair_id="p")]
-        with pytest.raises(IntegrityError, match="distinct languages"):
+        with pytest.raises(PipelineError, match="distinct languages"):
             make_manifest(problems)
 
     def test_pair_difficulty_mismatch_rejected(self):
@@ -259,7 +259,7 @@ class TestProblemInvariants:
             make_problem("b", pair_id="p", language=Language.HINDI,
                          difficulty=Difficulty.MEDIUM),
         ]
-        with pytest.raises(IntegrityError, match="share one difficulty"):
+        with pytest.raises(PipelineError, match="share one difficulty"):
             make_manifest(problems)
 
 
@@ -300,7 +300,7 @@ class TestPersistence:
         index = data.index(b"two and two")
         corrupted = data[:index] + b"twX" + data[index + 3:]
         (tmp_path / "bad.jsonl").write_bytes(corrupted)
-        with pytest.raises(IntegrityError, match="checksum"):
+        with pytest.raises(PipelineError, match="checksum"):
             load_manifest(tmp_path / "bad.jsonl")
 
     def test_stale_checksum_rejected(self, tmp_path):
@@ -312,7 +312,7 @@ class TestPersistence:
         header["checksum"] = "sha256:" + "0" * 64
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(IntegrityError, match="checksum mismatch"):
+        with pytest.raises(PipelineError, match="checksum mismatch"):
             load_manifest(path)
 
     def test_load_missing_path(self, tmp_path):
@@ -336,7 +336,7 @@ class TestPersistence:
         lines[1] = json.dumps(dict(reversed(list(record.items()))),
                               ensure_ascii=False, separators=(",", ":"))
         path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(IntegrityError, match="checksum mismatch"):
+        with pytest.raises(PipelineError, match="checksum mismatch"):
             load_manifest(path)
 
     def test_load_does_not_reserialise(self, tmp_path, monkeypatch):
@@ -368,7 +368,7 @@ class TestPersistence:
          "pair x: members must have distinct languages"),
     ], ids=["duplicate-id", "bad-pair"])
     def test_direct_construction_validates(self, records, message):
-        with pytest.raises(IntegrityError, match=message):
+        with pytest.raises(PipelineError, match=message):
             CorpusManifest(records=tuple(records), source_format=SourceFormat.MIXED,
                            created_at="2024-01-01T00:00:00+00:00")
 
@@ -482,7 +482,7 @@ class TestRecordDecoding:
         bad = json.dumps(self._record(id="q", **{key: value}), ensure_ascii=False)
         write_record_lines(path, [good, bad])
         message = f"{path}:3: unreadable record: {value!r} is not a valid {enum}"
-        with pytest.raises(IntegrityError, match=re.escape(message)):
+        with pytest.raises(PipelineError, match=re.escape(message)):
             load_manifest(path)
 
     def test_absent_difficulty_and_operation_take_defaults(self, tmp_path):
@@ -508,7 +508,7 @@ class TestRecordDecoding:
         path = tmp_path / "m.jsonl"
         bad = self._record(id="q", structured_solution=structured)
         write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
-        with pytest.raises(IntegrityError,
+        with pytest.raises(PipelineError,
                            match=re.escape(f"{path}:3: unreadable record: ")):
             load_manifest(path)
 
@@ -533,14 +533,14 @@ class TestRecordDecoding:
         bad = self._record(**{"id": "q", key: value})
         write_record_lines(path, [json.dumps(self._record()), json.dumps(bad)])
         message = f"{path}:3: unreadable record: field {key!r} must be {expected}"
-        with pytest.raises(IntegrityError, match=re.escape(message)):
+        with pytest.raises(PipelineError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize("line", ["[]", "1", '"text"', "null"])
     def test_non_object_record_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "m.jsonl"
         write_record_lines(path, [json.dumps(self._record()), line])
-        with pytest.raises(IntegrityError,
+        with pytest.raises(PipelineError,
                            match=re.escape(f"{path}:3: record is not an object")):
             load_manifest(path)
 

@@ -11,7 +11,6 @@ from conftest import make_manifest, make_problem
 from ganitprep.corpus import REVIEW_STATUSES, Difficulty, Language, Source, passes_review
 from ganitprep.curriculum import (
     Assign,
-    CurriculumError,
     CurriculumManifest,
     PairKey,
     STAGE_EASY,
@@ -29,6 +28,7 @@ from ganitprep.curriculum import (
     save_split,
     split,
 )
+from ganitprep.errors import PipelineError
 from ganitprep.structure import FINE_TUNE_BODY, StructuredSolution
 
 
@@ -60,18 +60,18 @@ class TestPairBilingual:
         hi = make_manifest([make_problem("a-hi", language=Language.HINDI,
                                          difficulty=Difficulty.MEDIUM,
                                          source=Source.INDIMATHQA)])
-        with pytest.raises(CurriculumError, match="a-en/a-hi"):
+        with pytest.raises(PipelineError, match="a-en/a-hi"):
             pair_bilingual(en, hi, PairKey.BY_INDEX)
 
     def test_by_index_size_mismatch(self):
         en = make_manifest(_mono(3, Language.ENGLISH))
         hi = make_manifest(_mono(2, Language.HINDI))
-        with pytest.raises(CurriculumError, match="size mismatch"):
+        with pytest.raises(PipelineError, match="size mismatch"):
             pair_bilingual(en, hi, PairKey.BY_INDEX)
 
     def test_wrong_language_rejected(self):
         en = make_manifest(_mono(1, Language.ENGLISH))
-        with pytest.raises(CurriculumError, match="foreign-language"):
+        with pytest.raises(PipelineError, match="foreign-language"):
             pair_bilingual(en, en, PairKey.BY_ID)
 
     def test_doubling_of_difficulty_counts(self):
@@ -144,7 +144,7 @@ class TestMergeSources:
     def test_id_collision(self):
         a = make_manifest([make_problem("same")])
         b = make_manifest([make_problem("same", language=Language.HINDI)])
-        with pytest.raises(CurriculumError, match="collision"):
+        with pytest.raises(PipelineError, match="collision"):
             merge_sources([a, b])
 
     def test_no_audit_no_discrepancies(self):
@@ -179,7 +179,7 @@ class TestSplit:
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5])
     def test_ratio_bounds(self, ratio):
         manifest = make_manifest(_mono(4, Language.ENGLISH))
-        with pytest.raises(CurriculumError):
+        with pytest.raises(PipelineError, match=rf"^ratio must be in \(0, 1\), got {ratio}$"):
             split(manifest, seed=0, ratio=ratio)
 
     def test_pairs_co_assigned(self):
@@ -306,12 +306,12 @@ class TestBuildCurriculum:
     def test_unclassified_error_message(self):
         manifest = make_manifest(_mono(10, Language.ENGLISH,
                                        difficulty=Difficulty.UNCLASSIFIED))
-        with pytest.raises(CurriculumError, match="Unclassified problems in Easy/Medium"):
+        with pytest.raises(PipelineError, match="Unclassified problems in Easy/Medium"):
             build_curriculum(manifest, split(manifest, seed=1))
 
     def test_empty_medium_stratum_error(self):
         manifest = make_manifest(_mono(10, Language.ENGLISH, difficulty=Difficulty.EASY))
-        with pytest.raises(CurriculumError, match="empty Medium train stratum"):
+        with pytest.raises(PipelineError, match="empty Medium train stratum"):
             build_curriculum(manifest, split(manifest, seed=1))
 
     def test_round_trip_file(self, tmp_path):
@@ -328,7 +328,7 @@ class TestBuildCurriculum:
         path = tmp_path / "curriculum.json"
         save_curriculum(replace(built, stages=(
             replace(easy, train_ids=easy.train_ids + easy.train_ids[:1]),)), path)
-        with pytest.raises(CurriculumError, match=re.escape(
+        with pytest.raises(PipelineError, match=re.escape(
                 f"{path}: stage 'SFT_easy' repeats train id {easy.train_ids[0]!r}")):
             load_curriculum(path)
 
@@ -377,7 +377,7 @@ class TestBuildCurriculum:
         stale = replace(assignment, assignments={
             pid: side for pid, side in assignment.assignments.items()
             if pid != manifest.records[3].id})
-        with pytest.raises(CurriculumError, match=re.escape(
+        with pytest.raises(PipelineError, match=re.escape(
                 f"assigns neither side to 1 of the manifest's problems, among them "
                 f"{[manifest.records[3].id]}")):
             build_curriculum(manifest, stale)
@@ -455,5 +455,5 @@ class TestExportStage:
     def test_unknown_stage(self, tmp_path):
         manifest = _classified_corpus()
         built = build_curriculum(manifest, split(manifest, seed=1))
-        with pytest.raises(CurriculumError, match="no stage named"):
+        with pytest.raises(PipelineError, match="no stage named"):
             export_stage(built, "SFT_hard", manifest, tmp_path / "x.jsonl")

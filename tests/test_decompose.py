@@ -243,7 +243,11 @@ class TestApplyDecomposition:
         (make_problem("p-bad", operation=Operation.MUL,
                       extras={"operand_a": float("inf"), "operand_b": 4}),
          "operand extraction failed"),
-    ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras"])
+        *((make_problem("p-bad", operation=Operation.MUL,
+                        extras={"operand_a": value, "operand_b": 2}),
+           "operand extraction failed") for value in (3.7, True, "12")),
+    ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras",
+            "float-extras", "bool-extras", "string-extras"])
     def test_undecomposable_flagged_and_kept(self, problem, reason):
         manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
                                   problem])

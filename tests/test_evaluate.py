@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import make_manifest, make_problem
 from ganitprep.answers import AnswerKind, AnswerValue, map_devanagari_digits
 from ganitprep.corpus import Difficulty, Language, Source
+from ganitprep.errors import PipelineError
 from ganitprep.evaluate import (
-    EvaluationError,
     GradeRecord,
     Verdict,
     accuracy_report,
@@ -180,7 +180,8 @@ class TestGrade:
 
 class TestGradeRecord:
     def test_verdict_invariant(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(PipelineError, match="^p: Unparseable verdict must pair with an "
+                                                "absent prediction$"):
             GradeRecord("p", "m", None, AnswerValue.from_rational(1), Verdict.CORRECT)
 
     def test_round_trip_file(self, tmp_path):
@@ -231,7 +232,7 @@ class TestReadVerdicts:
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line(reference={"kind": "Bogus"}) + "\n", encoding="utf-8")
         assert [row.verdict for row in read_verdicts(path)] == [Verdict.CORRECT]
-        with pytest.raises(EvaluationError, match=re.escape(
+        with pytest.raises(PipelineError, match=re.escape(
                 f"{path}:1: unreadable grade: 'Bogus' is not a valid AnswerKind")):
             load_grades(path)
 
@@ -240,7 +241,7 @@ class TestReadVerdicts:
         first.write_text(_grade_line() + "\n", encoding="utf-8")
         second.write_text(_grade_line(model_name="n") + "\n" + _grade_line() + "\n",
                           encoding="utf-8")
-        with pytest.raises(EvaluationError, match=re.escape(
+        with pytest.raises(PipelineError, match=re.escape(
                 f"{second}:2: second grade of problem 'p1' for model 'm'")):
             read_verdicts(first, second)
 
@@ -272,7 +273,7 @@ class TestReadVerdicts:
         path.write_text(_grade_line() + "\n\n" + json.dumps(record) + "\n",
                         encoding="utf-8")
         for reader in (read_verdicts, load_grades):  # one message from both
-            with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: {message}")):
+            with pytest.raises(PipelineError, match=re.escape(f"{path}:3: {message}")):
                 reader(path)
 
     @pytest.mark.parametrize("changes", [
@@ -290,7 +291,7 @@ class TestReadVerdicts:
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n" + _grade_line(**changes) + "\n",
                         encoding="utf-8")
-        with pytest.raises(EvaluationError,
+        with pytest.raises(PipelineError,
                            match=re.escape(f"{path}:2: unreadable grade: ")):
             load_grades(path)
 
@@ -301,7 +302,7 @@ class TestReadVerdicts:
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n" + _grade_line(**{key: value}) + "\n",
                         encoding="utf-8")
-        with pytest.raises(EvaluationError,
+        with pytest.raises(PipelineError,
                            match=re.escape(f"{path}:2: {key} is not a string")):
             reader(path)
 
@@ -310,7 +311,7 @@ class TestReadVerdicts:
     def test_non_object_line_names_path_and_line(self, tmp_path, reader, line):
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(EvaluationError,
+        with pytest.raises(PipelineError,
                            match=re.escape(f"{path}:2: record is not an object")):
             reader(path)
 
@@ -319,14 +320,14 @@ class TestReadVerdicts:
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
                         encoding="utf-8")
-        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: unreadable grade")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:2: unreadable grade")):
             reader(path)
 
     @pytest.mark.parametrize("reader", [read_verdicts, load_grades])
     def test_invalid_json_names_path_and_line(self, tmp_path, reader):
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line() + "\n{oops\n", encoding="utf-8")
-        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: unreadable grade")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:2: unreadable grade")):
             reader(path)
 
 
@@ -392,7 +393,7 @@ class TestAccuracyReport:
         manifest, grades = _report_fixture()
         ghost = GradeRecord("ghost", "model-a", None,
                             AnswerValue.from_rational(1), Verdict.UNPARSEABLE)
-        with pytest.raises(EvaluationError, match="ghost"):
+        with pytest.raises(PipelineError, match="ghost"):
             accuracy_report(grades + [ghost], manifest)
 
     def test_cell_counts_sum(self):
@@ -413,7 +414,7 @@ class TestAccuracyReport:
 
     def test_one_grade_per_model_and_problem(self):
         manifest, grades = _report_fixture()
-        with pytest.raises(EvaluationError,
+        with pytest.raises(PipelineError,
                            match="second grade of problem 'g0' for model 'model-a'"):
             accuracy_report(grades + grades[:1], manifest)
         other = GradeRecord("g0", "model-b", None, AnswerValue.from_rational(1),
@@ -462,7 +463,7 @@ class TestGradePredictions:
 
     def test_missing_reference_errors(self):
         manifest = make_manifest([make_problem("p1", raw_solution="nothing here")])
-        with pytest.raises(EvaluationError, match="reference"):
+        with pytest.raises(PipelineError, match="reference"):
             grade_predictions([("p1", "4")], manifest, "m")
 
 
@@ -483,7 +484,7 @@ class TestReadPredictions:
     def test_bad_line_names_path_and_line(self, tmp_path, content):
         path = tmp_path / "p.tsv"
         path.write_bytes(b"p0\t1\n" + content)
-        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: ")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:2: ")):
             read_predictions(path)
 
 
@@ -536,7 +537,7 @@ class TestFleissKappa:
                 counts.append(row)
             try:
                 kappa = fleiss_kappa(counts)
-            except EvaluationError:
+            except PipelineError:
                 continue  # degenerate marginals with imperfect agreement is impossible
             assert -1.0 <= kappa <= 1.0
 
@@ -544,9 +545,9 @@ class TestFleissKappa:
         assert fleiss_kappa([[3, 0], [3, 0]]) == 1.0
 
     def test_row_sum_validation(self):
-        with pytest.raises(EvaluationError, match="sums to"):
+        with pytest.raises(PipelineError, match="sums to"):
             fleiss_kappa([[3, 0], [1, 1]])
 
     def test_single_rater_rejected(self):
-        with pytest.raises(EvaluationError, match="two raters"):
+        with pytest.raises(PipelineError, match="two raters"):
             fleiss_kappa([[1, 0], [0, 1]])

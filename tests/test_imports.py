@@ -90,6 +90,21 @@ def _package_nodes():
         yield from ((name, node) for node in ast.walk(tree))
 
 
+def test_one_error_type_and_no_error_parameter():
+    # Every deliberate failure is a PipelineError whose message is the whole
+    # report, so no caller needs a subclass or a helper told which to raise.
+    exceptions = {(name, node.name) for name, node in _package_nodes()
+                  if isinstance(node, ast.ClassDef)
+                  and any(getattr(base, "id", "").endswith(("Error", "Exception"))
+                          for base in node.bases)}
+    assert exceptions == {("errors", "PipelineError")}
+    takers = {(name, getattr(node, "name", "lambda")) for name, node in _package_nodes()
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              and "error" in {arg.arg for arg in ast.walk(node.args)
+                              if isinstance(arg, ast.arg)}}
+    assert takers == set()
+
+
 def test_no_module_imports_logging():
     # A stage reports through its return value and its ``stage=`` line, not
     # through log records that land on stderr.

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganitprep.corpus import Language
+from ganitprep.errors import PipelineError
 from ganitprep.structure import (
     FINE_TUNE_BODY,
     HEADINGS_EN,
     HEADINGS_HI,
-    PromptError,
     PromptName,
-    StructureError,
     StructuredSolution,
     emit_training_config,
     get_template,
@@ -60,12 +59,12 @@ class TestParse:
     def test_missing_section_named(self):
         text = render_structured(_minimal())
         broken = text.replace("Theoretical Framework:\nthe rule\n\n", "")
-        with pytest.raises(StructureError, match="missing section: Theoretical Framework"):
+        with pytest.raises(PipelineError, match="missing section: Theoretical Framework"):
             parse_structured(broken)
 
     def test_duplicate_section_rejected(self):
         text = render_structured(_minimal())
-        with pytest.raises(StructureError, match="duplicated section"):
+        with pytest.raises(PipelineError, match="duplicated section"):
             parse_structured(text + "\nComputation:\nagain\n")
 
     def test_out_of_order_rejected(self):
@@ -74,7 +73,7 @@ class TestParse:
             "Theoretical Framework:\nc\n\nMethodology Development:\nd\n\n"
             "Computation:\ne\n\nSolution:\nf\n"
         )
-        with pytest.raises(StructureError, match="out of order"):
+        with pytest.raises(PipelineError, match="out of order"):
             parse_structured(text)
 
     def test_empty_section_rejected(self):
@@ -83,7 +82,7 @@ class TestParse:
             "Theoretical Framework:\nc\n\nMethodology Development:\nd\n\n"
             "Computation:\n\nSolution:\nf\n"
         )
-        with pytest.raises(StructureError, match="empty section: Computation"):
+        with pytest.raises(PipelineError, match="empty section: Computation"):
             parse_structured(text)
 
     def test_answer_alias_accepted(self):
@@ -127,7 +126,7 @@ class TestRender:
         assert render_structured(_minimal()) == render_structured(_minimal())
 
     def test_empty_body_rejected_at_construction(self):
-        with pytest.raises(StructureError, match="empty section"):
+        with pytest.raises(PipelineError, match="empty section"):
             _minimal(computation="  ")
 
 
@@ -168,7 +167,7 @@ def test_case_mapped_headings_parse_or_raise_structure_error(data):
     if all(heading.lower() == name.lower() for heading, name in zip(headings, names)):
         assert parse_structured(text) == _minimal()
     else:  # a heading whose lowercase is no heading is body text: a section is missing
-        with pytest.raises(StructureError, match="missing section"):
+        with pytest.raises(PipelineError, match="missing section"):
             parse_structured(text)
 
 
@@ -207,7 +206,7 @@ class TestPrompts:
         assert "sum the" in div and "quotients" in div
 
     def test_missing_binding_named(self):
-        with pytest.raises(PromptError, match="Response"):
+        with pytest.raises(PipelineError, match="Response"):
             render_prompt(get_template(PromptName.FINE_TUNE), {"Question": "Q"})
 
     def test_binding_appears_once_per_occurrence(self):
