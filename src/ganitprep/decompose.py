@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from ganitprep.answers import format_exact, map_devanagari_digits
+from ganitprep.answers import as_fraction, format_exact, map_devanagari_digits
 from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     CorpusManifest,
@@ -167,8 +167,10 @@ def render_trace(trace: DecompositionTrace, language: Language = Language.ENGLIS
     return "\n".join(lines) + "\n"
 
 
+# An operand starts where no digit, comma or point comes before it, so
+# "1,234" and "12.5" are read whole (and refused) rather than as "234" and "5".
 _CALC_LINE_RE = re.compile(
-    r"(\d+)\s*([×x*÷/])\s*(\d+)\s*=\s*[0-9.,/ ]+\s*$"
+    r"(?<![\d,.])(\d[\d,.]*)\s*([×x*÷/])\s*(\d[\d,.]*)\s*=\s*([0-9.,/ ]+?)[.,]?\s*$"
 )
 _MUL_SYMBOLS = {"×", "x", "*"}
 
@@ -177,6 +179,7 @@ class OperandPair(NamedTuple):
     a: int
     b: int
     operation: Operation
+    stated: str | None = None  # the result the solution line states
 
 
 def extract_operands(problem: Problem) -> OperandPair | None:
@@ -184,9 +187,11 @@ def extract_operands(problem: Problem) -> OperandPair | None:
 
     Explicit ``extras["operand_a"/"operand_b"]`` win; otherwise the last
     line of the raw solution matching ``<int> <op> <int> = <number>`` is
-    used, with Devanagari digits accepted. Returns None when an explicit
-    operand is not a JSON integer, when nothing matches, or when the line's
-    operator disagrees with the problem's tag.
+    used, with Devanagari digits accepted, and the number it states is kept.
+    Returns None when an explicit operand is not a JSON integer, when
+    nothing matches, or when the line's operator disagrees with the
+    problem's tag; raises ValueError when the line's operand is not a plain
+    integer.
     """
     extras = problem.extras
     if "operand_a" in extras and "operand_b" in extras:
@@ -203,7 +208,11 @@ def extract_operands(problem: Problem) -> OperandPair | None:
         op = Operation.MUL if match.group(2) in _MUL_SYMBOLS else Operation.DIV
         if op is not problem.operation:
             return None
-        return OperandPair(int(match.group(1)), int(match.group(3)), op)
+        try:
+            return OperandPair(int(match.group(1)), int(match.group(3)), op, match.group(4))
+        except ValueError:
+            raise ValueError(f"operand extraction failed: {match.group(0)!r} has an "
+                             "operand that is not a plain integer") from None
     return None
 
 
@@ -226,7 +235,8 @@ def apply_decomposition(manifest: CorpusManifest) -> DecompositionOutcome:
     """Rewrite Mul/Div solutions as decomposition text, each in its problem's language.
 
     Problems whose operands cannot be extracted or decomposed (a zero
-    divisor, a negative operand, one at or past 10^18) are flagged and kept
+    divisor, a negative operand, one at or past 10^18), or whose solution
+    line states another result than the exact one, are flagged and kept
     unchanged; every other operation passes through untouched. Manifest size,
     order, and ids are preserved.
     """
@@ -237,19 +247,29 @@ def apply_decomposition(manifest: CorpusManifest) -> DecompositionOutcome:
         if problem.operation not in (Operation.MUL, Operation.DIV):
             records.append(problem)
             continue
-        pair = extract_operands(problem)
-        if pair is None:
-            flagged[problem.id] = "operand extraction failed"
-            records.append(problem)
-            continue
-        decompose = decompose_mul if pair.operation is Operation.MUL else decompose_div
         try:
-            trace = decompose(pair.a, pair.b)
-        except (ValueError, ZeroDivisionError) as exc:
-            flagged[problem.id] = f"decomposition failed: {exc}"
+            text = _decomposed_solution(problem)
+        except ValueError as exc:
+            flagged[problem.id] = str(exc)
             records.append(problem)
             continue
-        text = render_trace(trace, problem.language)
         records.append(replace(problem, raw_solution=text))
         rewritten += 1
     return DecompositionOutcome(replace_records(manifest, records), rewritten, flagged)
+
+
+def _decomposed_solution(problem: Problem) -> str:
+    """The decomposition text for a Mul/Div problem; ValueError says why there is none."""
+    pair = extract_operands(problem)
+    if pair is None:
+        raise ValueError("operand extraction failed")
+    decompose = decompose_mul if pair.operation is Operation.MUL else decompose_div
+    try:
+        trace = decompose(pair.a, pair.b)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"decomposition failed: {exc}") from None
+    stated, exact = pair.stated, format_exact(trace.total)
+    # Most lines state the result as it renders; only another spelling is parsed.
+    if stated is not None and stated != exact and as_fraction(stated) != trace.total:
+        raise ValueError(f"stated result {stated} is not the exact {exact}")
+    return render_trace(trace, problem.language)

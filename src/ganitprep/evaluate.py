@@ -2,9 +2,9 @@
 
 Extraction searches model output in priority order: a LaTeX ``\\boxed{...}``
 (last one wins), then the last line beginning "Final Answer" or its fixed
-Hindi equivalents, then the last "#### " marker line, then the last
-standalone number anywhere. Devanagari digits are mapped to ASCII before
-parsing and thousands commas are stripped.
+Hindi equivalents as a word of their own, then the last "#### " marker
+line, then the last standalone number anywhere. Devanagari digits are
+mapped to ASCII before parsing and thousands commas are stripped.
 
 Grading compares exact rationals first and falls back to a symmetric
 relative tolerance of 1e-6 for numeric pairs; expressions grade by
@@ -53,9 +53,12 @@ class Verdict(Enum):
 
 
 _MARKER_LINE_RE = re.compile(
-    r"^\s*(?:" + "|".join(re.escape(m) for m in FINAL_ANSWER_MARKERS) + r")\s*[:\-]?\s*(.*)$",
+    r"^\s*(?P<marker>" + "|".join(re.escape(m) for m in FINAL_ANSWER_MARKERS)
+    + r")(?P<gap>\s*)[:\-]?\s*(?P<value>.*)$",
     re.IGNORECASE,
 )
+# The bare marker also means "north" (उत्तर प्रदेश, उत्तर दिशा).
+_HOMOGRAPH_MARKER = "उत्तर"
 _HASH_LINE_RE = re.compile(r"^\s*####\s+(.*)$")
 _ANY_NUMBER_RE = re.compile(
     r"[-+]?\\[dt]?frac\s*\{\s*-?\d+\s*\}\s*\{\s*-?\d+\s*\}"
@@ -127,6 +130,17 @@ def _value_from_line(remainder: str) -> AnswerValue | None:
     return None if parsed is None else AnswerValue.from_rational(parsed)
 
 
+def _marker_starts_prose(line: str, match: re.Match) -> bool:
+    """Whether a word goes on where the marker ends, so the line states no answer.
+
+    A letter or combining mark right after the marker continues its word
+    ("उत्तरी", "Final Answers"). After the bare Hindi marker, which is also a
+    word of its own, a word past the spaces does too ("उत्तर प्रदेश").
+    """
+    end = match.end("gap" if match["marker"] == _HOMOGRAPH_MARKER else "marker")
+    return end < len(line) and unicodedata.category(line[end])[0] in "LM"
+
+
 def extract_answer(text: str) -> AnswerValue | None:
     """Extract the final answer value from free-form solution text.
 
@@ -144,8 +158,8 @@ def extract_answer(text: str) -> AnswerValue | None:
     lines = mapped.splitlines()
     for line in reversed(lines):
         match = _MARKER_LINE_RE.match(line)
-        if match:
-            value = _value_from_line(match.group(1))
+        if match and not _marker_starts_prose(line, match):
+            value = _value_from_line(match["value"])
             if value is not None:
                 return value
             break

@@ -3,11 +3,13 @@
 A provider's ``generate`` takes a prompt and returns the generated text. The
 mock provider answers from a directory of fixture files named by the
 sha256 digest of the prompt, so pipeline runs that route through it are
-byte-reproducible. The HTTP provider posts JSON to a configured endpoint,
-retries transient failures (transport errors, HTTP 429 and 5xx) with
-exponential backoff, fails at once on any other 4xx, enforces a bounded
-in-flight window, and reads its credential from an environment variable
-named in the config (never from config values themselves).
+byte-reproducible. The HTTP provider posts JSON with the standard library's
+``urllib.request`` to a configured endpoint, which must be an ``http://`` or
+``https://`` URL. It retries transient failures (connection errors and
+timeouts, HTTP 429 and 5xx) with exponential backoff, fails at once on any
+other 4xx, enforces a bounded in-flight window, and reads its credential from
+an environment variable named in the config (never from config values
+themselves).
 
 ``ClientConfig.concurrency`` caps the requests in flight. Augmentation keeps
 one more window of requests queued behind them, so a freed slot starts its
@@ -78,12 +80,21 @@ class ClientConfig:
             raise PipelineError("concurrency must be >= 1")
 
 
+# A scheme urllib would open another way (``file:``) or not at all is refused
+# when the config is read, not retried as a transient failure.
+_ENDPOINT_RE = re.compile(r"https?://[^/?#\s]")
+
+
 def load_client_config(path) -> ClientConfig:
     with json_object_file(path, "client config") as data:
         check_fields(data, ClientConfig, "client config", retry=dict)
         retry = data.get("retry", {})
         check_fields(retry, RetryPolicy, "client config retry")
-        return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
+        config = ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
+        if config.kind == "http" and not _ENDPOINT_RE.match(config.endpoint):
+            raise PipelineError("http provider endpoint must be an http:// or https:// "
+                                f"URL, got {config.endpoint!r}")
+        return config
 
 
 def prompt_digest(prompt: str) -> str:
@@ -112,11 +123,24 @@ def write_mock_fixture(fixtures_dir, prompt: str, text: str) -> Path:
     return path
 
 
-def _requests_transport(endpoint: str, payload: dict, headers: dict):
-    import requests
+def _urllib_transport(endpoint: str, payload: dict, headers: dict):
+    """POST ``payload`` as JSON; return ``(status, body)`` for any HTTP reply.
 
-    response = requests.post(endpoint, json=payload, headers=headers, timeout=60)
-    return response.status_code, response.text
+    A reply of 400 or more comes back as a status, for ``HttpProvider`` to
+    sort; a connection error or timeout is raised, and so retried.
+    """
+    # Imported here: loading it would add to every augment start.
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(endpoint, data=json.dumps(payload).encode("utf-8"),
+                                     headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, response.read().decode("utf-8", errors="replace")
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read().decode("utf-8", errors="replace")
 
 
 class HttpProvider:
@@ -131,7 +155,7 @@ class HttpProvider:
         if not config.endpoint:
             raise PipelineError("http provider requires an endpoint")
         self.config = config
-        self._transport = transport or _requests_transport
+        self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._clock = clock
         self._gate = threading.Semaphore(config.concurrency)

@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,39 @@ def write_record_lines(path, lines) -> None:
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next scripted ``(status, body)``."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((self.path, self.headers, body))
+        status, reply = self.server.replies.pop(0)
+        data = reply if isinstance(reply, bytes) else reply.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):  # keep stderr for the code under test
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """An HTTP server on 127.0.0.1 in a thread. Put ``(status, body)`` pairs
+    in ``replies``; ``received`` gets ``(path, headers, body bytes)`` per POST,
+    and ``url`` is the endpoint to post to."""
+    monkeypatch.setenv("no_proxy", "*")  # loopback requests never go to a proxy
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.received = [], []
+    server.url = f"http://127.0.0.1:{server.server_port}/generate"
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,))  # quick shutdown
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -591,12 +591,16 @@ def _single_error(capsys) -> str:
      "retry base_seconds must be >= 0, got -1.0"),
     ({"kind": "http", "endpoint": "http://example.test", "retry": {"factor": -2}},
      "retry factor must be >= 0, got -2"),
+    *(({"kind": "http", "endpoint": endpoint}, "http provider endpoint must be an "
+       f"http:// or https:// URL, got {endpoint!r}")
+      for endpoint in ("", "htp://example.test", "file:///etc/hostname", "http://",
+                       "example.test/generate")),
 ])
 def test_augment_bad_config_writes_nothing(tmp_path, capsys, monkeypatch, config, message):
     from ganitprep import llm_client
 
     calls = []
-    monkeypatch.setattr(llm_client, "_requests_transport",
+    monkeypatch.setattr(llm_client, "_urllib_transport",
                         lambda *request: calls.append(request) or (503, "busy"))
     manifest_path = tmp_path / "seeds.jsonl"
     save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest_path)
@@ -609,6 +613,26 @@ def test_augment_bad_config_writes_nothing(tmp_path, capsys, monkeypatch, config
     assert _single_error(capsys) == f"{config_path}: {message}"
     assert not out_path.exists()
     assert calls == []
+
+
+def test_augment_over_http(tmp_path, capsys, loopback):
+    # The provider's own transport, not a stand-in: a 503 is retried, then
+    # the generated problem is saved.
+    loopback.replies = [(503, "busy"),
+                        (200, json.dumps({"text": "Question: What is 3 + 3?\nAnswer: 6"}))]
+    manifest_path = tmp_path / "seeds.jsonl"
+    save_manifest(make_manifest([make_problem("s0", raw_solution="#### 1")]), manifest_path)
+    config_path = tmp_path / "provider.json"
+    config_path.write_text(json.dumps({"kind": "http", "endpoint": loopback.url,
+                                       "retry": {"base_seconds": 0}}), encoding="utf-8")
+    out_path = tmp_path / "synthetic.jsonl"
+    assert main(["augment", "--in", str(manifest_path), "--target", "1",
+                 "--config", str(config_path), "--out", str(out_path)]) == 0
+    assert "stage=augment in=1 out=1 flagged=0" in capsys.readouterr().out
+    assert len(loopback.received) == 2
+    [problem] = load_manifest(out_path)
+    assert (problem.id, problem.question, problem.raw_solution) == (
+        "syn-000001", "What is 3 + 3?", "6")
 
 
 @pytest.mark.parametrize("text", ["", "{\"kind\": \"mock\"", "kind=mock",
@@ -779,6 +803,12 @@ def test_cli_import_leaves_thread_pool_unloaded():
     # augment_batch imports concurrent.futures lazily; loading it at import
     # time would add to the start of every CLI stage.
     assert "concurrent.futures" not in _modules_after("import ganitprep.cli")
+
+
+def test_llm_client_import_leaves_urllib_request_unloaded():
+    # The HTTP transport imports urllib.request when it first sends; loading
+    # it with the module would add to every augment start.
+    assert "urllib.request" not in _modules_after("import ganitprep.llm_client")
 
 
 # Every CLI stage process pays for what it imports; each handler loads its own.

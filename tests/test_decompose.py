@@ -226,6 +226,18 @@ class TestApplyDecomposition:
         assert outcome.flagged == {"p-bad": "operand extraction failed"}
         assert outcome.manifest.by_id("p-bad").raw_solution == "no computation line"
 
+    @pytest.mark.parametrize("operation,line,exact", [
+        (Operation.MUL, "12 × 4 = 48.", 48),
+        (Operation.MUL, "1000 × 5 = 5,000", 5000),
+        (Operation.DIV, "10 / 4 = 5/2", Fraction(5, 2)),
+        (Operation.DIV, "७ ÷ २ = ३.५", Fraction(7, 2)),
+    ])
+    def test_stated_exact_result_rewritten(self, operation, line, exact):
+        outcome = apply_decomposition(make_manifest([_hawp_problem("p", operation, line)]))
+        assert (outcome.rewritten, outcome.flagged) == (1, {})
+        text = outcome.manifest.by_id("p").raw_solution
+        assert f"बराबर {format_exact(exact)} है।" in text
+
     def test_preserves_size_and_ids(self):
         manifest = self._manifest()
         outcome = apply_decomposition(manifest)
@@ -246,8 +258,15 @@ class TestApplyDecomposition:
         *((make_problem("p-bad", operation=Operation.MUL,
                         extras={"operand_a": value, "operand_b": 2}),
            "operand extraction failed") for value in (3.7, True, "12")),
+        *((_hawp_problem("p-bad", Operation.MUL, line),
+           f"operand extraction failed: {line.removeprefix('कुल = ')!r} has an operand "
+           "that is not a plain integer")
+          for line in ("कुल = 1,234 × 5 = 6,170", "12.5 × 4 = 50")),
+        (_hawp_problem("p-bad", Operation.MUL, "Total 12 × 4 = 50"),
+         "stated result 50 is not the exact 48"),
     ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras",
-            "float-extras", "bool-extras", "string-extras"])
+            "float-extras", "bool-extras", "string-extras", "thousands-comma",
+            "decimal-point", "wrong-result"])
     def test_undecomposable_flagged_and_kept(self, problem, reason):
         manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
                                   problem])
@@ -272,21 +291,21 @@ def test_apply_decomposition_never_raises(operand_pairs):
 class TestExtractOperands:
     def test_devanagari_digits(self):
         problem = _hawp_problem("p", Operation.MUL, "५४३ × २७ = १४६६१")
-        assert extract_operands(problem) == (543, 27, Operation.MUL)
+        assert extract_operands(problem) == (543, 27, Operation.MUL, "14661")
 
     def test_extras_override(self):
         problem = make_problem("p", source=Source.HAWP, language=Language.HINDI,
                                operation=Operation.DIV,
                                extras={"operand_a": 968, "operand_b": 16})
-        assert extract_operands(problem) == (968, 16, Operation.DIV)
+        assert extract_operands(problem) == (968, 16, Operation.DIV, None)
 
     def test_last_matching_line_wins(self):
         problem = _hawp_problem("p", Operation.MUL, "5 × 3 = 15\n20 × 4 = 80")
-        assert extract_operands(problem) == (20, 4, Operation.MUL)
+        assert extract_operands(problem) == (20, 4, Operation.MUL, "80")
 
     def test_ascii_operators(self):
         problem = _hawp_problem("p", Operation.DIV, "91 / 7 = 13")
-        assert extract_operands(problem) == (91, 7, Operation.DIV)
+        assert extract_operands(problem) == (91, 7, Operation.DIV, "13")
 
     def test_operator_mismatch_refused(self):
         problem = _hawp_problem("p", Operation.MUL, "91 / 7 = 13")

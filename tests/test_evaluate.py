@@ -103,6 +103,21 @@ class TestExtractAnswer:
     def test_number_ending_a_sentence(self):
         assert extract_answer("#### 14661.") == AnswerValue.from_rational(14661)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("उत्तर प्रदेश के 5 शहरों में 4 स्कूल हैं।\nकुल = 20", 20),  # "north", a word of its own
+        ("उत्तरी भाग में 7 पेड़ हैं\nकुल 30", 30),  # a vowel sign goes on with the word
+        ("Final Answers vary: 3\nso total 20", 20),
+    ], ids=["uttar-pradesh", "uttari", "final-answers"])
+    def test_marker_inside_a_longer_word_is_no_marker(self, text, expected):
+        assert extract_answer(text) == AnswerValue.from_rational(expected)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("उत्तर 42", 42), ("उत्तर:42", 42), ("Final Answer is 42", 42),
+        ("अंतिम उत्तर - 42", 42), ("Final Answer42", 42),
+    ])
+    def test_marker_followed_by_no_word_still_counts(self, text, expected):
+        assert extract_answer(f"{text}\nthen 7") == AnswerValue.from_rational(expected)
+
 
 _rationals = st.builds(
     Fraction,

@@ -1,6 +1,7 @@
 """The package's own import graph, read from the source with ``ast``."""
 
 import ast
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -103,6 +104,19 @@ def test_one_error_type_and_no_error_parameter():
               and "error" in {arg.arg for arg in ast.walk(node.args)
                               if isinstance(arg, ast.arg)}}
     assert takers == set()
+
+
+def test_imports_only_the_standard_library():
+    # The package needs nothing installed beside it: every import, at module
+    # level or inside a function, names a package module or the standard library.
+    roots = set()
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            roots |= {(name, alias.name.split(".")[0]) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add((name, node.module.split(".")[0]))
+    assert {(name, root) for name, root in roots
+            if root != "ganitprep" and root not in sys.stdlib_module_names} == set()
 
 
 def test_no_module_imports_logging():

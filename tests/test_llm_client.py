@@ -1,5 +1,6 @@
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -13,6 +14,7 @@ from conftest import make_manifest, make_problem
 from ganitprep.corpus import Difficulty, Source, passes_review
 from ganitprep.errors import PipelineError
 from ganitprep.llm_client import (
+    SAMPLING_PARAMS,
     ClientConfig,
     HttpProvider,
     MockProvider,
@@ -509,6 +511,56 @@ class TestWireFormat:
         sampling = [(key, json.loads(value)) for key, value in TRAINING_CONFIG
                     if key != "epochs"]
         assert list(json.loads(params).items()) == sampling
+
+
+class TestDefaultTransport:
+    """``HttpProvider``'s own urllib transport against a scripted loopback server."""
+
+    def _provider(self, endpoint, sleeps, **kwargs):
+        return HttpProvider(_http_config(endpoint=endpoint, **kwargs), sleep=sleeps.append)
+
+    def test_ok_reply_returns_its_text(self, loopback):
+        loopback.replies = [(200, json.dumps({"text": "सात ✓"}))]
+        assert self._provider(loopback.url, []).generate("p") == "सात ✓"
+
+    def test_rate_limit_and_server_error_retried(self, loopback):
+        loopback.replies = [(429, "slow down"), (503, "busy"),
+                            (200, json.dumps({"text": "ok"}))]
+        sleeps = []
+        assert self._provider(loopback.url, sleeps).generate("p") == "ok"
+        assert len(loopback.received) == 3 and sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("body,message", [
+        ("bad prompt: forbidden token «x»", "bad prompt: forbidden token «x»"),
+        (b"bad prompt \xff", "bad prompt \ufffd"),
+    ], ids=["utf-8", "not-utf-8"])
+    def test_client_error_fails_at_once_with_its_body(self, loopback, body, message):
+        loopback.replies = [(400, body)]
+        sleeps = []
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            self._provider(loopback.url, sleeps).generate("p")
+        assert len(loopback.received) == 1 and sleeps == []
+
+    def test_closed_port_is_transient(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps = []
+        provider = self._provider(f"http://127.0.0.1:{port}/generate", sleeps,
+                                  retry=RetryPolicy(max_attempts=3))
+        with pytest.raises(PipelineError, match="^3 attempts exhausted: .*refused"):
+            provider.generate("p")
+        assert sleeps == [1.0, 2.0]
+
+    def test_sends_the_payload_and_headers_on_the_wire(self, loopback, monkeypatch):
+        loopback.replies = [(200, json.dumps({"text": "ok"}))]
+        monkeypatch.setenv("TEST_TOKEN_VAR", "secret123")
+        self._provider(loopback.url, [], credential_env="TEST_TOKEN_VAR").generate("प्रश्न")
+        [(path, headers, body)] = loopback.received
+        payload = {"prompt": "प्रश्न", "params": SAMPLING_PARAMS}
+        assert (path, body) == ("/generate", json.dumps(payload).encode("utf-8"))
+        assert (headers["Content-Type"], headers["Authorization"]) == (
+            "application/json", "Bearer secret123")
 
 
 class TestReviewGate:

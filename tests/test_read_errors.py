@@ -135,7 +135,7 @@ READERS = ["split", "curriculum", "client config", "bindings", "structure text",
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_damaged_file_exits_0_or_names_it(valid, monkeypatch, reader, data):
-    monkeypatch.setattr(llm_client, "_requests_transport", lambda *request: (
+    monkeypatch.setattr(llm_client, "_urllib_transport", lambda *request: (
         200, json.dumps({"text": "Question: What is 3 + 3?\nAnswer: 6"})))
     damaged = data.draw(_damaged(valid[reader].read_bytes(), reader not in TEXT_READERS))
     with tempfile.TemporaryDirectory() as tmp:
