@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ganitprep.errors import PipelineError
+
 _DEVANAGARI_DIGITS = {0x0966 + i: ord("0") + i for i in range(10)}
 _DEVANAGARI_DIGIT_RE = re.compile("[\u0966-\u096f]")
 
@@ -142,9 +144,9 @@ class AnswerValue:
     def __post_init__(self):
         if self.kind is AnswerKind.RATIONAL:
             if not isinstance(self.rational, Fraction):
-                raise ValueError("rational kind requires a Fraction")
+                raise PipelineError("rational kind requires a Fraction")
         elif not self.expression:
-            raise ValueError("expression kind requires nonempty text")
+            raise PipelineError("expression kind requires nonempty text")
 
     @classmethod
     def from_rational(cls, value) -> "AnswerValue":
@@ -156,7 +158,7 @@ class AnswerValue:
     def from_decimal(cls, text: str) -> "AnswerValue":
         value = as_fraction(text)
         if value is None:
-            raise ValueError(f"not a decimal digit string: {text.strip()!r}")
+            raise PipelineError(f"not a decimal digit string: {text.strip()!r}")
         return cls.from_rational(value)
 
     @classmethod
@@ -179,7 +181,7 @@ class AnswerValue:
     @classmethod
     def from_dict(cls, data: dict) -> "AnswerValue":
         if type(data) is not dict:
-            raise ValueError(f"an answer must be an object, not {type(data).__name__}")
+            raise PipelineError(f"an answer must be an object, not {type(data).__name__}")
         kind = AnswerKind(data["kind"])
         if kind is AnswerKind.RATIONAL:
             num, den = data["rational"].split("/")

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 stage failure, 2 usage error. Every handler
 returns the :class:`StageSummary` of its stage, and :func:`main` alone prints
 it: its text, then the line ``stage=<name> in=<n> out=<n> flagged=<n>``.
-Failures print a single machine-parseable ``error="..."`` line on stderr.
+A :class:`PipelineError` (every refusal; the readers convert what a ``from_dict``
+raises on a malformed object) or an ``OSError`` (the file system) prints a single
+machine-parseable ``error="..."`` line on stderr; any other exception is a bug.
 Output is plain text throughout (nothing colorized, so NO_COLOR needs no
 special casing).
 """
@@ -97,9 +99,9 @@ def _cmd_structure(args) -> StageSummary:
             solution = structure_mod.parse_structured(
                 Path(args.infile).read_text(encoding="utf-8"))
         rendered = structure_mod.render_structured(solution, _parse_language(args.lang))
-    if args.out:
+    if args.out is not None:
         write_text_atomic(args.out, rendered)
-    return StageSummary("structure", 1, 1, text="" if args.out else rendered)
+    return StageSummary("structure", 1, 1, text=rendered if args.out is None else "")
 
 
 def _cmd_curriculum(args) -> StageSummary:
@@ -149,7 +151,8 @@ def _cmd_augment(args) -> StageSummary:
 
     manifest = load_manifest(args.infile)
     config = llm_client.load_client_config(args.config)
-    client = llm_client.make_client(config)
+    with naming(args.config):
+        client = llm_client.make_client(config)
     template = structure_mod.get_template(structure_mod.PromptName.AUGMENT)
     outcome = llm_client.augment_batch(manifest, template, args.target, client)
     save_manifest(outcome.manifest, args.out)
@@ -169,7 +172,7 @@ def _cmd_evaluate(args) -> StageSummary:
         unparseable = sum(g.verdict is evaluate_mod.Verdict.UNPARSEABLE for g in grades)
         return StageSummary("evaluate-grade", len(predictions), len(grades), text=(
             f"graded={len(grades)} correct={correct} unparseable={unparseable}\n"))
-    if args.out and Path(args.out).with_suffix(".csv") == Path(args.out):
+    if args.out is not None and Path(args.out).suffix == ".csv":
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
@@ -177,11 +180,11 @@ def _cmd_evaluate(args) -> StageSummary:
     with naming(", ".join(args.grades)):
         report = evaluate_mod.accuracy_report(grades, manifest)
     rendered = report.render_table()
-    if args.out:
+    if args.out is not None:
         write_text_atomic(args.out, rendered)
         write_text_atomic(Path(args.out).with_suffix(".csv"), report.to_csv())
     return StageSummary("evaluate-report", len(grades), len(report.cells),
-                        text="" if args.out else rendered)
+                        text=rendered if args.out is None else "")
 
 
 def _cmd_kappa(args) -> StageSummary:
@@ -327,11 +330,11 @@ def main(argv=None) -> int:
         stages = args.func(args)
         # A command given no --out writes its artifact on stdout and its stage
         # line on stderr.
-        line_stream = sys.stdout if getattr(args, "out", True) else sys.stderr
+        line_stream = sys.stderr if getattr(args, "out", "") is None else sys.stdout
         for stage in (stages,) if isinstance(stages, StageSummary) else stages:
             sys.stdout.write(stage.text)
             print(stage.line(), file=line_stream)
-    except (PipelineError, ValueError, ZeroDivisionError, KeyError, OSError) as exc:
+    except (PipelineError, OSError) as exc:
         message = str(exc)
         print(f"error={json.dumps(message, ensure_ascii=False)}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
 """The enums every record carries, the atomic artifact writers (whole text, or
-line by line), and the record every stage reports.
+line by line), the record every stage reports, and the package's one error type.
 
 This module imports only the standard library, so any other module can
 import from it at module level without forming a cycle.
@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
+
+
+class PipelineError(Exception):
+    """The one error this package raises deliberately: bad input, a broken
+    artifact or a refused request. Its message is the whole report."""
 
 
 class Language(Enum):
@@ -52,8 +57,10 @@ def _atomic_file(path) -> Iterator[TextIO]:
     The text goes to a temp file beside ``path`` first, so a crash or error
     mid-write leaves the previous file, or none, never a truncated one. The
     temp name is unique per process and thread, so concurrent writers never
-    share one.
+    share one. A path with no file name ("/", "." or "") is refused.
     """
+    if not Path(path).name:
+        raise PipelineError(f"output path {str(path)!r} names no file")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:

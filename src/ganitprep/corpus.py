@@ -149,9 +149,9 @@ class Problem:
             if name in data:
                 value = data[name]
                 if type(value) is not kind and not (nullable and value is None):
-                    raise TypeError(f"field {name!r} must be {kind.__name__}"
-                                    f"{' or null' if nullable else ''}, "
-                                    f"not {type(value).__name__}")
+                    raise PipelineError(f"field {name!r} must be {kind.__name__}"
+                                        f"{' or null' if nullable else ''}, "
+                                        f"not {type(value).__name__}")
         structured = data.get("structured_solution")
         return cls(
             id=data["id"],
@@ -247,7 +247,7 @@ class CorpusManifest:
         try:
             return self._index[problem_id]
         except KeyError:
-            raise KeyError(f"no problem with id {problem_id!r}") from None
+            raise PipelineError(f"no problem with id {problem_id!r}") from None
 
     @cached_property
     def _index(self) -> dict[str, Problem]:
@@ -304,7 +304,7 @@ def load_manifest(path) -> CorpusManifest:
         for lineno, line, data in lines:
             try:
                 records.append(Problem.from_dict(data))
-            # TypeError and AttributeError: a field holding the wrong JSON type.
+            # MALFORMED: a missing key, an unknown enum value, a malformed answer.
             except (PipelineError, *MALFORMED) as exc:
                 raise PipelineError(f"{path}:{lineno}: unreadable record: {exc}") from exc
             yield line

@@ -24,6 +24,7 @@ from ganitprep.corpus import (
     Problem,
     replace_records,
 )
+from ganitprep.errors import PipelineError
 
 OPERAND_LIMIT = 10**18
 
@@ -47,11 +48,11 @@ class DecompositionTrace:
 
 def _check_operand(name: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise PipelineError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise PipelineError(f"{name} must be >= {minimum}, got {value}")
     if value >= OPERAND_LIMIT:
-        raise ValueError(f"{name} must be < 10^18, got {value}")
+        raise PipelineError(f"{name} must be < 10^18, got {value}")
     return value
 
 
@@ -87,10 +88,8 @@ def decompose_div(a: int, b: int) -> DecompositionTrace:
     the exact partial r/b.
     """
     a = _check_operand("dividend", a, 0)
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise ValueError(f"divisor must be an integer, got {b!r}")
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
+    if type(b) is int and b == 0:
+        raise PipelineError("division by zero")
     _check_operand("divisor", b, 1)
     quotient, remainder = divmod(a, b)
     components = [(part * b, Fraction(part)) for part in _place_parts(quotient) if part]
@@ -190,8 +189,8 @@ def extract_operands(problem: Problem) -> OperandPair | None:
     used, with Devanagari digits accepted, and the number it states is kept.
     Returns None when an explicit operand is not a JSON integer, when
     nothing matches, or when the line's operator disagrees with the
-    problem's tag; raises ValueError when the line's operand is not a plain
-    integer.
+    problem's tag; raises PipelineError when the line's operand is not a
+    plain integer.
     """
     extras = problem.extras
     if "operand_a" in extras and "operand_b" in extras:
@@ -211,8 +210,8 @@ def extract_operands(problem: Problem) -> OperandPair | None:
         try:
             return OperandPair(int(match.group(1)), int(match.group(3)), op, match.group(4))
         except ValueError:
-            raise ValueError(f"operand extraction failed: {match.group(0)!r} has an "
-                             "operand that is not a plain integer") from None
+            raise PipelineError(f"operand extraction failed: {match.group(0)!r} has an "
+                                "operand that is not a plain integer") from None
     return None
 
 
@@ -249,7 +248,7 @@ def apply_decomposition(manifest: CorpusManifest) -> DecompositionOutcome:
             continue
         try:
             text = _decomposed_solution(problem)
-        except ValueError as exc:
+        except (PipelineError, ValueError) as exc:  # ValueError: past int's digit limit
             flagged[problem.id] = str(exc)
             records.append(problem)
             continue
@@ -259,17 +258,17 @@ def apply_decomposition(manifest: CorpusManifest) -> DecompositionOutcome:
 
 
 def _decomposed_solution(problem: Problem) -> str:
-    """The decomposition text for a Mul/Div problem; ValueError says why there is none."""
+    """The decomposition text for a Mul/Div problem; PipelineError says why there is none."""
     pair = extract_operands(problem)
     if pair is None:
-        raise ValueError("operand extraction failed")
+        raise PipelineError("operand extraction failed")
     decompose = decompose_mul if pair.operation is Operation.MUL else decompose_div
     try:
         trace = decompose(pair.a, pair.b)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"decomposition failed: {exc}") from None
+    except PipelineError as exc:
+        raise PipelineError(f"decomposition failed: {exc}") from None
     stated, exact = pair.stated, format_exact(trace.total)
     # Most lines state the result as it renders; only another spelling is parsed.
     if stated is not None and stated != exact and as_fraction(stated) != trace.total:
-        raise ValueError(f"stated result {stated} is not the exact {exact}")
+        raise PipelineError(f"stated result {stated} is not the exact {exact}")
     return render_trace(trace, problem.language)

@@ -1,19 +1,14 @@
-"""The package's one error type, and the one read path for every artifact file:
-a failed read is one error worded ``<path>: <what>`` or ``<path>:<line>: <what>``.
-"""
+"""The one read path for every artifact file: a failed read is one ``PipelineError``
+(defined in ``common``) worded ``<path>: <what>`` or ``<path>:<line>: <what>``."""
 
 import json
 from contextlib import contextmanager
 from dataclasses import fields
 
-
-class PipelineError(Exception):
-    """The one error this package raises deliberately: bad input, a broken
-    artifact or a refused request. Its message is the whole report."""
-
+from ganitprep.common import PipelineError
 
 # What decoding JSON nested too deep, or building a value from decoded JSON
-# of the wrong shape, raises.
+# of the wrong shape, raises; every reader turns it into a PipelineError.
 MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,
              RecursionError)
 
@@ -71,10 +66,9 @@ def naming(path, what: str = ""):
         yield
     except PipelineError as exc:
         raise PipelineError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise PipelineError(f"{path}: {what} has no key {exc}" if what else
-                            f"{path}: {exc.args[0]}") from exc
     except MALFORMED as exc:  # a decode error too
+        if isinstance(exc, KeyError) and what:
+            raise PipelineError(f"{path}: {what} has no key {exc}") from exc
         raise PipelineError(f"{path}: {what} is malformed: {exc}" if what else
                             f"{path}: {exc}") from exc
 

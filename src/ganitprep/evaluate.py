@@ -54,7 +54,7 @@ class Verdict(Enum):
 
 _MARKER_LINE_RE = re.compile(
     r"^\s*(?P<marker>" + "|".join(re.escape(m) for m in FINAL_ANSWER_MARKERS)
-    + r")(?P<gap>\s*)[:\-]?\s*(?P<value>.*)$",
+    + r")(?P<gap>\s*)[:=\-]?\s*(?P<value>.*)$",
     re.IGNORECASE,
 )
 # The bare marker also means "north" (उत्तर प्रदेश, उत्तर दिशा).
@@ -397,12 +397,7 @@ def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
     graded: set[tuple[str, str]] = set()
     for record in grades:
         _grade_once(graded, record)
-        try:
-            problem = manifest.by_id(record.problem_id)
-        except KeyError:
-            raise PipelineError(
-                f"grade references unknown problem id {record.problem_id!r}"
-            ) from None
+        problem = manifest.by_id(record.problem_id)
         key = (record.model_name, problem.language, problem.source, problem.difficulty)
         cell = tallies.setdefault(key, [0, 0, 0])
         if record.verdict is Verdict.CORRECT:
@@ -465,9 +460,9 @@ def _verdict_row(data: dict) -> VerdictRow:
         raise PipelineError(f"missing field {exc}") from None
     # The answers' shapes, not their values: a report leaves them undecoded.
     if predicted is not None and type(predicted) is not dict:
-        raise TypeError(f"predicted must be an object or null, not {type(predicted).__name__}")
+        raise PipelineError(f"predicted must be an object or null, not {type(predicted).__name__}")
     if type(reference) is not dict:
-        raise TypeError(f"reference must be an object, not {type(reference).__name__}")
+        raise PipelineError(f"reference must be an object, not {type(reference).__name__}")
     return row
 
 

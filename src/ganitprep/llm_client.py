@@ -40,7 +40,7 @@ from ganitprep.corpus import (
     nfc,
     replace_records,
 )
-from ganitprep.errors import PipelineError, check_fields, json_object_file
+from ganitprep.errors import MALFORMED, PipelineError, check_fields, json_object_file, naming
 from ganitprep.structure import PromptName, PromptTemplate, render_prompt
 
 
@@ -81,7 +81,7 @@ class ClientConfig:
 
 
 # A scheme urllib would open another way (``file:``) or not at all is refused
-# when the config is read, not retried as a transient failure.
+# when the provider is built, not retried as a transient failure.
 _ENDPOINT_RE = re.compile(r"https?://[^/?#\s]")
 
 
@@ -90,11 +90,7 @@ def load_client_config(path) -> ClientConfig:
         check_fields(data, ClientConfig, "client config", retry=dict)
         retry = data.get("retry", {})
         check_fields(retry, RetryPolicy, "client config retry")
-        config = ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
-        if config.kind == "http" and not _ENDPOINT_RE.match(config.endpoint):
-            raise PipelineError("http provider endpoint must be an http:// or https:// "
-                                f"URL, got {config.endpoint!r}")
-        return config
+        return ClientConfig(**{**data, "retry": RetryPolicy(**retry)})
 
 
 def prompt_digest(prompt: str) -> str:
@@ -112,7 +108,8 @@ class MockProvider:
         path = self.fixtures_dir / f"{digest}.txt"
         if not path.exists():
             raise PipelineError(f"no mock fixture for prompt digest {digest}")
-        return path.read_text(encoding="utf-8")
+        with naming(path):  # not UTF-8
+            return path.read_text(encoding="utf-8")
 
 
 def write_mock_fixture(fixtures_dir, prompt: str, text: str) -> Path:
@@ -152,8 +149,9 @@ class HttpProvider:
 
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep,
                  clock=time.monotonic):
-        if not config.endpoint:
-            raise PipelineError("http provider requires an endpoint")
+        if transport is None and not _ENDPOINT_RE.match(config.endpoint):
+            raise PipelineError("http provider endpoint must be an http:// or https:// "
+                                f"URL, got {config.endpoint!r}")
         self.config = config
         self._transport = transport or _urllib_transport
         self._sleep = sleep
@@ -202,10 +200,12 @@ class HttpProvider:
                         status, body = None, None
                     if status is not None and status < 400:
                         try:
-                            return json.loads(body)["text"]
-                        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                            raise PipelineError(
-                                f"malformed provider response: {exc}") from exc
+                            text = json.loads(body)["text"]
+                        except MALFORMED as exc:  # not JSON, nested too deep, no "text"
+                            raise PipelineError(f"malformed provider response: {exc}") from exc
+                        if type(text) is str:
+                            return text
+                        raise PipelineError("malformed provider response: text is not a string")
                     if status is not None and status < 500 and status != 429:
                         # Provider-reported content error; surfaced verbatim.
                         raise PipelineError(body)

@@ -11,7 +11,7 @@ import pytest
 import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
 from ganitprep.cli import build_parser, main
-from ganitprep.corpus import Difficulty, Source, load_manifest, save_manifest
+from ganitprep.corpus import Difficulty, Language, Source, load_manifest, save_manifest
 
 
 _SOLUTION = {"data_identification": "2 and 2", "problem_analysis": "a sum",
@@ -427,11 +427,11 @@ class TestEvaluateReport:
                        "Unparseable verdict must pair", id=f"predicted-{value!r}")
           for value in ([], "", 0, False)),
         pytest.param({"predicted": "7"},
-                     "unreadable grade: predicted must be an object or null, not str",
+                     "predicted must be an object or null, not str",
                      id="predicted-str"),
         pytest.param({"reference": None}, "missing field 'reference'", id="no-reference"),
         pytest.param({"verdict": "Unparseable", "predicted": None, "reference": "7"},
-                     "unreadable grade: reference must be an object, not str",
+                     "reference must be an object, not str",
                      id="reference-str"),
     ])
     def test_bad_grade_line_exits_1(self, demo_dir, tmp_path, capsys, changes, message):
@@ -478,7 +478,7 @@ _STAGES = json.dumps({"stages": [{"name": "SFT_easy", "train_ids": ["zzz"],
     (["evaluate", "grade", "--pred", "{path}", "--manifest", "{merged}", "--model", "m",
       "--out", "{out}"], "zzz\t4\n", "no problem with id 'zzz'"),
     (["evaluate", "report", "--grades", "{path}", "--manifest", "{merged}", "--out", "{out}"],
-     _GRADE_LINE, "grade references unknown problem id 'zzz'"),
+     _GRADE_LINE, "no problem with id 'zzz'"),
     (["curriculum", "export", "--curriculum", "{path}", "--manifest", "{merged}",
       "--stage", "SFT_easy", "--out", "{out}"], _STAGES, "no problem with id 'zzz'"),
 ], ids=["annotations", "predictions", "grades", "curriculum"])
@@ -681,6 +681,62 @@ def test_bad_counts_file_names_path_and_line(tmp_path, capsys, text, message):
     path.write_text(text, encoding="utf-8")
     assert main(["kappa", "--counts", str(path)]) == 1
     assert _single_error(capsys) == message.format(path=path)
+
+
+# Every command that writes the file its --out names, with inputs it accepts;
+# `demo --out` names a directory instead.
+_WRITERS = {
+    "ingest": ["ingest", "--format", "gsm8k", "--in", "{data}/gsm8k.jsonl"],
+    "classify": ["classify", "--in", "{merged}", "--math-levels"],
+    "decompose": ["decompose", "--in", "{demo}/hawp_decomposed.jsonl"],
+    "structure-parse": ["structure", "parse", "--in", "{tmp}/solution.txt"],
+    "structure-prompt": ["structure", "prompt", "--template", "finetune",
+                         "--bindings", "{tmp}/bindings.json"],
+    "structure-emit-config": ["structure", "emit-config"],
+    "curriculum-pair": ["curriculum", "pair", "--en", "{tmp}/en.jsonl",
+                        "--hi", "{tmp}/hi.jsonl"],
+    "curriculum-merge": ["curriculum", "merge", "--in", "{merged}"],
+    "curriculum-split": ["curriculum", "split", "--in", "{merged}"],
+    "curriculum-build": ["curriculum", "build", "--in", "{merged}",
+                         "--split", "{demo}/split.json"],
+    "curriculum-export": ["curriculum", "export", "--curriculum", "{demo}/curriculum.json",
+                          "--manifest", "{merged}", "--stage", "SFT_easy"],
+    "augment": ["augment", "--in", "{merged}", "--target", "0",
+                "--config", "{tmp}/provider.json"],
+    "evaluate-grade": ["evaluate", "grade", "--pred", "{data}/predictions.tsv",
+                       "--manifest", "{merged}", "--model", "m"],
+    "evaluate-report": ["evaluate", "report", "--grades", "{demo}/grades.jsonl",
+                        "--manifest", "{merged}"],
+}
+
+
+@pytest.mark.parametrize("out", ["/", ".", "", "{tmp}/missing/out.txt"],
+                         ids=["root", "dot", "empty", "missing-dir"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys,
+                                                      command, out):
+    from ganitprep.pipeline import DEMO_DATA_DIR
+    from ganitprep.structure import StructuredSolution, render_structured
+
+    (tmp_path / "solution.txt").write_text(
+        render_structured(StructuredSolution.from_dict(_SOLUTION)), encoding="utf-8")
+    (tmp_path / "bindings.json").write_text(json.dumps({"Question": "Q", "Response": "R"}),
+                                            encoding="utf-8")
+    (tmp_path / "provider.json").write_text(
+        json.dumps({"kind": "mock", "fixtures_dir": str(tmp_path)}), encoding="utf-8")
+    for language, name in ((Language.ENGLISH, "en"), (Language.HINDI, "hi")):
+        save_manifest(make_manifest([make_problem("p", language)]),
+                      tmp_path / f"{name}.jsonl")
+    out = out.format(tmp=tmp_path)
+    argv = [*_WRITERS[command], "--out", out]
+    assert main([arg.format(data=DEMO_DATA_DIR, demo=demo_dir, tmp=tmp_path,
+                            merged=demo_dir / "merged.jsonl") for arg in argv]) == 1
+    message = _single_error(capsys)
+    if out.startswith(str(tmp_path)):
+        assert message.startswith("[Errno 2] ") and str(tmp_path / "missing") in message
+        assert not (tmp_path / "missing").exists()
+    else:  # curriculum export names its curriculum file first
+        assert message.endswith(f"output path {out!r} names no file")
 
 
 class TestDemo:

@@ -15,6 +15,7 @@ from ganitprep.decompose import (
     extract_operands,
     render_trace,
 )
+from ganitprep.errors import PipelineError
 
 
 class TestDecomposeMul:
@@ -45,15 +46,17 @@ class TestDecomposeMul:
 
     @pytest.mark.parametrize("a,b", [(-1, 2), (2, -1)])
     def test_negative_rejected(self, a, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match=r"^(multiplicand|multiplier) must be >= 0, "
+                                                r"got -1$"):
             decompose_mul(a, b)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError,
+                           match=r"^multiplicand must be an integer, got 1\.5$"):
             decompose_mul(1.5, 2)
 
     def test_limit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match=r"^multiplicand must be < 10\^18, got "):
             decompose_mul(10**18, 2)
 
 
@@ -88,13 +91,13 @@ class TestDecomposeDiv:
         assert trace.partials == (Fraction(1, 2),)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PipelineError, match="^division by zero$"):
             decompose_div(10, 0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match="^dividend must be >= 0, got -4$"):
             decompose_div(-4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match="^divisor must be >= 1, got -2$"):
             decompose_div(4, -2)
 
 
@@ -191,6 +194,13 @@ def _hawp_problem(pid, operation, solution):
                         operation=operation, raw_solution=solution)
 
 
+def _int_error(digits: str) -> str:
+    """What int() says of a digit string past its digit limit (worded per version)."""
+    with pytest.raises(ValueError) as caught:
+        int(digits)
+    return str(caught.value)
+
+
 class TestApplyDecomposition:
     def _manifest(self):
         return make_manifest([
@@ -264,9 +274,10 @@ class TestApplyDecomposition:
           for line in ("कुल = 1,234 × 5 = 6,170", "12.5 × 4 = 50")),
         (_hawp_problem("p-bad", Operation.MUL, "Total 12 × 4 = 50"),
          "stated result 50 is not the exact 48"),
+        (_hawp_problem("p-bad", Operation.MUL, f"12 × 4 = {'9' * 5000}"), _int_error("9" * 5000)),
     ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras",
             "float-extras", "bool-extras", "string-extras", "thousands-comma",
-            "decimal-point", "wrong-result"])
+            "decimal-point", "wrong-result", "result-past-digit-limit"])
     def test_undecomposable_flagged_and_kept(self, problem, reason):
         manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
                                   problem])

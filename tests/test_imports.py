@@ -94,11 +94,19 @@ def _package_nodes():
 def test_one_error_type_and_no_error_parameter():
     # Every deliberate failure is a PipelineError whose message is the whole
     # report, so no caller needs a subclass or a helper told which to raise.
+    # It lives in the leaf module so that the atomic writers can raise it.
     exceptions = {(name, node.name) for name, node in _package_nodes()
                   if isinstance(node, ast.ClassDef)
                   and any(getattr(base, "id", "").endswith(("Error", "Exception"))
                           for base in node.bases)}
-    assert exceptions == {("errors", "PipelineError")}
+    assert exceptions == {("common", "PipelineError")}
+    # Nothing else is raised: a raise statement re-raises what it caught, or
+    # raises a PipelineError.
+    others = {(name, node.lineno) for name, node in _package_nodes()
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and not (isinstance(node.exc, ast.Call)
+                       and getattr(node.exc.func, "id", None) == "PipelineError")}
+    assert others == set()
     takers = {(name, getattr(node, "name", "lambda")) for name, node in _package_nodes()
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               and "error" in {arg.arg for arg in ast.walk(node.args)

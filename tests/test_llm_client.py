@@ -42,6 +42,12 @@ class TestMockProvider:
         with pytest.raises(PipelineError, match=digest):
             provider.generate("absent")
 
+    def test_fixture_not_utf8_names_its_file(self, tmp_path):
+        path = write_mock_fixture(tmp_path, "p", "x")
+        path.write_bytes(b"\xff")
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: 'utf-8' codec "):
+            MockProvider(tmp_path).generate("p")
+
     def test_deterministic(self, tmp_path):
         write_mock_fixture(tmp_path, "p", "fixed response")
         provider = MockProvider(tmp_path)
@@ -124,7 +130,10 @@ class TestHttpProvider:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("body", [json.dumps({"answer": "ok"}), json.dumps(["ok"]),
-                                      "not json"])
+                                      "not json",
+                                      pytest.param(json.dumps({"text": 5}), id="text-5"),
+                                      pytest.param("[" * 100_000 + "]" * 100_000,
+                                                   id="nested-too-deep")])
     def test_malformed_reply_not_retried(self, body):
         calls, sleeps = [], []
 
