@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from ganitprep import structure as structure_mod
@@ -140,9 +141,11 @@ def _cmd_curriculum(args) -> StageSummary:
                             sum(len(stage.train_ids) for stage in built.stages))
     manifest = load_manifest(args.manifest)
     built = curriculum_mod.load_curriculum(args.curriculum)
-    with naming(args.curriculum):
-        outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
-                                              seed=args.seed)
+    with naming(args.curriculum):  # its stage and ids; a write error names no input
+        for problem_id in built.stage(args.stage).train_ids:
+            manifest.by_id(problem_id)
+    outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
+                                          seed=args.seed)
     return outcome.summary("curriculum-export")
 
 
@@ -163,28 +166,39 @@ def _cmd_evaluate(args) -> StageSummary:
     from ganitprep import evaluate as evaluate_mod
 
     if args.action == "grade":
+        # One prediction at a time: read, graded, written and counted; only
+        # the grading is named by the predictions file, not a read or write.
         manifest = load_manifest(args.manifest)
-        predictions = evaluate_mod.read_predictions(args.pred)
-        with naming(args.pred):
-            grades = evaluate_mod.grade_predictions(predictions, manifest, args.model)
-        evaluate_mod.save_grades(grades, args.out)
-        correct = sum(g.verdict is evaluate_mod.Verdict.CORRECT for g in grades)
-        unparseable = sum(g.verdict is evaluate_mod.Verdict.UNPARSEABLE for g in grades)
-        return StageSummary("evaluate-grade", len(predictions), len(grades), text=(
-            f"graded={len(grades)} correct={correct} unparseable={unparseable}\n"))
+        verdicts = Counter()
+
+        def grades():
+            for problem_id, output in evaluate_mod.iter_predictions(args.pred):
+                with naming(args.pred):
+                    record = evaluate_mod.grade_prediction(problem_id, output, manifest,
+                                                           args.model)
+                verdicts[record.verdict] += 1
+                yield record
+
+        evaluate_mod.save_grades(grades(), args.out)
+        graded = sum(verdicts.values())
+        return StageSummary("evaluate-grade", graded, graded, text=(
+            f"graded={graded} correct={verdicts[evaluate_mod.Verdict.CORRECT]} "
+            f"unparseable={verdicts[evaluate_mod.Verdict.UNPARSEABLE]}\n"))
     if args.out is not None and Path(args.out).suffix == ".csv":
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
-    grades = evaluate_mod.read_verdicts(*args.grades)
-    with naming(", ".join(args.grades)):
-        report = evaluate_mod.accuracy_report(grades, manifest)
+    tally, names = evaluate_mod.AccuracyTally(manifest), ", ".join(args.grades)
+    for row in evaluate_mod.iter_verdicts(*args.grades):  # each row tallied as read
+        with naming(names):
+            tally.add(row)
+    report = tally.report()
     rendered = report.render_table()
     if args.out is not None:
         write_text_atomic(args.out, rendered)
         write_text_atomic(Path(args.out).with_suffix(".csv"), report.to_csv())
-    return StageSummary("evaluate-report", len(grades), len(report.cells),
-                        text=rendered if args.out is None else "")
+    return StageSummary("evaluate-report", sum(s.total for s in report.cells.values()),
+                        len(report.cells), text=rendered if args.out is None else "")
 
 
 def _cmd_kappa(args) -> StageSummary:

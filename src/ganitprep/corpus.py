@@ -20,14 +20,19 @@ Internally every corpus is a :class:`CorpusManifest`: an immutable, ordered,
 checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
 object per line behind a single JSON header line carrying the format version
 and a sha256 checksum over the record lines. The checksum is derived from
-the records and computed at most once per manifest: save serialises each
-record once, hashes the lines it writes and streams them to the file one
-line at a time, never as one whole-file string; load hashes each record line
-as it reads it and checks the checksum over the lines as read, so a stale,
-corrupted or hand-edited file is rejected. Every line-delimited artifact
-(manifests, grades, training exports) goes through one canonical encoder
-(sorted keys, raw UTF-8, no spaces) and one line writer; split and
-curriculum files are sorted-key UTF-8 JSON indented by one space.
+the records and computed at most once per manifest. Save makes one pass
+and holds one record line at a time: every header field but the checksum
+is known up front and the checksum has a fixed width (``sha256:`` and 64 hex
+digits), so a placeholder header of the final length goes first, each
+record is then serialised, hashed and written once, and the real header is
+written over the placeholder. Load hashes each record line as it reads it
+and checks the checksum over the lines as read, so a stale, corrupted or
+hand-edited file is rejected. A loaded manifest is the one copy of its
+records a stage holds; every other stream (predictions, grades) is read one
+line at a time. Every line-delimited artifact (manifests, grades, training
+exports) goes through one canonical encoder (sorted keys, raw UTF-8, no
+spaces) and one line writer; split and curriculum files are sorted-key UTF-8
+JSON indented by one space, encoded straight to the file.
 
 Question and solution text is normalized to Unicode NFC at ingestion so
 Devanagari text from mixed sources compares stably. Unknown fields in source
@@ -43,7 +48,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -96,7 +100,7 @@ def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Problem:
     id: str
     language: Language
@@ -267,20 +271,31 @@ def replace_records(manifest: CorpusManifest, records: Iterable[Problem]) -> Cor
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    # Each record is serialised once: the header checksum hashes the very
-    # lines written, and becomes the manifest's cached checksum.
-    lines = [_record_line(p) for p in manifest.records]
-    checksum = _lines_checksum(lines)
-    manifest.__dict__["checksum"] = checksum
-    header = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "source_format": manifest.source_format.value,
-        "created_at": manifest.created_at,
-        "count": len(lines),
-        "checksum": checksum,
-    }
-    write_lines_atomic(path, chain((canonical_json(header),), lines))
+    # One pass: each record is serialised once, hashed and written. The header
+    # goes first as a placeholder holding the empty input's digest, which has
+    # the same width as the final one, and is overwritten once the last line
+    # is hashed; that checksum becomes the manifest's cached one.
+    digest = hashlib.sha256()
+
+    def record_lines() -> Iterator[str]:
+        for problem in manifest.records:
+            line = _record_line(problem)
+            digest.update(line.encode("utf-8"))
+            digest.update(b"\n")
+            yield line
+
+    def header() -> str:
+        return canonical_json({
+            "format": MANIFEST_FORMAT,
+            "version": MANIFEST_VERSION,
+            "source_format": manifest.source_format.value,
+            "created_at": manifest.created_at,
+            "count": len(manifest.records),
+            "checksum": "sha256:" + digest.hexdigest(),
+        })
+
+    write_lines_atomic(path, record_lines(), header)
+    manifest.__dict__["checksum"] = "sha256:" + digest.hexdigest()
 
 
 _HEADER_TYPES = {"format": str, "version": int, "source_format": str, "created_at": str,

@@ -15,14 +15,13 @@ problems never enter a training stage; they surface only in test sets.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
-from ganitprep.common import StageSummary, write_lines_atomic, write_text_atomic
+from ganitprep.common import StageSummary, write_json_atomic, write_lines_atomic
 from ganitprep.corpus import (
     CorpusManifest,
     Difficulty,
@@ -359,8 +358,7 @@ def save_split(assignment: SplitAssignment, path) -> None:
             for (s, d, l), (t, e) in sorted(assignment.strata.items())
         ],
     }
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                                       indent=1) + "\n")
+    write_json_atomic(path, payload)
 
 
 def load_split(path) -> SplitAssignment:
@@ -391,8 +389,7 @@ def save_curriculum(curriculum: CurriculumManifest, path) -> None:
             for stage in curriculum.stages
         ],
     }
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                                       indent=1) + "\n")
+    write_json_atomic(path, payload)
 
 
 def load_curriculum(path) -> CurriculumManifest:

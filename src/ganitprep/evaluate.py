@@ -20,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ganitprep.answers import (
     AnswerKind,
@@ -144,12 +144,18 @@ def _marker_starts_prose(line: str, match: re.Match) -> bool:
 def extract_answer(text: str) -> AnswerValue | None:
     """Extract the final answer value from free-form solution text.
 
-    Markers for both languages are always recognized.
+    Markers for both languages are always recognized. Text whose answer is a
+    number past ``int()``'s digit limit has no readable answer.
     """
     if not text or not text.strip():
         return None
-    mapped = map_devanagari_digits(text)
+    try:
+        return _extract(map_devanagari_digits(text))
+    except ValueError:  # the digit limit of int()
+        return None
 
+
+def _extract(mapped: str) -> AnswerValue | None:
     if "\\boxed" in mapped:
         boxed = _last_boxed(mapped)
         if boxed is not None:
@@ -246,27 +252,30 @@ def reference_answer(problem: Problem) -> AnswerValue | None:
     return None
 
 
+def grade_prediction(problem_id: str, output: str, manifest: CorpusManifest,
+                     model_name: str) -> GradeRecord:
+    """Grade one model output against its problem's reference answer."""
+    reference = reference_answer(manifest.by_id(problem_id))
+    if reference is None:
+        raise PipelineError(f"{problem_id}: no extractable reference answer")
+    predicted = extract_answer(output)
+    return GradeRecord(
+        problem_id=problem_id,
+        model_name=model_name,
+        predicted=predicted,
+        reference=reference,
+        verdict=grade(predicted, reference),
+    )
+
+
 def grade_predictions(
     predictions: Iterable[tuple[str, str]],
     manifest: CorpusManifest,
     model_name: str,
 ) -> list[GradeRecord]:
     """Grade (problem_id, model_output_text) pairs against the corpus."""
-    records = []
-    for problem_id, output in predictions:
-        problem = manifest.by_id(problem_id)
-        reference = reference_answer(problem)
-        if reference is None:
-            raise PipelineError(f"{problem_id}: no extractable reference answer")
-        predicted = extract_answer(output)
-        records.append(GradeRecord(
-            problem_id=problem_id,
-            model_name=model_name,
-            predicted=predicted,
-            reference=reference,
-            verdict=grade(predicted, reference),
-        ))
-    return records
+    return [grade_prediction(problem_id, output, manifest, model_name)
+            for problem_id, output in predictions]
 
 
 def half_up_percent(correct: int, total: int) -> int:
@@ -385,42 +394,66 @@ class EvaluationReport:
         return buffer.getvalue()
 
 
-def accuracy_report(grades: Sequence[GradeRecord | VerdictRow],
-                    manifest: CorpusManifest) -> EvaluationReport:
-    """Aggregate grade records into per-cell accuracy statistics, each
-    problem counted once per model.
+_VERDICT_COLUMN = {Verdict.CORRECT: 0, Verdict.INCORRECT: 1, Verdict.UNPARSEABLE: 2}
+
+
+class AccuracyTally:
+    """Per-cell verdict counts, fed one grade at a time, each problem counted
+    once per model.
 
     Only ``problem_id``, ``model_name`` and ``verdict`` are read, so the rows
-    of :func:`read_verdicts` serve as well as full grade records.
+    of :func:`iter_verdicts` serve as well as full grade records. Beyond the
+    counts it holds one bit per model for each graded problem, keyed by the
+    manifest's own id strings.
     """
-    tallies: dict[CellKey, list[int]] = {}
-    graded: set[tuple[str, str]] = set()
-    for record in grades:
-        _grade_once(graded, record)
-        problem = manifest.by_id(record.problem_id)
+
+    def __init__(self, manifest: CorpusManifest):
+        self._manifest = manifest
+        self._counts: dict[CellKey, list[int]] = {}
+        self._graded = _GradedOnce()
+
+    def add(self, record: GradeRecord | VerdictRow) -> None:
+        problem = self._manifest.by_id(record.problem_id)
+        self._graded.add(record.model_name, problem.id)
         key = (record.model_name, problem.language, problem.source, problem.difficulty)
-        cell = tallies.setdefault(key, [0, 0, 0])
-        if record.verdict is Verdict.CORRECT:
-            cell[0] += 1
-        elif record.verdict is Verdict.INCORRECT:
-            cell[1] += 1
-        else:
-            cell[2] += 1
-    return EvaluationReport(cells={
-        key: CellStats(*counts) for key, counts in tallies.items()
-    })
+        self._counts.setdefault(key, [0, 0, 0])[_VERDICT_COLUMN[record.verdict]] += 1
+
+    def report(self) -> EvaluationReport:
+        return EvaluationReport(cells={
+            key: CellStats(*counts) for key, counts in self._counts.items()
+        })
 
 
-def _grade_once(graded: set[tuple[str, str]], record) -> None:
-    """Add ``record``'s (model, problem) to ``graded``, refusing a second grade."""
-    key = (record.model_name, record.problem_id)
-    if key in graded:
-        raise PipelineError(f"second grade of problem {record.problem_id!r} "
-                              f"for model {record.model_name!r}")
-    graded.add(key)
+def accuracy_report(grades: Iterable[GradeRecord | VerdictRow],
+                    manifest: CorpusManifest) -> EvaluationReport:
+    """Aggregate grade records into per-cell accuracy statistics, each
+    problem counted once per model (see :class:`AccuracyTally`)."""
+    tally = AccuracyTally(manifest)
+    for record in grades:
+        tally.add(record)
+    return tally.report()
 
 
-def save_grades(grades: Sequence[GradeRecord], path) -> None:
+class _GradedOnce:
+    """The (model, problem) pairs graded so far, as one bit per model for each
+    problem id: one id string and one small int per problem, however many
+    models grade it."""
+
+    def __init__(self):
+        self._bits: dict[str, int] = {}  # model name -> its bit
+        self._masks: dict[str, int] = {}  # problem id -> the bits of its models
+
+    def add(self, model_name: str, problem_id: str) -> None:
+        """Record one grade, refusing a second of the same problem for the same model."""
+        bit = self._bits.setdefault(model_name, 1 << len(self._bits))
+        mask = self._masks.get(problem_id, 0)
+        if mask & bit:
+            raise PipelineError(f"second grade of problem {problem_id!r} "
+                                f"for model {model_name!r}")
+        self._masks[problem_id] = mask | bit
+
+
+def save_grades(grades: Iterable[GradeRecord], path) -> None:
     write_lines_atomic(path, (canonical_json(g.to_dict()) for g in grades))
 
 
@@ -466,8 +499,9 @@ def _verdict_row(data: dict) -> VerdictRow:
     return row
 
 
-def read_verdicts(*paths) -> list[VerdictRow]:
-    """Read grades files as verdict rows, leaving the answers undecoded.
+def iter_verdicts(*paths) -> Iterator[VerdictRow]:
+    """Yield the rows of grades files as verdict rows, one line at a time,
+    leaving the answers undecoded.
 
     The checks of :class:`GradeRecord` still hold, with its messages: a known
     verdict, Unparseable exactly when the prediction is absent, a prediction
@@ -475,21 +509,26 @@ def read_verdicts(*paths) -> list[VerdictRow]:
     grade of one problem for one model, in any of the files, is refused
     naming its file and line.
     """
-    graded: set[tuple[str, str]] = set()
+    graded = _GradedOnce()
 
     def row_once(data: dict) -> VerdictRow:
         row = _verdict_row(data)
-        _grade_once(graded, row)
+        graded.add(row.model_name, row.problem_id)
         return row
 
-    return [row for path in paths
-            for _, _, row in numbered_lines(path, "grade", row_once)]
+    for path in paths:
+        for _, _, row in numbered_lines(path, "grade", row_once):
+            yield row
 
 
-def read_predictions(path) -> list[tuple[str, str]]:
-    r"""Read a ``problem_id<TAB>model_output`` file, one line per problem;
-    ``\n`` unescapes to newlines."""
-    pairs = []
+def read_verdicts(*paths) -> list[VerdictRow]:
+    """The rows of :func:`iter_verdicts`, as a list."""
+    return list(iter_verdicts(*paths))
+
+
+def iter_predictions(path) -> Iterator[tuple[str, str]]:
+    r"""Yield the pairs of a ``problem_id<TAB>model_output`` file, one line per
+    problem, as they are read; ``\n`` unescapes to newlines."""
     seen: set[str] = set()
     for lineno, line, _ in numbered_lines(path):
         if "\t" not in line:
@@ -498,8 +537,12 @@ def read_predictions(path) -> list[tuple[str, str]]:
         if problem_id in seen:
             raise PipelineError(f"{path}:{lineno}: duplicate problem id {problem_id!r}")
         seen.add(problem_id)
-        pairs.append((problem_id, text.replace("\\n", "\n")))
-    return pairs
+        yield problem_id, text.replace("\\n", "\n")
+
+
+def read_predictions(path) -> list[tuple[str, str]]:
+    """The pairs of :func:`iter_predictions`, as a list."""
+    return list(iter_predictions(path))
 
 
 def _row_fault(row: Sequence[int], categories: int, raters: int) -> str | None:

@@ -710,8 +710,8 @@ _WRITERS = {
 }
 
 
-@pytest.mark.parametrize("out", ["/", ".", "", "{tmp}/missing/out.txt"],
-                         ids=["root", "dot", "empty", "missing-dir"])
+@pytest.mark.parametrize("out", ["/", ".", "", "..", "{tmp}/x/..", "{tmp}/missing/out.txt"],
+                         ids=["root", "dot", "empty", "dotdot", "dir-dotdot", "missing-dir"])
 @pytest.mark.parametrize("command", list(_WRITERS))
 def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys,
                                                       command, out):
@@ -732,11 +732,12 @@ def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys
     assert main([arg.format(data=DEMO_DATA_DIR, demo=demo_dir, tmp=tmp_path,
                             merged=demo_dir / "merged.jsonl") for arg in argv]) == 1
     message = _single_error(capsys)
-    if out.startswith(str(tmp_path)):
+    if out.endswith("out.txt"):
         assert message.startswith("[Errno 2] ") and str(tmp_path / "missing") in message
         assert not (tmp_path / "missing").exists()
-    else:  # curriculum export names its curriculum file first
-        assert message.endswith(f"output path {out!r} names no file")
+    else:  # refused before any temp file is made, naming no input
+        assert message == f"output path {out!r} names no file"
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestDemo:
@@ -899,6 +900,26 @@ def test_repeated_prediction_id_exits_1(tmp_path, capsys):
                  "--model", "m", "--out", str(out)]) == 1
     assert _single_error(capsys) == f"{pred}:3: duplicate problem id 'p0'"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [f"#### {'9' * 5000}", f"Final Answer: {'9' * 5000}",
+                                    f"\\boxed{{{'9' * 5000}}}", f"it is {'9' * 5000}"],
+                         ids=["marker", "final-answer", "boxed", "bare"])
+def test_number_past_int_digit_limit_grades_unparseable(tmp_path, capsys, output):
+    # One such prediction is graded like any other unreadable one; the stage
+    # and every other verdict go on as before.
+    manifest_path, pred, out = tmp_path / "m.jsonl", tmp_path / "pred.tsv", tmp_path / "g"
+    save_manifest(make_manifest([make_problem(f"p{i}", raw_solution=f"#### {i}")
+                                 for i in range(3)]), manifest_path)
+    pred.write_text(f"p0\t#### 0\np1\t{output}\np2\t#### 5\n", encoding="utf-8")
+    assert main(["evaluate", "grade", "--pred", str(pred), "--manifest", str(manifest_path),
+                 "--model", "m", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("graded=3 correct=1 unparseable=1\n")
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(row["problem_id"], row["verdict"], row["predicted"]) for row in rows] == [
+        ("p0", "Correct", {"kind": "Rational", "rational": "0/1"}),
+        ("p1", "Unparseable", None),
+        ("p2", "Incorrect", {"kind": "Rational", "rational": "5/1"})]
 
 
 def test_repeated_grade_exits_1(demo_dir, tmp_path, capsys):

@@ -714,8 +714,8 @@ class TestStreamingMemory:
         return _large_manifest()
 
     def test_save_manifest_peak(self, manifest, tmp_path):
-        # The record lines are held (the header's checksum comes first), the
-        # file is not.
+        # One record line at a time is held; the header's checksum is written
+        # over a placeholder once the last line is hashed.
         _, peak, _ = _traced(lambda: save_manifest(manifest, tmp_path / "m.jsonl"))
         assert peak <= 2 * (tmp_path / "m.jsonl").stat().st_size
 
