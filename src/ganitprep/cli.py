@@ -188,10 +188,9 @@ def _cmd_evaluate(args) -> StageSummary:
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
     manifest = load_manifest(args.manifest)
-    tally, names = evaluate_mod.AccuracyTally(manifest), ", ".join(args.grades)
-    for row in evaluate_mod.iter_verdicts(*args.grades):  # each row tallied as read
-        with naming(names):
-            tally.add(row)
+    tally = evaluate_mod.AccuracyTally(manifest)
+    for path in args.grades:
+        tally.add_file(path)
     report = tally.report()
     rendered = report.render_table()
     if args.out is not None:

@@ -66,29 +66,30 @@ _ANY_NUMBER_RE = re.compile(
     r"|[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
 )
 _TOKEN_TRIM = ".,;:!?()[]{}%₹$€"
-_BOXED_RE = re.compile(r"\\boxed")
+_BOXED_RE = re.compile(r"\\boxed\s*\{")
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def _last_boxed(text: str) -> str | None:
-    starts = [m.start() for m in _BOXED_RE.finditer(text)]
-    for idx in reversed(starts):
-        scan = idx + len("\\boxed")
-        while scan < len(text) and text[scan].isspace():
-            scan += 1
-        if scan >= len(text) or text[scan] != "{":
-            continue
-        depth = 1
-        scan += 1
-        begin = scan
-        while scan < len(text):
-            if text[scan] == "{":
-                depth += 1
-            elif text[scan] == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[begin:scan]
-            scan += 1
-    return None
+    """The body of the last ``\\boxed{`` whose brace is closed, or None.
+
+    The braces are matched once, from the first marker on, so a text of many
+    unclosed markers costs one pass rather than one scan per marker.
+    """
+    opens = {match.end() - 1 for match in _BOXED_RE.finditer(text)}
+    if not opens:
+        return None
+    pending: list[int] = []  # the open braces not yet closed, innermost last
+    closed: dict[int, int] = {}  # a marker's open brace -> its closing brace
+    for brace in _BRACE_RE.finditer(text, min(opens)):
+        if brace[0] == "{":
+            pending.append(brace.start())
+        elif pending and (begin := pending.pop()) in opens:
+            closed[begin] = brace.start()
+    if not closed:
+        return None
+    begin = max(closed)
+    return text[begin + 1:closed[begin]]
 
 
 def _is_word(token: str) -> bool:
@@ -401,8 +402,9 @@ class AccuracyTally:
     """Per-cell verdict counts, fed one grade at a time, each problem counted
     once per model.
 
-    Only ``problem_id``, ``model_name`` and ``verdict`` are read, so the rows
-    of :func:`iter_verdicts` serve as well as full grade records. Beyond the
+    Only ``problem_id``, ``model_name`` and ``verdict`` are read, so verdict
+    rows serve as well as full grade records, and :meth:`add_file` tallies a
+    grades file as it reads it, leaving the answers undecoded. Beyond the
     counts it holds one bit per model for each graded problem, keyed by the
     manifest's own id strings.
     """
@@ -410,13 +412,33 @@ class AccuracyTally:
     def __init__(self, manifest: CorpusManifest):
         self._manifest = manifest
         self._counts: dict[CellKey, list[int]] = {}
-        self._graded = _GradedOnce()
+        self._bits: dict[str, int] = {}  # model name -> its bit
+        self._graded: dict[str, int] = {}  # problem id -> the bits of its models
 
     def add(self, record: GradeRecord | VerdictRow) -> None:
+        """Count one grade, refusing a second of the same problem for the same model."""
         problem = self._manifest.by_id(record.problem_id)
-        self._graded.add(record.model_name, problem.id)
+        bit = self._bits.setdefault(record.model_name, 1 << len(self._bits))
+        mask = self._graded.get(problem.id, 0)
+        if mask & bit:
+            raise PipelineError(f"second grade of problem {problem.id!r} "
+                                f"for model {record.model_name!r}")
+        self._graded[problem.id] = mask | bit
         key = (record.model_name, problem.language, problem.source, problem.difficulty)
         self._counts.setdefault(key, [0, 0, 0])[_VERDICT_COLUMN[record.verdict]] += 1
+
+    def add_file(self, path) -> None:
+        """Count the grades of a grades file one line at a time.
+
+        Each line is checked as :class:`GradeRecord` checks it, with its
+        messages, and then counted; a fault, an unknown id or a second grade
+        alike, is raised naming the file and line.
+        """
+        def count(data: dict) -> None:
+            self.add(_verdict_row(data))
+
+        for _ in numbered_lines(path, "grade", count):
+            pass
 
     def report(self) -> EvaluationReport:
         return EvaluationReport(cells={
@@ -432,25 +454,6 @@ def accuracy_report(grades: Iterable[GradeRecord | VerdictRow],
     for record in grades:
         tally.add(record)
     return tally.report()
-
-
-class _GradedOnce:
-    """The (model, problem) pairs graded so far, as one bit per model for each
-    problem id: one id string and one small int per problem, however many
-    models grade it."""
-
-    def __init__(self):
-        self._bits: dict[str, int] = {}  # model name -> its bit
-        self._masks: dict[str, int] = {}  # problem id -> the bits of its models
-
-    def add(self, model_name: str, problem_id: str) -> None:
-        """Record one grade, refusing a second of the same problem for the same model."""
-        bit = self._bits.setdefault(model_name, 1 << len(self._bits))
-        mask = self._masks.get(problem_id, 0)
-        if mask & bit:
-            raise PipelineError(f"second grade of problem {problem_id!r} "
-                                f"for model {model_name!r}")
-        self._masks[problem_id] = mask | bit
 
 
 def save_grades(grades: Iterable[GradeRecord], path) -> None:
@@ -497,33 +500,6 @@ def _verdict_row(data: dict) -> VerdictRow:
     if type(reference) is not dict:
         raise PipelineError(f"reference must be an object, not {type(reference).__name__}")
     return row
-
-
-def iter_verdicts(*paths) -> Iterator[VerdictRow]:
-    """Yield the rows of grades files as verdict rows, one line at a time,
-    leaving the answers undecoded.
-
-    The checks of :class:`GradeRecord` still hold, with its messages: a known
-    verdict, Unparseable exactly when the prediction is absent, a prediction
-    that is an object or null, and a reference that is an object. A second
-    grade of one problem for one model, in any of the files, is refused
-    naming its file and line.
-    """
-    graded = _GradedOnce()
-
-    def row_once(data: dict) -> VerdictRow:
-        row = _verdict_row(data)
-        graded.add(row.model_name, row.problem_id)
-        return row
-
-    for path in paths:
-        for _, _, row in numbered_lines(path, "grade", row_once):
-            yield row
-
-
-def read_verdicts(*paths) -> list[VerdictRow]:
-    """The rows of :func:`iter_verdicts`, as a list."""
-    return list(iter_verdicts(*paths))
 
 
 def iter_predictions(path) -> Iterator[tuple[str, str]]:

@@ -474,20 +474,20 @@ _STAGES = json.dumps({"stages": [{"name": "SFT_easy", "train_ids": ["zzz"],
 
 @pytest.mark.parametrize("argv,text,message", [
     (["classify", "--in", "{merged}", "--annotations", "{path}", "--out", "{out}"],
-     "zzz\tEasy\n", "annotations reference unknown ids: zzz"),
+     "zzz\tEasy\n", "{path}: annotations reference unknown ids: zzz"),
     (["evaluate", "grade", "--pred", "{path}", "--manifest", "{merged}", "--model", "m",
-      "--out", "{out}"], "zzz\t4\n", "no problem with id 'zzz'"),
+      "--out", "{out}"], "zzz\t4\n", "{path}: no problem with id 'zzz'"),
     (["evaluate", "report", "--grades", "{path}", "--manifest", "{merged}", "--out", "{out}"],
-     _GRADE_LINE, "no problem with id 'zzz'"),
+     _GRADE_LINE, "{path}:1: no problem with id 'zzz'"),  # a report reads line by line
     (["curriculum", "export", "--curriculum", "{path}", "--manifest", "{merged}",
-      "--stage", "SFT_easy", "--out", "{out}"], _STAGES, "no problem with id 'zzz'"),
+      "--stage", "SFT_easy", "--out", "{out}"], _STAGES, "{path}: no problem with id 'zzz'"),
 ], ids=["annotations", "predictions", "grades", "curriculum"])
 def test_unknown_id_names_its_file(demo_dir, tmp_path, capsys, argv, text, message):
     path, out = tmp_path / "input", tmp_path / "out"
     path.write_text(text, encoding="utf-8")
     merged = demo_dir / "merged.jsonl"
     assert main([arg.format(merged=merged, path=path, out=out) for arg in argv]) == 1
-    assert _single_error(capsys) == f"{path}: {message}"
+    assert _single_error(capsys) == message.format(path=path)
     assert not out.exists()
 
 
@@ -778,7 +778,7 @@ def _modules_after(code: str) -> set[str]:
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code += "; import sys; print(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+                          encoding="utf-8", env=env, timeout=60, check=True)
     return set(done.stdout.split())
 
 
@@ -931,6 +931,27 @@ def test_repeated_grade_exits_1(demo_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_grade_id_names_its_file_and_line(demo_dir, tmp_path, capsys):
+    first, second, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "report.txt"
+    lines = (demo_dir / "grades.jsonl").read_text(encoding="utf-8").splitlines()
+    first.write_text(lines[0] + "\n", encoding="utf-8")
+    second.write_text(lines[1] + "\n" + _GRADE_LINE + "\n", encoding="utf-8")
+    assert main(["evaluate", "report", "--grades", str(first), str(second),
+                 "--manifest", str(demo_dir / "merged.jsonl"), "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{second}:2: no problem with id 'zzz'"
+    assert sorted(tmp_path.iterdir()) == [first, second]
+
+
+def test_merge_of_a_shared_id_exits_1(tmp_path, capsys):
+    first, second, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "m.jsonl"
+    save_manifest(make_manifest([make_problem("p"), make_problem("q")]), first)
+    save_manifest(make_manifest([make_problem("q", language=Language.HINDI)]), second)
+    assert main(["curriculum", "merge", "--in", str(first), str(second),
+                 "--out", str(out)]) == 1
+    assert _single_error(capsys) == "duplicate problem id: q"
+    assert sorted(tmp_path.iterdir()) == [first, second]
+
+
 def test_repeated_annotation_id_exits_1(tmp_path, capsys):
     manifest_path, annotations, out = tmp_path / "m.jsonl", tmp_path / "a.tsv", tmp_path / "o"
     save_manifest(make_manifest([make_problem("a"), make_problem("b")]), manifest_path)
@@ -1045,7 +1066,7 @@ def test_module_entry_exit_codes(tmp_path):
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "ganitprep.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=env, capture_output=True, encoding="utf-8", timeout=60)
 
     done = run("ingest", "--format", "gsm8k", "--in", str(_gsm8k_file(tmp_path)),
                "--out", "m.jsonl")

@@ -142,9 +142,10 @@ class TestMergeSources:
         assert "5470" in outcome.discrepancies[0]
 
     def test_id_collision(self):
-        a = make_manifest([make_problem("same")])
-        b = make_manifest([make_problem("same", language=Language.HINDI)])
-        with pytest.raises(PipelineError, match="collision"):
+        # The first shared id in concatenated order is the one named.
+        a = make_manifest([make_problem("p"), make_problem("q")])
+        b = make_manifest([make_problem(pid, language=Language.HINDI) for pid in ("q", "p")])
+        with pytest.raises(PipelineError, match="^duplicate problem id: q$"):
             merge_sources([a, b])
 
     def test_no_audit_no_discrepancies(self):

@@ -24,6 +24,6 @@ def test_demo_script_runs(script, tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, encoding="utf-8", timeout=300)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr

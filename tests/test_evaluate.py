@@ -12,6 +12,8 @@ from ganitprep.answers import AnswerKind, AnswerValue, map_devanagari_digits
 from ganitprep.corpus import Difficulty, Language, Source
 from ganitprep.errors import PipelineError
 from ganitprep.evaluate import (
+    AccuracyTally,
+    CellStats,
     GradeRecord,
     Verdict,
     accuracy_report,
@@ -23,7 +25,6 @@ from ganitprep.evaluate import (
     load_grades,
     read_counts_matrix,
     read_predictions,
-    read_verdicts,
     save_grades,
 )
 from ganitprep.structure import StructuredSolution
@@ -228,6 +229,18 @@ def _grade_line(**changes) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+_GRADED = make_manifest([make_problem(pid) for pid in ("p1", "p\u20282", "p3")])
+
+
+def read_verdicts(*paths):
+    """The report of grades files over ``_GRADED``, tallied as ``evaluate
+    report`` tallies them: each line checked and counted as it is read."""
+    tally = AccuracyTally(_GRADED)
+    for path in paths:
+        tally.add_file(path)
+    return tally.report()
+
+
 class TestReadVerdicts:
     def test_matches_full_records(self, tmp_path):
         records = [
@@ -240,14 +253,14 @@ class TestReadVerdicts:
         ]
         path = tmp_path / "grades.jsonl"
         save_grades(records, path)
-        assert [tuple(row) for row in read_verdicts(path)] == [
-            (g.problem_id, g.model_name, g.verdict) for g in load_grades(path)]
+        assert read_verdicts(path) == accuracy_report(load_grades(path), _GRADED)
 
     def test_answers_are_not_decoded(self, tmp_path):
         # A reference no AnswerValue can be built from does not stop a report.
         path = tmp_path / "grades.jsonl"
         path.write_text(_grade_line(reference={"kind": "Bogus"}) + "\n", encoding="utf-8")
-        assert [row.verdict for row in read_verdicts(path)] == [Verdict.CORRECT]
+        assert read_verdicts(path).cells == {
+            ("m", Language.ENGLISH, Source.GSM8K, Difficulty.UNCLASSIFIED): CellStats(1, 0, 0)}
         with pytest.raises(PipelineError, match=re.escape(
                 f"{path}:1: unreadable grade: 'Bogus' is not a valid AnswerKind")):
             load_grades(path)

@@ -2,10 +2,13 @@
 
 Every property states the spec expression inline: ``Fraction(str)`` for
 ``as_fraction``, ``str.translate`` for ``map_devanagari_digits``, the
-Unicode category rule for ``_is_word``, and one ``str.count`` per word over
-the full word lists for the feature scorer.
+Unicode category rule for ``_is_word``, one ``str.count`` per word over
+the full word lists for the feature scorer, and a rescan from every marker
+for ``_last_boxed``.
 """
 
+import re
+import time
 import unicodedata
 from fractions import Fraction
 from unittest import mock
@@ -18,7 +21,7 @@ from ganitprep import classify
 from ganitprep.answers import as_fraction, format_exact, map_devanagari_digits
 from ganitprep.classify import CRITERIA, DEFAULT_WEIGHTS, rank_bottom_k, score_complexity
 from ganitprep.corpus import Difficulty, Language
-from ganitprep.evaluate import _is_word
+from ganitprep.evaluate import _is_word, _last_boxed, extract_answer
 
 # Ten-digit runs of Unicode Nd scripts: ASCII, Devanagari, Arabic-Indic,
 # Bengali, fullwidth.
@@ -126,3 +129,42 @@ def test_rank_bottom_k_picks_spec_ids(questions, data):
     spec = {p.id for p in sorted(manifest, key=lambda p: (_spec_total(p), p.id))[:k]}
     ranked = rank_bottom_k(manifest, k)
     assert {p.id for p in ranked if p.difficulty is Difficulty.EASY} == spec
+
+
+def _spec_last_boxed(text):
+    # From the last ``\\boxed`` back, scan each marker's braces to the text's end.
+    starts = [m.start() for m in re.finditer(r"\\boxed", text)]
+    for idx in reversed(starts):
+        scan = idx + len("\\boxed")
+        while scan < len(text) and text[scan].isspace():
+            scan += 1
+        if scan >= len(text) or text[scan] != "{":
+            continue
+        depth = 1
+        scan += 1
+        begin = scan
+        while scan < len(text):
+            if text[scan] == "{":
+                depth += 1
+            elif text[scan] == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[begin:scan]
+            scan += 1
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(["\\boxed{", "\\boxed", "\\box", "ed", "{", "}", "}", " ",
+                                 "\t", "\u2028", "\u0085", "\u3000", "1", "२"]),
+                max_size=30).map("".join))
+def test_last_boxed_equals_rescan(text):
+    assert _last_boxed(text) == _spec_last_boxed(text)
+
+
+def test_extract_answer_on_many_unclosed_boxes_is_linear():
+    # A rescan from each of 20,000 unclosed markers takes minutes.
+    text = "\\boxed{" * 20_000
+    started = time.perf_counter()
+    assert extract_answer(text) is None
+    assert time.perf_counter() - started < 1

@@ -142,7 +142,8 @@ def test_streamed_grade_and_report_equal_the_list_forms(tmp_path_factory, corpus
 
     code, stdout, _ = _run("evaluate", "report", "--grades", *grade_files,
                            "--manifest", work / "m.jsonl", "--out", work / "report.txt")
-    report = evaluate.accuracy_report(evaluate.read_verdicts(*grade_files), manifest)
+    report = evaluate.accuracy_report(
+        [grade for path in grade_files for grade in evaluate.load_grades(path)], manifest)
     assert code == 0
     assert (work / "report.txt").read_bytes() == report.render_table().encode()
     assert (work / "report.csv").read_bytes() == report.to_csv().encode()
@@ -198,7 +199,7 @@ def _grade_lines(ids, model="m") -> list[str]:
 
 _GRADE_FAULTS = {
     "unknown-id": (lambda first: _grade_lines(["zzz"])[0],
-                   "{grades}: no problem with id 'zzz'"),
+                   "{grades}:{line}: no problem with id 'zzz'"),
     "repeated": (lambda first: _grade_lines([first])[0],
                  "{grades}:{line}: second grade of problem {first!r} for model 'm'"),
     "bad-verdict": (lambda first: _grade_lines([first], "n")[0].replace("Correct", "Maybe"),
@@ -273,7 +274,7 @@ def test_report_reports_the_first_fault_in_file_order(tmp_path):
                       encoding="utf-8")
     code, _, err = _run("evaluate", "report", "--grades", grades,
                         "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "r.txt")
-    assert (code, err) == (1, "error=" + json.dumps(f"{grades}: no problem with id 'zzz'")
+    assert (code, err) == (1, "error=" + json.dumps(f"{grades}:2: no problem with id 'zzz'")
                            + "\n")
 
 
@@ -346,8 +347,8 @@ def test_grade_holds_one_prediction_at_a_time(cli_given, manifest, tmp_path):
 
 def test_report_holds_one_verdict_row_at_a_time(cli_given, manifest, tmp_path):
     # Reading every verdict row before the tally held them all, and each
-    # (model, id) key twice: 2.1 times the grades files. Streamed, the two
-    # duplicate checks hold a bit per model for each id: 0.5 times.
+    # (model, id) key twice: 2.1 times the grades files. Streamed, the one
+    # duplicate check holds a bit per model for each id: 0.33 times.
     grades = []
     for model in ("model-a", "model-b"):
         _predictions(tmp_path / "pred.tsv", manifest, model)
