@@ -135,7 +135,7 @@ def normalize_expression(text: str) -> str:
     return _WS_RE.sub(" ", s).strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerValue:
     kind: AnswerKind
     rational: Fraction | None = None

@@ -22,11 +22,14 @@ from ganitprep import structure as structure_mod
 from ganitprep.common import StageSummary, write_text_atomic
 from ganitprep.corpus import (
     Language,
+    ManifestReader,
+    SourceFormat,
     ingest_gsm8k,
     ingest_hawp,
     ingest_math,
     load_manifest,
     save_manifest,
+    write_manifest,
 )
 from ganitprep.errors import PipelineError, json_object_file, naming
 
@@ -117,34 +120,47 @@ def _cmd_curriculum(args) -> StageSummary:
         save_manifest(paired, args.out)
         return StageSummary("curriculum-pair", len(en) + len(hi), len(paired))
     if args.action == "merge":
-        manifests = [load_manifest(p) for p in args.infiles]
-        outcome = curriculum_mod.merge_sources(manifests)
-        save_manifest(outcome.manifest, args.out)
-        return StageSummary("curriculum-merge", sum(len(m) for m in manifests),
-                            len(outcome.manifest), text=_counts_text("totals", outcome.totals))
+        readers = []
+        for path in args.infiles:
+            try:
+                readers.append(ManifestReader(path))
+            except (PipelineError, OSError):
+                # The inputs before it are read first, so their faults come
+                # first, in file order, as when each input was loaded whole.
+                for reader in readers:
+                    for _ in reader:
+                        pass
+                raise
+        totals = Counter()
+        write_manifest(args.out, curriculum_mod.merged_records(readers, totals),
+                       SourceFormat.MIXED, created_at=max(r.created_at for r in readers),
+                       count=sum(r.count for r in readers))
+        merged = sum(totals.values())
+        return StageSummary("curriculum-merge", merged, merged,
+                            text=_counts_text("totals", totals))
     if args.action == "split":
-        manifest = load_manifest(args.infile)
-        assignment = curriculum_mod.split(manifest, seed=args.seed, ratio=args.ratio)
+        assignment = curriculum_mod.split(ManifestReader(args.infile), seed=args.seed,
+                                          ratio=args.ratio)
         curriculum_mod.save_split(assignment, args.out)
-        return StageSummary("curriculum-split", len(manifest), len(assignment.assignments))
+        count = len(assignment.assignments)
+        return StageSummary("curriculum-split", count, count)
     if args.action == "build":
-        manifest = load_manifest(args.infile)
+        reader = ManifestReader(args.infile)
+        pool = curriculum_mod.TrainPool.read(reader, curriculum_mod.TrainingMode(args.mode))
         assignment = curriculum_mod.load_split(args.split)
         with naming(args.split):
-            built = curriculum_mod.build_curriculum(
-                manifest, assignment,
-                mode=curriculum_mod.TrainingMode(args.mode),
-                cumulative=args.cumulative,
-            )
+            built = pool.curriculum(assignment, cumulative=args.cumulative)
         curriculum_mod.save_curriculum(built, args.out)
-        return StageSummary("curriculum-build", len(manifest),
+        return StageSummary("curriculum-build", reader.count,
                             sum(len(stage.train_ids) for stage in built.stages))
-    manifest = load_manifest(args.manifest)
+    # The curriculum comes first: only its stage's records are kept.
     built = curriculum_mod.load_curriculum(args.curriculum)
-    with naming(args.curriculum):  # its stage and ids; a write error names no input
-        for problem_id in built.stage(args.stage).train_ids:
-            manifest.by_id(problem_id)
-    outcome = curriculum_mod.export_stage(built, args.stage, manifest, args.out,
+    with naming(args.curriculum):
+        stage = built.stage(args.stage)
+    problems = curriculum_mod.stage_problems(stage, ManifestReader(args.manifest))
+    with naming(args.curriculum):  # its ids; a write error names no input
+        curriculum_mod.check_stage_ids(stage, problems)
+    outcome = curriculum_mod.export_stage(built, args.stage, problems.values(), args.out,
                                           seed=args.seed)
     return outcome.summary("curriculum-export")
 
@@ -166,16 +182,12 @@ def _cmd_evaluate(args) -> StageSummary:
     from ganitprep import evaluate as evaluate_mod
 
     if args.action == "grade":
-        # One prediction at a time: read, graded, written and counted; only
-        # the grading is named by the predictions file, not a read or write.
-        manifest = load_manifest(args.manifest)
+        # One prediction at a time: read, graded, written and counted.
+        references = evaluate_mod.reference_answers(ManifestReader(args.manifest))
         verdicts = Counter()
 
         def grades():
-            for problem_id, output in evaluate_mod.iter_predictions(args.pred):
-                with naming(args.pred):
-                    record = evaluate_mod.grade_prediction(problem_id, output, manifest,
-                                                           args.model)
+            for record in evaluate_mod.grade_file(args.pred, references, args.model):
                 verdicts[record.verdict] += 1
                 yield record
 
@@ -187,8 +199,7 @@ def _cmd_evaluate(args) -> StageSummary:
     if args.out is not None and Path(args.out).suffix == ".csv":
         raise PipelineError(f"{args.out}: the table and its .csv companion would be "
                             "the same file; name the table output otherwise")
-    manifest = load_manifest(args.manifest)
-    tally = evaluate_mod.AccuracyTally(manifest)
+    tally = evaluate_mod.AccuracyTally(ManifestReader(args.manifest))
     for path in args.grades:
         tally.add_file(path)
     report = tally.report()

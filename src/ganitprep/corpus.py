@@ -20,16 +20,19 @@ Internally every corpus is a :class:`CorpusManifest`: an immutable, ordered,
 checksummed tuple of :class:`Problem` records. Manifests persist as one JSON
 object per line behind a single JSON header line carrying the format version
 and a sha256 checksum over the record lines. The checksum is derived from
-the records and computed at most once per manifest. Save makes one pass
-and holds one record line at a time: every header field but the checksum
-is known up front and the checksum has a fixed width (``sha256:`` and 64 hex
-digits), so a placeholder header of the final length goes first, each
-record is then serialised, hashed and written once, and the real header is
-written over the placeholder. Load hashes each record line as it reads it
-and checks the checksum over the lines as read, so a stale, corrupted or
-hand-edited file is rejected. A loaded manifest is the one copy of its
-records a stage holds; every other stream (predictions, grades) is read one
-line at a time. Every line-delimited artifact (manifests, grades, training
+the records and computed at most once per manifest. :func:`write_manifest`
+writes in one pass and holds one record line at a time: every header field
+but the checksum is known up front and the checksum has a fixed width
+(``sha256:`` and 64 hex digits), so a placeholder header of the final length
+goes first, each record is then serialised, hashed and written once, and the
+real header is written over the placeholder. :class:`ManifestReader` is the
+one read path: it yields one record at a time, hashing each line as read, and
+checks the checksum over the lines as read, so a stale, corrupted or
+hand-edited file is rejected. :func:`load_manifest` gathers its records into a
+manifest for the stages that rewrite a whole corpus; the stages that only
+read one take the reader and keep only what they read of each record, and
+every other stream (predictions, grades) is read one line at a time.
+Every line-delimited artifact (manifests, grades, training
 exports) goes through one canonical encoder (sorted keys, raw UTF-8, no
 spaces) and one line writer; split and curriculum files are sorted-key UTF-8
 JSON indented by one space, encoded straight to the file.
@@ -204,23 +207,48 @@ def records_checksum(records: Iterable[Problem]) -> str:
     return _lines_checksum(map(_record_line, records))
 
 
-def _validate_records(records: tuple[Problem, ...]) -> None:
-    seen: set[str] = set()
-    pairs: dict[str, list[Problem]] = {}
-    for problem in records:
-        if problem.id in seen:
-            raise PipelineError(f"duplicate problem id: {problem.id}")
-        seen.add(problem.id)
+class RecordRules:
+    """The id and pair rules of a manifest, over its records one at a time.
+
+    :meth:`add` takes each record as it is read and keeps its id and, for a
+    pair member, its pair's three enums; :meth:`check` then raises the fault
+    a check of the whole tuple names first: the first repeated id, else the
+    first pair, in order of appearance, whose members break a rule.
+    """
+
+    def __init__(self):
+        self._ids: set[str] = set()
+        self._repeated: str | None = None
+        self._pairs: dict[str, list[tuple[Language, Source, Difficulty]]] = {}
+
+    def add(self, problem: Problem) -> None:
+        if problem.id in self._ids:
+            if self._repeated is None:
+                self._repeated = problem.id
+        else:
+            self._ids.add(problem.id)
         if problem.pair_id:
-            pairs.setdefault(problem.pair_id, []).append(problem)
-    for pair_id, members in pairs.items():
-        languages = {p.language for p in members}
-        if len(languages) != len(members):
-            raise PipelineError(f"pair {pair_id}: members must have distinct languages")
-        if len({p.source for p in members}) != 1:
-            raise PipelineError(f"pair {pair_id}: members must share one source")
-        if len({p.difficulty for p in members}) != 1:
-            raise PipelineError(f"pair {pair_id}: members must share one difficulty")
+            self._pairs.setdefault(problem.pair_id, []).append(
+                (problem.language, problem.source, problem.difficulty))
+
+    def check(self) -> None:
+        if self._repeated is not None:
+            raise PipelineError(f"duplicate problem id: {self._repeated}")
+        for pair_id, members in self._pairs.items():
+            languages, sources, difficulties = (set(values) for values in zip(*members))
+            if len(languages) != len(members):
+                raise PipelineError(f"pair {pair_id}: members must have distinct languages")
+            if len(sources) != 1:
+                raise PipelineError(f"pair {pair_id}: members must share one source")
+            if len(difficulties) != 1:
+                raise PipelineError(f"pair {pair_id}: members must share one difficulty")
+
+
+def _validate_records(records: Iterable[Problem]) -> None:
+    rules = RecordRules()
+    for problem in records:
+        rules.add(problem)
+    rules.check()
 
 
 @dataclass(frozen=True)
@@ -270,78 +298,115 @@ def replace_records(manifest: CorpusManifest, records: Iterable[Problem]) -> Cor
                                        created_at=manifest.created_at)
 
 
-def save_manifest(manifest: CorpusManifest, path) -> None:
-    # One pass: each record is serialised once, hashed and written. The header
-    # goes first as a placeholder holding the empty input's digest, which has
-    # the same width as the final one, and is overwritten once the last line
-    # is hashed; that checksum becomes the manifest's cached one.
+def write_manifest(path, records: Iterable[Problem], source_format: SourceFormat,
+                   created_at: str, count: int) -> str:
+    """Write ``count`` records behind their header in one pass; return the checksum.
+
+    Each record is serialised once, hashed and written. The header goes first
+    as a placeholder holding the empty input's digest, which has the same
+    width as the final one, and is overwritten once the last line is hashed.
+    A record count other than ``count`` keeps the previous file.
+    """
     digest = hashlib.sha256()
+    written = 0
 
     def record_lines() -> Iterator[str]:
-        for problem in manifest.records:
+        nonlocal written
+        for problem in records:
             line = _record_line(problem)
             digest.update(line.encode("utf-8"))
             digest.update(b"\n")
+            written += 1
             yield line
+        if written != count:
+            raise PipelineError(f"header count {count} != {written} records written")
 
     def header() -> str:
         return canonical_json({
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
-            "source_format": manifest.source_format.value,
-            "created_at": manifest.created_at,
-            "count": len(manifest.records),
+            "source_format": source_format.value,
+            "created_at": created_at,
+            "count": count,
             "checksum": "sha256:" + digest.hexdigest(),
         })
 
     write_lines_atomic(path, record_lines(), header)
-    manifest.__dict__["checksum"] = "sha256:" + digest.hexdigest()
+    return "sha256:" + digest.hexdigest()
+
+
+def save_manifest(manifest: CorpusManifest, path) -> None:
+    """Write ``manifest`` with :func:`write_manifest`; the checksum it hashes
+    becomes the manifest's cached one."""
+    manifest.__dict__["checksum"] = write_manifest(
+        path, manifest.records, manifest.source_format, manifest.created_at, len(manifest))
 
 
 _HEADER_TYPES = {"format": str, "version": int, "source_format": str, "created_at": str,
                  "count": int, "checksum": str}
 
 
-def load_manifest(path) -> CorpusManifest:
-    lines = numbered_lines(path, "record")
-    _, _, header = next(lines, (0, "", None))
-    if header is None:
-        raise PipelineError(f"{path}: empty manifest file")
-    with naming(path, "manifest header"):
-        check_json_object(header, _HEADER_TYPES, "manifest header")
-    if header.get("format") != MANIFEST_FORMAT:
-        raise PipelineError(f"{path}: not a manifest file (format {header.get('format')!r})")
-    if header.get("version") != MANIFEST_VERSION:
-        raise PipelineError(f"{path}: unsupported manifest version {header.get('version')!r}")
-    records = []
+class ManifestReader:
+    """The records of a manifest file, read one at a time.
 
-    def record_lines() -> Iterator[str]:
+    Opening it reads and checks the header, whose ``source_format``,
+    ``created_at`` and ``count`` it keeps. Iterating it, once, yields each
+    record as it is read: decoded by :meth:`Problem.from_dict` and its line
+    hashed. Before the iteration ends it raises, in this order, a line that
+    holds no record (naming the line), a count or a checksum that disagrees
+    with the header, and a repeated id or a pair that breaks a pair rule. A
+    stage that streams the records keeps only what it reads of them.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        lines = numbered_lines(path, "record")
+        _, _, header = next(lines, (0, "", None))
+        if header is None:
+            raise PipelineError(f"{path}: empty manifest file")
+        with naming(path, "manifest header"):
+            check_json_object(header, _HEADER_TYPES, "manifest header")
+        if header.get("format") != MANIFEST_FORMAT:
+            raise PipelineError(f"{path}: not a manifest file (format {header.get('format')!r})")
+        if header.get("version") != MANIFEST_VERSION:
+            raise PipelineError(f"{path}: unsupported manifest version {header.get('version')!r}")
+        with naming(path, "manifest header"):
+            self.source_format = SourceFormat(header["source_format"])
+            self.created_at: str = header["created_at"]
+            self.count: int = header["count"]
+        self._records = self._read(lines, header.get("checksum"))
+
+    def __iter__(self) -> Iterator[Problem]:
+        return self._records
+
+    def _read(self, lines, checksum: str | None) -> Iterator[Problem]:
+        path, rules, digest, count = self.path, RecordRules(), hashlib.sha256(), 0
         for lineno, line, data in lines:
             try:
-                records.append(Problem.from_dict(data))
+                problem = Problem.from_dict(data)
             # MALFORMED: a missing key, an unknown enum value, a malformed answer.
             except (PipelineError, *MALFORMED) as exc:
                 raise PipelineError(f"{path}:{lineno}: unreadable record: {exc}") from exc
-            yield line
+            # The line as read, not a re-serialisation of the record.
+            digest.update(line.encode("utf-8"))
+            digest.update(b"\n")
+            rules.add(problem)
+            count += 1
+            yield problem
+        if self.count != count:
+            raise PipelineError(f"{path}: header count {self.count} != {count} records")
+        recomputed = "sha256:" + digest.hexdigest()
+        if recomputed != checksum:
+            raise PipelineError(f"{path}: checksum mismatch (header {checksum}, "
+                                f"recomputed {recomputed})")
+        with naming(path):
+            rules.check()
 
-    # The record lines as read, hashed one at a time, not a re-serialisation
-    # of the parsed records.
-    checksum = _lines_checksum(record_lines())
-    if header.get("count") != len(records):
-        raise PipelineError(
-            f"{path}: header count {header.get('count')} != {len(records)} records"
-        )
-    if checksum != header.get("checksum"):
-        raise PipelineError(
-            f"{path}: checksum mismatch (header {header.get('checksum')}, "
-            f"recomputed {checksum})"
-        )
-    with naming(path, "manifest header"):
-        return CorpusManifest.from_records(
-            records,
-            SourceFormat(header["source_format"]),
-            created_at=header["created_at"],
-        )
+
+def load_manifest(path) -> CorpusManifest:
+    """Every record of the manifest at ``path``, as one :class:`CorpusManifest`."""
+    reader = ManifestReader(path)
+    return CorpusManifest.from_records(reader, reader.source_format, reader.created_at)
 
 
 def file_created_at(path) -> str:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ganitprep.common import StageSummary, write_json_atomic, write_lines_atomic
 from ganitprep.corpus import (
@@ -27,6 +28,7 @@ from ganitprep.corpus import (
     Difficulty,
     Language,
     Problem,
+    RecordRules,
     Source,
     SourceFormat,
     canonical_json,
@@ -118,6 +120,23 @@ class MergeOutcome(NamedTuple):
     discrepancies: tuple[str, ...]
 
 
+def merged_records(sources: Sequence[Iterable[Problem]],
+                   totals: Counter[Difficulty]) -> Iterator[Problem]:
+    """Each source's records in turn, each difficulty tallied in ``totals``.
+
+    An id that two sources share, or a pair whose members in different
+    sources break a pair rule, is raised once the last source has been read,
+    so each source's own faults, raised as it is read, come first.
+    """
+    rules = RecordRules()
+    for source in sources:
+        for problem in source:
+            rules.add(problem)
+            totals[problem.difficulty] += 1
+            yield problem
+    rules.check()
+
+
 def merge_sources(
     manifests: Sequence[CorpusManifest],
     audit_totals: Mapping[Difficulty, int] | None = None,
@@ -132,17 +151,17 @@ def merge_sources(
     if not manifests:
         raise PipelineError("nothing to merge")
     created = max(m.created_at for m in manifests)
-    merged = CorpusManifest.from_records(chain.from_iterable(manifests), SourceFormat.MIXED,
+    totals: Counter[Difficulty] = Counter()
+    merged = CorpusManifest.from_records(merged_records(manifests, totals), SourceFormat.MIXED,
                                          created_at=created)
-    totals = merged.difficulty_counts()
     discrepancies = []
     for difficulty, expected in (audit_totals or {}).items():
-        actual = totals.get(difficulty, 0)
+        actual = totals[difficulty]
         if actual != expected:
             discrepancies.append(
                 f"{difficulty.value}: computed {actual}, documented {expected}"
             )
-    return MergeOutcome(merged, totals, tuple(discrepancies))
+    return MergeOutcome(merged, dict(totals), tuple(discrepancies))
 
 
 @dataclass(frozen=True)
@@ -164,24 +183,29 @@ def _stratum_seed(seed: int, label: tuple[str, ...]) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def split(manifest: CorpusManifest, seed: int, ratio: float = 0.70) -> SplitAssignment:
+def split(manifest: Iterable[Problem], seed: int, ratio: float = 0.70) -> SplitAssignment:
     """Stratified, pair-co-assigned train/test split.
 
     Deterministic given (manifest, seed, ratio); the train share per
-    stratum is round(ratio * size) up to the pairing constraint.
+    stratum is round(ratio * size) up to the pairing constraint. The records
+    are read once, keeping each one's id and the enum values of its stratum.
     """
     if not 0 < ratio < 1:
         raise PipelineError(f"ratio must be in (0, 1), got {ratio}")
-    groups: dict[str, list[Problem]] = {}
+    labels: dict[str, tuple[str, str, str]] = {}  # id -> (source, difficulty, language)
+    shared: dict[tuple[str, str, str], tuple[str, str, str]] = {}  # one tuple per label
+    groups: dict[str, tuple[str, ...]] = {}  # pair key -> member ids
     for problem in manifest:
+        label = (problem.source.value, problem.difficulty.value, problem.language.value)
+        labels[problem.id] = shared.setdefault(label, label)
         key = problem.pair_id or f"solo:{problem.id}"
-        groups.setdefault(key, []).append(problem)
+        groups[key] = groups.get(key, ()) + (problem.id,)
 
     by_stratum: dict[tuple[str, ...], list[str]] = {}
     for key, members in groups.items():
-        languages = ",".join(sorted(p.language.value for p in members))
-        label = (members[0].source.value, members[0].difficulty.value, languages)
-        by_stratum.setdefault(label, []).append(key)
+        source, difficulty, _ = labels[members[0]]
+        languages = ",".join(sorted(labels[pid][2] for pid in members))
+        by_stratum.setdefault((source, difficulty, languages), []).append(key)
 
     assignments: dict[str, Assign] = {}
     for label in sorted(by_stratum):
@@ -191,14 +215,13 @@ def split(manifest: CorpusManifest, seed: int, ratio: float = 0.70) -> SplitAssi
         n_train = int(len(keys) * ratio + 0.5)
         for position, key in enumerate(keys):
             verdict = Assign.TRAIN if position < n_train else Assign.TEST
-            for problem in groups[key]:
-                assignments[problem.id] = verdict
+            for problem_id in groups[key]:
+                assignments[problem_id] = verdict
 
     strata: dict[tuple[str, str, str], list[int]] = {}
-    for problem in manifest:
-        label = (problem.source.value, problem.difficulty.value, problem.language.value)
+    for problem_id, label in labels.items():
         counts = strata.setdefault(label, [0, 0])
-        counts[0 if assignments[problem.id] is Assign.TRAIN else 1] += 1
+        counts[0 if assignments[problem_id] is Assign.TRAIN else 1] += 1
     return SplitAssignment(
         seed=seed,
         ratio=ratio,
@@ -228,50 +251,74 @@ class CurriculumManifest:
         raise PipelineError(f"no stage named {name!r}")
 
 
+_MODE_LANGUAGE = {TrainingMode.MONOLINGUAL_EN: Language.ENGLISH,
+                  TrainingMode.MONOLINGUAL_HI: Language.HINDI}
+
+
+@dataclass(frozen=True)
+class TrainPool:
+    """What a curriculum is built from, read from a manifest in one pass:
+    every problem's id, and the ids of the Easy and Medium problems that the
+    mode admits and that pass the review gate, in manifest order."""
+
+    mode: TrainingMode
+    ids: tuple[str, ...]
+    easy: tuple[str, ...]
+    medium: tuple[str, ...]
+    unclassified: bool  # whether an admitted problem is Unclassified
+
+    @classmethod
+    def read(cls, manifest: Iterable[Problem], mode: TrainingMode) -> "TrainPool":
+        language = _MODE_LANGUAGE.get(mode)
+        ids: list[str] = []
+        admitted: dict[Difficulty, list[str]] = {d: [] for d in Difficulty}
+        for problem in manifest:
+            ids.append(problem.id)
+            # Pending review never trains.
+            if passes_review(problem) and language in (None, problem.language):
+                admitted[problem.difficulty].append(problem.id)
+        return cls(mode, tuple(ids), tuple(admitted[Difficulty.EASY]),
+                   tuple(admitted[Difficulty.MEDIUM]),
+                   bool(admitted[Difficulty.UNCLASSIFIED]))
+
+    def curriculum(self, assignment: SplitAssignment,
+                   cumulative: bool = False) -> CurriculumManifest:
+        """The two training stages: the pool's Easy, then its Medium (after
+        its Easy when cumulative), train problems. The split must assign
+        every problem of the manifest a side."""
+        sides = assignment.assignments
+        unassigned = [pid for pid in self.ids if pid not in sides]
+        if unassigned:
+            raise PipelineError(f"the split assigns neither side to {len(unassigned)} of "
+                                f"the manifest's problems, among them {unassigned[:5]}")
+        easy = tuple(pid for pid in self.easy if sides[pid] is Assign.TRAIN)
+        medium = tuple(pid for pid in self.medium if sides[pid] is Assign.TRAIN)
+        if not easy or not medium:
+            if self.unclassified:
+                raise PipelineError("Unclassified problems in Easy/Medium strata; "
+                                    "classify the corpus first")
+            missing = "Easy" if not easy else "Medium"
+            raise PipelineError(f"empty {missing} train stratum")
+
+        stage_two_ids = easy + medium if cumulative else medium
+        stages = (
+            Stage(name=STAGE_EASY, train_ids=easy, parent_checkpoint="",
+                  checkpoint_name=STAGE_EASY),
+            Stage(name=STAGE_EASY_MEDIUM, train_ids=stage_two_ids,
+                  parent_checkpoint=STAGE_EASY, checkpoint_name=STAGE_EASY_MEDIUM),
+        )
+        return CurriculumManifest(stages=stages, mode=self.mode, cumulative=cumulative)
+
+
 def build_curriculum(
-    manifest: CorpusManifest,
+    manifest: Iterable[Problem],
     assignment: SplitAssignment,
     mode: TrainingMode = TrainingMode.BILINGUAL_COMBINED,
     cumulative: bool = False,
 ) -> CurriculumManifest:
-    """Assemble the two training stages from a classified, split corpus.
-
-    The split must assign every problem of the manifest a side.
-    """
-    unassigned = [p.id for p in manifest if p.id not in assignment.assignments]
-    if unassigned:
-        raise PipelineError(f"the split assigns neither side to {len(unassigned)} of "
-                              f"the manifest's problems, among them {unassigned[:5]}")
-    pool = [p for p in manifest if passes_review(p)]  # pending review never trains
-    if mode is TrainingMode.MONOLINGUAL_EN:
-        pool = [p for p in pool if p.language is Language.ENGLISH]
-    elif mode is TrainingMode.MONOLINGUAL_HI:
-        pool = [p for p in pool if p.language is Language.HINDI]
-
-    def train_ids(difficulty: Difficulty) -> tuple[str, ...]:
-        return tuple(
-            p.id for p in pool
-            if p.difficulty is difficulty
-            and assignment.assignments[p.id] is Assign.TRAIN
-        )
-
-    easy = train_ids(Difficulty.EASY)
-    medium = train_ids(Difficulty.MEDIUM)
-    if not easy or not medium:
-        if any(p.difficulty is Difficulty.UNCLASSIFIED for p in pool):
-            raise PipelineError("Unclassified problems in Easy/Medium strata; "
-                                  "classify the corpus first")
-        missing = "Easy" if not easy else "Medium"
-        raise PipelineError(f"empty {missing} train stratum")
-
-    stage_two_ids = easy + medium if cumulative else medium
-    stages = (
-        Stage(name=STAGE_EASY, train_ids=easy, parent_checkpoint="",
-              checkpoint_name=STAGE_EASY),
-        Stage(name=STAGE_EASY_MEDIUM, train_ids=stage_two_ids,
-              parent_checkpoint=STAGE_EASY, checkpoint_name=STAGE_EASY_MEDIUM),
-    )
-    return CurriculumManifest(stages=stages, mode=mode, cumulative=cumulative)
+    """Assemble the two training stages from a classified, split corpus
+    (see :class:`TrainPool`)."""
+    return TrainPool.read(manifest, mode).curriculum(assignment, cumulative)
 
 
 class ExportOutcome(NamedTuple):
@@ -288,10 +335,24 @@ class ExportOutcome(NamedTuple):
                             f"exported={self.exported} skipped={self.skipped}\n")
 
 
+def stage_problems(stage: Stage, manifest: Iterable[Problem]) -> dict[str, Problem]:
+    """The records of ``manifest`` that ``stage`` trains on, by id: the only
+    records kept as the manifest is read. An id the manifest lacks is absent."""
+    wanted = set(stage.train_ids)
+    return {problem.id: problem for problem in manifest if problem.id in wanted}
+
+
+def check_stage_ids(stage: Stage, problems: Mapping[str, Problem]) -> None:
+    """Raise naming the first train id of ``stage`` that ``problems`` lacks."""
+    for problem_id in stage.train_ids:
+        if problem_id not in problems:
+            raise PipelineError(f"no problem with id {problem_id!r}")
+
+
 def export_stage(
     curriculum: CurriculumManifest,
     stage_name: str,
-    manifest: CorpusManifest,
+    manifest: Iterable[Problem],
     out_path,
     seed: int = 0,
 ) -> ExportOutcome:
@@ -300,30 +361,39 @@ def export_stage(
     Each record holds the rendered fine-tuning prompt for one problem
     (structured solution preferred, raw solution otherwise). Ordering is a
     seeded shuffle recorded in the header line; problems that do not pass
-    the review gate or have no solution text are skipped and flagged.
+    the review gate or have no solution text are skipped and flagged. Only
+    the stage's records are kept from ``manifest``. Which of them are
+    exported is known before any is rendered, so the header goes first and
+    each row is rendered, encoded and written before the next.
     """
     stage = curriculum.stage(stage_name)
+    problems = stage_problems(stage, manifest)
+    check_stage_ids(stage, problems)
     ids = sorted(stage.train_ids)
     random.Random(seed).shuffle(ids)
-    template = get_template(PromptName.FINE_TUNE)
-    rows = []
+    exported = []
     flagged = {}
     for problem_id in ids:
-        problem = manifest.by_id(problem_id)
+        problem = problems[problem_id]
         if not passes_review(problem):
             flagged[problem_id] = "pending review"
-            continue
-        if problem.structured_solution is not None:
-            response = render_structured(problem.structured_solution, problem.language)
-        elif problem.raw_solution:
-            response = problem.raw_solution
-        else:
+        elif problem.structured_solution is None and not problem.raw_solution:
             flagged[problem_id] = "no solution text"
-            continue
-        text = render_prompt(template, {"Question": problem.question,
-                                        "Response": response})
-        rows.append(canonical_json({"id": problem_id, "language": problem.language.value,
-                                    "text": text}))
+        else:
+            exported.append(problem)
+    template = get_template(PromptName.FINE_TUNE)
+
+    def rows() -> Iterator[str]:
+        for problem in exported:
+            if problem.structured_solution is not None:
+                response = render_structured(problem.structured_solution, problem.language)
+            else:
+                response = problem.raw_solution
+            text = render_prompt(template, {"Question": problem.question,
+                                            "Response": response})
+            yield canonical_json({"id": problem.id, "language": problem.language.value,
+                                  "text": text})
+
     header = {
         "format": "ganitprep/training",
         "version": 1,
@@ -331,10 +401,10 @@ def export_stage(
         "checkpoint": stage.checkpoint_name,
         "parent_checkpoint": stage.parent_checkpoint,
         "seed": seed,
-        "count": len(rows),
+        "count": len(exported),
     }
-    write_lines_atomic(out_path, chain((canonical_json(header),), rows))
-    return ExportOutcome(exported=len(rows), flagged=flagged)
+    write_lines_atomic(out_path, chain((canonical_json(header),), rows()))
+    return ExportOutcome(exported=len(exported), flagged=flagged)
 
 
 def save_split(assignment: SplitAssignment, path) -> None:

@@ -32,7 +32,6 @@ from ganitprep.answers import (
 )
 from ganitprep.common import write_lines_atomic
 from ganitprep.corpus import (
-    CorpusManifest,
     Difficulty,
     Language,
     Problem,
@@ -253,10 +252,21 @@ def reference_answer(problem: Problem) -> AnswerValue | None:
     return None
 
 
-def grade_prediction(problem_id: str, output: str, manifest: CorpusManifest,
+def reference_answers(manifest: Iterable[Problem]) -> dict[str, AnswerValue | None]:
+    """Each problem's reference answer by id, None where it has none: all that
+    grading keeps of a manifest, read once."""
+    return {problem.id: reference_answer(problem) for problem in manifest}
+
+
+def grade_prediction(problem_id: str, output: str,
+                     references: Mapping[str, AnswerValue | None],
                      model_name: str) -> GradeRecord:
-    """Grade one model output against its problem's reference answer."""
-    reference = reference_answer(manifest.by_id(problem_id))
+    """Grade one model output against its problem's reference answer, looked
+    up in ``references`` (see :func:`reference_answers`)."""
+    try:
+        reference = references[problem_id]
+    except KeyError:
+        raise PipelineError(f"no problem with id {problem_id!r}") from None
     if reference is None:
         raise PipelineError(f"{problem_id}: no extractable reference answer")
     predicted = extract_answer(output)
@@ -271,12 +281,27 @@ def grade_prediction(problem_id: str, output: str, manifest: CorpusManifest,
 
 def grade_predictions(
     predictions: Iterable[tuple[str, str]],
-    manifest: CorpusManifest,
+    manifest: Iterable[Problem],
     model_name: str,
 ) -> list[GradeRecord]:
-    """Grade (problem_id, model_output_text) pairs against the corpus."""
-    return [grade_prediction(problem_id, output, manifest, model_name)
+    """Grade (problem_id, model_output_text) pairs against the corpus, whose
+    records are read once for their reference answers."""
+    references = reference_answers(manifest)
+    return [grade_prediction(problem_id, output, references, model_name)
             for problem_id, output in predictions]
+
+
+def grade_file(path, references: Mapping[str, AnswerValue | None],
+               model_name: str) -> Iterator[GradeRecord]:
+    """Grade the predictions of a ``problem_id<TAB>model_output`` file one line
+    at a time, each graded before the next is read; a fault, in the line or
+    in its grading, is raised naming the file and line."""
+    for lineno, problem_id, output in _numbered_predictions(path):
+        try:
+            record = grade_prediction(problem_id, output, references, model_name)
+        except PipelineError as exc:
+            raise PipelineError(f"{path}:{lineno}: {exc}") from exc
+        yield record
 
 
 def half_up_percent(correct: int, total: int) -> int:
@@ -402,29 +427,38 @@ class AccuracyTally:
     """Per-cell verdict counts, fed one grade at a time, each problem counted
     once per model.
 
-    Only ``problem_id``, ``model_name`` and ``verdict`` are read, so verdict
-    rows serve as well as full grade records, and :meth:`add_file` tallies a
-    grades file as it reads it, leaving the answers undecoded. Beyond the
-    counts it holds one bit per model for each graded problem, keyed by the
-    manifest's own id strings.
+    Of the manifest, read once, it keeps each problem's cell (language,
+    source, difficulty) by id. Of a grade, only ``problem_id``,
+    ``model_name`` and ``verdict`` are read, so verdict rows serve as well as
+    full grade records, and :meth:`add_file` tallies a grades file as it
+    reads it, leaving the answers undecoded. Beside each problem's cell it
+    keeps one bit per model that has graded it, keyed by the manifest's own
+    id strings.
     """
 
-    def __init__(self, manifest: CorpusManifest):
-        self._manifest = manifest
+    def __init__(self, manifest: Iterable[Problem]):
+        cells: dict[tuple, tuple] = {}  # one tuple per distinct cell
+        # problem id -> (its cell, the bits of the models that graded it)
+        self._problems: dict[str, tuple[tuple[Language, Source, Difficulty], int]] = {}
+        for problem in manifest:
+            cell = (problem.language, problem.source, problem.difficulty)
+            self._problems[problem.id] = (cells.setdefault(cell, cell), 0)
         self._counts: dict[CellKey, list[int]] = {}
         self._bits: dict[str, int] = {}  # model name -> its bit
-        self._graded: dict[str, int] = {}  # problem id -> the bits of its models
 
     def add(self, record: GradeRecord | VerdictRow) -> None:
         """Count one grade, refusing a second of the same problem for the same model."""
-        problem = self._manifest.by_id(record.problem_id)
+        try:
+            cell, mask = self._problems[record.problem_id]
+        except KeyError:
+            raise PipelineError(f"no problem with id {record.problem_id!r}") from None
         bit = self._bits.setdefault(record.model_name, 1 << len(self._bits))
-        mask = self._graded.get(problem.id, 0)
         if mask & bit:
-            raise PipelineError(f"second grade of problem {problem.id!r} "
+            raise PipelineError(f"second grade of problem {record.problem_id!r} "
                                 f"for model {record.model_name!r}")
-        self._graded[problem.id] = mask | bit
-        key = (record.model_name, problem.language, problem.source, problem.difficulty)
+        # Assigning to a present key keeps the key: the manifest's id string.
+        self._problems[record.problem_id] = (cell, mask | bit)
+        key = (record.model_name, *cell)
         self._counts.setdefault(key, [0, 0, 0])[_VERDICT_COLUMN[record.verdict]] += 1
 
     def add_file(self, path) -> None:
@@ -447,7 +481,7 @@ class AccuracyTally:
 
 
 def accuracy_report(grades: Iterable[GradeRecord | VerdictRow],
-                    manifest: CorpusManifest) -> EvaluationReport:
+                    manifest: Iterable[Problem]) -> EvaluationReport:
     """Aggregate grade records into per-cell accuracy statistics, each
     problem counted once per model (see :class:`AccuracyTally`)."""
     tally = AccuracyTally(manifest)
@@ -502,9 +536,10 @@ def _verdict_row(data: dict) -> VerdictRow:
     return row
 
 
-def iter_predictions(path) -> Iterator[tuple[str, str]]:
-    r"""Yield the pairs of a ``problem_id<TAB>model_output`` file, one line per
-    problem, as they are read; ``\n`` unescapes to newlines."""
+def _numbered_predictions(path) -> Iterator[tuple[int, str, str]]:
+    r"""Yield ``(line number, problem_id, model_output)`` for each line of a
+    ``problem_id<TAB>model_output`` file, one line per problem, as it is read;
+    ``\n`` unescapes to newlines."""
     seen: set[str] = set()
     for lineno, line, _ in numbered_lines(path):
         if "\t" not in line:
@@ -513,12 +548,12 @@ def iter_predictions(path) -> Iterator[tuple[str, str]]:
         if problem_id in seen:
             raise PipelineError(f"{path}:{lineno}: duplicate problem id {problem_id!r}")
         seen.add(problem_id)
-        yield problem_id, text.replace("\\n", "\n")
+        yield lineno, problem_id, text.replace("\\n", "\n")
 
 
 def read_predictions(path) -> list[tuple[str, str]]:
-    """The pairs of :func:`iter_predictions`, as a list."""
-    return list(iter_predictions(path))
+    """The ``(problem_id, model_output)`` pairs of a predictions file."""
+    return [(problem_id, text) for _, problem_id, text in _numbered_predictions(path)]
 
 
 def _row_fault(row: Sequence[int], categories: int, raters: int) -> str | None:

@@ -476,7 +476,7 @@ _STAGES = json.dumps({"stages": [{"name": "SFT_easy", "train_ids": ["zzz"],
     (["classify", "--in", "{merged}", "--annotations", "{path}", "--out", "{out}"],
      "zzz\tEasy\n", "{path}: annotations reference unknown ids: zzz"),
     (["evaluate", "grade", "--pred", "{path}", "--manifest", "{merged}", "--model", "m",
-      "--out", "{out}"], "zzz\t4\n", "{path}: no problem with id 'zzz'"),
+      "--out", "{out}"], "zzz\t4\n", "{path}:1: no problem with id 'zzz'"),
     (["evaluate", "report", "--grades", "{path}", "--manifest", "{merged}", "--out", "{out}"],
      _GRADE_LINE, "{path}:1: no problem with id 'zzz'"),  # a report reads line by line
     (["curriculum", "export", "--curriculum", "{path}", "--manifest", "{merged}",
@@ -950,6 +950,34 @@ def test_merge_of_a_shared_id_exits_1(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert _single_error(capsys) == "duplicate problem id: q"
     assert sorted(tmp_path.iterdir()) == [first, second]
+
+
+def test_merge_reports_an_earlier_inputs_fault_first(tmp_path, capsys):
+    # Every input's header is read before any record, for the merged header's
+    # count; a fault of an earlier input's records still comes first.
+    first, second, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "m.jsonl"
+    save_manifest(make_manifest([make_problem("p")]), first)
+    header, record = first.read_text(encoding="utf-8").splitlines()
+    first.write_text(f"{header}\n{record}\n{record}\n", encoding="utf-8")
+    second.write_text("", encoding="utf-8")
+    assert main(["curriculum", "merge", "--in", str(first), str(second),
+                 "--out", str(out)]) == 1
+    assert _single_error(capsys) == f"{first}: header count 1 != 2 records"
+    assert sorted(tmp_path.iterdir()) == [first, second]
+
+
+def test_export_reads_the_curriculum_before_the_manifest(tmp_path, capsys):
+    # Export keeps only its stage's records, so it reads the stage's ids first:
+    # with both files faulty, the curriculum's fault is the one reported.
+    manifest_path, curriculum_path = tmp_path / "m.jsonl", tmp_path / "c.json"
+    manifest_path.write_text("not a manifest\n", encoding="utf-8")
+    curriculum_path.write_text("[]", encoding="utf-8")
+    assert main(["curriculum", "export", "--curriculum", str(curriculum_path),
+                 "--manifest", str(manifest_path), "--stage", "SFT_easy",
+                 "--out", str(tmp_path / "e.jsonl")]) == 1
+    assert _single_error(capsys) == (
+        f"{curriculum_path}: curriculum file must be a JSON object, not an array")
+    assert not (tmp_path / "e.jsonl").exists()
 
 
 def test_repeated_annotation_id_exits_1(tmp_path, capsys):

@@ -12,13 +12,23 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_manifest, make_problem
 from ganitprep import classify, cli, curriculum, decompose, evaluate
 from ganitprep.answers import format_exact, map_devanagari_digits
 from ganitprep.common import Operation, write_text_atomic
-from ganitprep.corpus import Difficulty, ingest_gsm8k, ingest_hawp, ingest_math, save_manifest
+from ganitprep.corpus import (
+    Difficulty,
+    Language,
+    Source,
+    ingest_gsm8k,
+    ingest_hawp,
+    ingest_math,
+    save_manifest,
+)
 
 # Question text mixes words, Devanagari digits, U+2028 and U+0085.
 _QUESTION = st.lists(st.sampled_from(["के पास", "apples", "how many?", "१२", "३४५", "7",
@@ -196,3 +206,60 @@ def test_cli_chain_equals_library_chain(tmp_path_factory, inputs):
         train_ids = set(built.stage(stage).train_ids)
         assert set(exported) | exports[stage].flagged.keys() == train_ids
         assert len(exported) + exports[stage].skipped == len(train_ids)
+
+
+def _staged_corpus() -> list:
+    """English and Hindi Easy and Medium problems, a bilingual pair, and
+    synthetic problems pending, approved and corrected, one without a solution."""
+    problems = [make_problem(f"{code}{band.value[0]}{i}", language=language, source=source,
+                             difficulty=band, raw_solution=f"#### {i}")
+                for code, language, source in (("e", Language.ENGLISH, Source.GSM8K),
+                                               ("h", Language.HINDI, Source.HAWP))
+                for band in (Difficulty.EASY, Difficulty.MEDIUM) for i in range(5)]
+    problems += [make_problem(f"pair-{code}", language=language, source=Source.INDIMATHQA,
+                              difficulty=Difficulty.MEDIUM, pair_id="pair-0",
+                              raw_solution="#### 7")
+                 for code, language in (("en", Language.ENGLISH), ("hi", Language.HINDI))]
+    for i, (status, language, band) in enumerate([
+            ("pending", Language.ENGLISH, Difficulty.EASY),
+            ("pending", Language.HINDI, Difficulty.MEDIUM),
+            ("approved", Language.ENGLISH, Difficulty.MEDIUM),
+            ("approved", Language.HINDI, Difficulty.EASY),
+            ("corrected", Language.ENGLISH, Difficulty.EASY),
+            ("corrected", Language.HINDI, Difficulty.MEDIUM)] * 3):
+        problems.append(make_problem(
+            f"syn-{i:02d}", language=language, source=Source.SYNTHETIC, difficulty=band,
+            raw_solution=None if i == 4 else f"#### {i}", extras={"review_status": status}))
+    return problems
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("mode", ["en", "hi", "bilingual"])
+def test_build_and_export_of_each_mode_equal_library(tmp_path, mode, cumulative):
+    manifest = make_manifest(_staged_corpus())
+    lib, out = tmp_path / "library", tmp_path / "cli"
+    lib.mkdir()
+    out.mkdir()
+    save_manifest(manifest, out / "m.jsonl")
+    assignment = curriculum.split(manifest, seed=3)
+    curriculum.save_split(assignment, lib / "split.json")
+    built = curriculum.build_curriculum(manifest, assignment,
+                                        mode=curriculum.TrainingMode(mode),
+                                        cumulative=cumulative)
+    curriculum.save_curriculum(built, lib / "curriculum.json")
+
+    _run("curriculum", "split", "--in", out / "m.jsonl", "--seed", 3,
+         "--out", out / "split.json")
+    _run("curriculum", "build", "--in", out / "m.jsonl", "--split", out / "split.json",
+         "--mode", mode, *(["--cumulative"] if cumulative else []),
+         "--out", out / "curriculum.json")
+    for stage, name in _STAGES.items():
+        export = curriculum.export_stage(built, stage, manifest, lib / name, seed=3)
+        printed = _run("curriculum", "export", "--curriculum", out / "curriculum.json",
+                       "--manifest", out / "m.jsonl", "--stage", stage, "--seed", 3,
+                       "--out", out / name)
+        assert printed == _printed(export.summary("curriculum-export"))
+    for name in ["split.json", "curriculum.json", *_STAGES.values()]:
+        assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+    pending = {p.id for p in manifest if p.extras.get("review_status") == "pending"}
+    assert not pending & {pid for stage in built.stages for pid in stage.train_ids}

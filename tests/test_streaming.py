@@ -3,8 +3,9 @@
 ``save_manifest`` writes in one pass, and ``evaluate grade`` and ``evaluate
 report`` read, grade and tally one record at a time. Their bytes must equal
 the two-pass and list-building forms, a fault part-way through must leave the
-previous output as it was, and what they hold beyond the loaded manifest must
-stay a small share of the bytes they stream.
+previous output as it was, and what they hold beyond what they keep of the
+manifest must stay a small share of the bytes they stream. Every stage that
+streams a manifest stops on a fault that shows only at the manifest's end.
 """
 
 import contextlib
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_manifest, make_problem
-from ganitprep import cli
+from conftest import make_manifest, make_problem, write_record_lines
+from ganitprep import cli, corpus
 from ganitprep import evaluate  # imported here, so no test traces the import
 from ganitprep.common import PipelineError, canonical_json, write_lines_atomic
 from ganitprep.corpus import (
@@ -28,9 +29,11 @@ from ganitprep.corpus import (
     Difficulty,
     Language,
     Source,
+    SourceFormat,
     load_manifest,
     records_checksum,
     save_manifest,
+    write_manifest,
 )
 
 # Any text but lone surrogates (UTF-8 cannot encode them) and the three
@@ -158,12 +161,12 @@ def _left_as_before(directory, outputs) -> bool:
 
 # (the faulty line, given the first problem's id; the message it stops the stage with)
 _PREDICTION_FAULTS = {
-    "unknown-id": (lambda first: "zzz\t#### 1", "{pred}: no problem with id 'zzz'"),
+    "unknown-id": (lambda first: "zzz\t#### 1", "{pred}:{line}: no problem with id 'zzz'"),
     "no-tab": (lambda first: "zzz #### 1", "{pred}:{line}: expected problem_id<TAB>output"),
     "repeated-id": (lambda first: f"{first}\t#### 2",
                     "{pred}:{line}: duplicate problem id {first!r}"),
     "no-reference": (lambda first: "none\t#### 2",
-                     "{pred}: none: no extractable reference answer"),
+                     "{pred}:{line}: none: no extractable reference answer"),
 }
 
 
@@ -232,6 +235,103 @@ def test_report_fault_mid_file_keeps_previous_output(tmp_path_factory, fault, pr
     assert _left_as_before(out.parent, [out, out.with_suffix(".csv")])
 
 
+# ---------------------------------------------------------------------------
+# manifest faults that show only once the last record has been read
+
+def _tail_records() -> list[dict]:
+    """Easy and Medium problems that all grade and export, the last two an
+    English/Hindi pair."""
+    problems = [make_problem(f"p{i}", difficulty=(Difficulty.EASY, Difficulty.MEDIUM)[i % 2],
+                             raw_solution=f"#### {i}") for i in range(4)]
+    problems += [make_problem(f"x-{code}", language=language, source=Source.INDIMATHQA,
+                              difficulty=Difficulty.EASY, pair_id="pair-0",
+                              raw_solution="#### 5")
+                 for code, language in (("en", Language.ENGLISH), ("hi", Language.HINDI))]
+    return [p.to_dict() for p in problems]
+
+
+def _with_last(record: dict, **changes) -> list[str]:
+    return [canonical_json(r) for r in [*_tail_records()[:-1], {**record, **changes}]]
+
+
+def _tail_fault(kind: str, path) -> str:
+    """Write a manifest at ``path`` whose fault shows at its end; return the message."""
+    last = _tail_records()[-1]
+    if kind == "edited-last-line":
+        write_record_lines(path, _with_last(last))
+        header, *lines, _ = path.read_text(encoding="utf-8").split("\n")
+        lines[-1] = lines[-1].replace('"How many?"', '"How many!"')
+        path.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
+        return (f"{path}: checksum mismatch (header {json.loads(header)['checksum']}, "
+                f"recomputed {corpus._lines_checksum(lines)})")
+    if kind == "count-off-by-one":
+        lines = _with_last(last)
+        write_record_lines(path, lines)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        header = json.loads(header)
+        header["count"] += 1
+        path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        return f"{path}: header count {len(lines) + 1} != {len(lines)} records"
+    if kind == "repeated-id":
+        write_record_lines(path, _with_last(last, id="p0"))
+        return f"{path}: duplicate problem id: p0"
+    write_record_lines(path, _with_last(last, difficulty="Medium"))  # pair-difficulty
+    return f"{path}: pair pair-0: members must share one difficulty"
+
+
+@pytest.fixture(scope="module")
+def tail_inputs(tmp_path_factory):
+    """The other inputs of each stage, made from the manifest without a fault."""
+    root = tmp_path_factory.mktemp("tail")
+    write_record_lines(root / "good.jsonl", [canonical_json(r) for r in _tail_records()])
+    (root / "pred.tsv").write_text("".join(f"{r['id']}\t#### 1\n" for r in _tail_records()),
+                                   encoding="utf-8")
+    for argv in (["curriculum", "split", "--in", root / "good.jsonl", "--out",
+                  root / "split.json"],
+                 ["curriculum", "build", "--in", root / "good.jsonl", "--split",
+                  root / "split.json", "--out", root / "curriculum.json"],
+                 ["evaluate", "grade", "--pred", root / "pred.tsv", "--manifest",
+                  root / "good.jsonl", "--model", "m", "--out", root / "grades.jsonl"]):
+        assert _run(*argv)[0] == 0
+    return root
+
+
+# (the stage's arguments but --out, given its other inputs and the manifest; its outputs)
+_TAIL_STAGES = {
+    "merge": (lambda given, m: ["curriculum", "merge", "--in", given / "good.jsonl", m],
+              ["m.jsonl"]),
+    "split": (lambda given, m: ["curriculum", "split", "--in", m], ["s.json"]),
+    "build": (lambda given, m: ["curriculum", "build", "--in", m,
+                                "--split", given / "split.json"], ["c.json"]),
+    "export": (lambda given, m: ["curriculum", "export", "--curriculum",
+                                 given / "curriculum.json", "--manifest", m,
+                                 "--stage", "SFT_easy"], ["e.jsonl"]),
+    "grade": (lambda given, m: ["evaluate", "grade", "--pred", given / "pred.tsv",
+                                "--manifest", m, "--model", "m"], ["g.jsonl"]),
+    "report": (lambda given, m: ["evaluate", "report", "--grades", given / "grades.jsonl",
+                                 "--manifest", m], ["r.txt", "r.csv"]),
+}
+
+
+@pytest.mark.parametrize("fault", ["count-off-by-one", "edited-last-line", "repeated-id",
+                                   "pair-difficulty"])
+@pytest.mark.parametrize("stage", list(_TAIL_STAGES))
+def test_manifest_fault_at_its_end_keeps_previous_output(tail_inputs, tmp_path, stage,
+                                                          fault):
+    # A stage that streams the manifest has used every record by the time the
+    # fault shows; it stops all the same, with the message a whole load gave.
+    message = _tail_fault(fault, tmp_path / "bad.jsonl")
+    argv, names = _TAIL_STAGES[stage]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in names:
+        (out / name).write_bytes(b"previous\n")
+    code, _, err = _run(*argv(tail_inputs, tmp_path / "bad.jsonl"), "--out", out / names[0])
+    assert code == 1
+    assert err == "error=" + json.dumps(message, ensure_ascii=False) + "\n"
+    assert _left_as_before(out, [out / name for name in names])
+
+
 @settings(max_examples=30, deadline=None)
 @given(problems=_problem_lists(min_size=1), data=st.data())
 def test_save_fault_mid_manifest_keeps_previous_file(tmp_path_factory, problems, data):
@@ -255,6 +355,16 @@ def test_header_that_changes_length_keeps_previous_file(tmp_path):
     assert _left_as_before(tmp_path, [tmp_path / "out"])
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_records_other_than_the_count_keep_previous_file(tmp_path, count):
+    # The header's count is written before the records, so it must hold.
+    (tmp_path / "m.jsonl").write_bytes(b"previous\n")
+    with pytest.raises(PipelineError, match=f"^header count {count} != 2 records written$"):
+        write_manifest(tmp_path / "m.jsonl", [make_problem("a"), make_problem("b")],
+                       SourceFormat.MIXED, "2024-01-01T00:00:00+00:00", count)
+    assert _left_as_before(tmp_path, [tmp_path / "m.jsonl"])
+
+
 # A file with several faults reports the first in file order: each record is
 # read and checked before the next one is.
 def test_grade_reports_the_first_fault_in_file_order(tmp_path):
@@ -264,7 +374,7 @@ def test_grade_reports_the_first_fault_in_file_order(tmp_path):
     pred.write_text("p0\t#### 0\nzzz\t1\np0\t2\nno tab\n", encoding="utf-8")
     code, _, err = _run("evaluate", "grade", "--pred", pred, "--manifest", tmp_path / "m.jsonl",
                         "--model", "m", "--out", tmp_path / "g.jsonl")
-    assert (code, err) == (1, "error=" + json.dumps(f"{pred}: no problem with id 'zzz'") + "\n")
+    assert (code, err) == (1, "error=" + json.dumps(f"{pred}:2: no problem with id 'zzz'") + "\n")
 
 
 def test_report_reports_the_first_fault_in_file_order(tmp_path):
@@ -320,8 +430,16 @@ def test_save_manifest_holds_no_record_lines(manifest, tmp_path):
 
 @pytest.fixture
 def cli_given(manifest, monkeypatch):
-    """Run ``ganitprep`` in this process with ``--manifest`` already loaded."""
-    monkeypatch.setattr(cli, "load_manifest", lambda path: manifest)
+    """Run ``ganitprep`` in this process with ``--manifest`` already loaded.
+
+    Grading keeps only the reference answers of the manifest's records; they
+    are handed to it made, as the loaded manifest once was, so what it holds
+    per prediction is measured apart from what it keeps of the manifest
+    (bounded in ``TestStagesKeepOnlyWhatTheyRead``).
+    """
+    references = evaluate.reference_answers(manifest)
+    monkeypatch.setattr(cli, "ManifestReader", lambda path: manifest)
+    monkeypatch.setattr(evaluate, "reference_answers", lambda records: references)
 
     def run(*argv):
         assert _run(*argv)[0] == 0
