@@ -5,20 +5,25 @@ Difficulty arrives three ways: published levels map deterministically,
 unleveled corpora are scored on five criteria and cut bottom-k, and curated
 sets carry human annotations. The split is stratified and pair-co-assigned;
 the two training stages chain checkpoints SFT_easy -> SFT_easy+medium.
-``ganitprep.pipeline.run`` does all of it over the bundled corpora; this
-script prints what it produced.
+``ganitprep.pipeline.run`` does all of it over the bundled corpora, running
+the stage commands; this script reads back what they wrote and prints it.
 """
 
 import tempfile
 from pathlib import Path
 
 from ganitprep.classify import score_complexity
+from ganitprep.corpus import load_manifest
+from ganitprep.curriculum import load_curriculum, load_split
 from ganitprep.pipeline import run
 
 with tempfile.TemporaryDirectory() as tmp:
-    outcome = run(tmp)
-    exported = (Path(tmp) / "train_SFT_easy.jsonl").read_text(encoding="utf-8").splitlines()[1:]
-merged = outcome.merged
+    out = Path(tmp)
+    run(out)
+    merged = load_manifest(out / "merged.jsonl")
+    split = load_split(out / "split.json")
+    curriculum = load_curriculum(out / "curriculum.json")
+    exported = (out / "train_SFT_easy.jsonl").read_text(encoding="utf-8").splitlines()[1:]
 
 print("=== complexity scoring ===")
 for problem in (merged.records[0], merged.records[23]):
@@ -36,12 +41,12 @@ for difficulty, count in sorted(merged.difficulty_counts().items(),
 
 print()
 print("=== stratified 70/30 split ===")
-for (source, difficulty, language), (train, test) in sorted(outcome.split.strata.items()):
+for (source, difficulty, language), (train, test) in sorted(split.strata.items()):
     print(f"{source:<10} {difficulty:<12} {language:<8} train={train:<3} test={test}")
 
 print()
 print("=== curriculum stages ===")
-for stage in outcome.curriculum.stages:
+for stage in curriculum.stages:
     parent = stage.parent_checkpoint or "(fresh model)"
     print(f"{stage.name}: {len(stage.train_ids)} training problems,"
           f" parent checkpoint {parent}")

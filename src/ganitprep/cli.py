@@ -26,6 +26,7 @@ from ganitprep.corpus import (
     SourceFormat,
     ingest_gsm8k,
     ingest_hawp,
+    ingest_indimathqa,
     ingest_math,
     load_manifest,
     save_manifest,
@@ -52,7 +53,10 @@ def _counts_text(label: str, counts) -> str:
 
 
 def _cmd_ingest(args) -> StageSummary:
-    ingestors = {"gsm8k": ingest_gsm8k, "math": ingest_math, "hawp": ingest_hawp}
+    # IndiMathQA rows carry no language, so the format names it.
+    ingestors = {"gsm8k": ingest_gsm8k, "math": ingest_math, "hawp": ingest_hawp,
+                 "indimathqa-en": lambda path: ingest_indimathqa(path, Language.ENGLISH),
+                 "indimathqa-hi": lambda path: ingest_indimathqa(path, Language.HINDI)}
     manifest = ingestors[args.format](args.infile)
     save_manifest(manifest, args.out)
     return StageSummary("ingest", len(manifest), len(manifest))
@@ -226,7 +230,7 @@ def _cmd_kappa(args) -> StageSummary:
 def _cmd_demo(args) -> tuple[StageSummary, ...]:
     from ganitprep import pipeline
 
-    return pipeline.run(args.out_dir).stages
+    return pipeline.run(args.out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="ingest an external corpus into a manifest")
-    p.add_argument("--format", required=True, choices=["gsm8k", "math", "hawp"])
+    p.add_argument("--format", required=True,
+                   choices=["gsm8k", "math", "hawp", "indimathqa-en", "indimathqa-hi"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)

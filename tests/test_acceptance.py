@@ -11,7 +11,7 @@ from conftest import make_manifest, make_problem
 from ganitprep.answers import AnswerValue
 from ganitprep.classify import apply_math_levels, map_math_level, rank_bottom_k
 from ganitprep.cli import main
-from ganitprep.corpus import Difficulty, Language, Operation, Source
+from ganitprep.corpus import Difficulty, Language, Operation, Source, load_manifest
 from ganitprep.curriculum import (
     build_curriculum,
     export_stage,
@@ -191,7 +191,8 @@ def test_c05_split_properties(tmp_path):
 
 
 def test_c06_curriculum_invariants(tmp_path):
-    manifest = run(tmp_path / "demo").merged
+    run(tmp_path / "demo")
+    manifest = load_manifest(tmp_path / "demo" / "merged.jsonl")
     assignment = split(manifest, seed=42)
     checks = []
     for cumulative in (False, True):

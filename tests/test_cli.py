@@ -409,7 +409,7 @@ class TestEvaluateReport:
                                  load_manifest(demo_dir / "merged.jsonl"))
         assert (tmp_path / "report.txt").read_bytes() == report.render_table().encode()
         assert (tmp_path / "report.csv").read_bytes() == report.to_csv().encode()
-        # The demo writes the same two files through the library.
+        # The demo writes the same two files through the same command.
         assert (tmp_path / "report.txt").read_bytes() == (demo_dir / "report.txt").read_bytes()
         assert (tmp_path / "report.csv").read_bytes() == (demo_dir / "report.csv").read_bytes()
 
@@ -756,6 +756,22 @@ class TestDemo:
                          "train_SFT_easy.jsonl", "report.txt", "report.csv",
                          "training_config.txt", "grades.jsonl"):
             assert (out_dir / artifact).exists()
+
+    def test_stage_table_names_every_fixture(self):
+        # Each fixture a row reads exists, and each bundled fixture is read
+        # by some row, so none is left over.
+        from ganitprep.pipeline import DEMO_DATA_DIR, STAGES
+
+        named = {arg.removeprefix("{data}/") for _, command in STAGES
+                 for arg in command.split() if arg.startswith("{data}/")}
+        assert named == {path.name for path in DEMO_DATA_DIR.iterdir()}
+
+    def test_demo_writes_exactly_its_artifacts(self, demo_dir):
+        # The per-corpus files the chain passes between stages are not left behind.
+        assert {path.name for path in demo_dir.iterdir()} == {
+            "hawp_decomposed.jsonl", "merged.jsonl", "split.json", "curriculum.json",
+            "train_SFT_easy.jsonl", "train_SFT_easy_medium.jsonl", "training_config.txt",
+            "grades.jsonl", "report.txt", "report.csv"}
 
     def test_demo_idempotent(self, tmp_path):
         out_dir = tmp_path / "demo"

@@ -1,6 +1,7 @@
 """The CLI equals the library.
 
-One generated GSM8K, MATH and HAWP corpus goes through the chain twice:
+One generated GSM8K, MATH and HAWP corpus, and an English and Hindi
+IndiMathQA pair of files, go through the chain twice:
 once through ``cli.main``, one stage at a time, each stage reading the files
 the one before it wrote, and once through the library calls in one process.
 Every artifact must hold the same bytes, and every record a stage takes in
@@ -26,6 +27,7 @@ from ganitprep.corpus import (
     Source,
     ingest_gsm8k,
     ingest_hawp,
+    ingest_indimathqa,
     ingest_math,
     save_manifest,
 )
@@ -72,6 +74,29 @@ def _hawp_record(draw):
 
 
 @st.composite
+def _indimathqa_records(draw):
+    """English and Hindi IndiMathQA records, the i-th of each a pair, and the
+    annotations of each language, giving both members of a pair one label."""
+    count = draw(st.integers(1, 4))
+    key = draw(st.sampled_from(["byid", "byindex"]))
+    shared = key == "byid" or draw(st.booleans())  # shared ids are suffixed when paired
+    records = {"en": [], "hi": []}
+    notes = {"en": {}, "hi": {}}
+    for i in range(count):
+        difficulty = draw(st.sampled_from([None, *Difficulty]))
+        for language in records:
+            record = {"id": f"imqa-{i}" if shared else f"imqa-{i}-{language}",
+                      "question": draw(_QUESTION),
+                      "topic": draw(st.sampled_from(["sets", "algebra"]))}
+            if draw(st.integers(0, 3)):
+                record["solution"] = f"Final Answer: {draw(st.integers(-20, 20))}"
+            records[language].append(record)
+            if difficulty is not None:
+                notes[language][record["id"]] = difficulty
+    return {"records": records, "notes": notes, "key": key}
+
+
+@st.composite
 def _chain_inputs(draw):
     gsm8k = draw(st.lists(_gsm8k_record(), min_size=1, max_size=5))
     # The first MATH problem is Medium, so both curriculum stages have a stratum.
@@ -81,6 +106,7 @@ def _chain_inputs(draw):
     notes = {f"hawp-{line:06d}": draw(st.sampled_from(list(Difficulty)))
              for line in range(1, len(hawp) + 1) if draw(st.booleans())}
     return {"gsm8k": gsm8k, "math": math, "hawp": hawp, "notes": notes,
+            "indimathqa": draw(_indimathqa_records()),
             "bottom_k": draw(st.integers(1, len(gsm8k))),
             "seed": draw(st.integers(0, 3)), "cumulative": draw(st.booleans()),
             "outputs": draw(st.lists(st.sampled_from(
@@ -108,8 +134,11 @@ def _printed(summary) -> str:
 
 _STAGES = {curriculum.STAGE_EASY: "train_easy.jsonl",
            curriculum.STAGE_EASY_MEDIUM: "train_easy_medium.jsonl"}
-_ARTIFACTS = ["gsm8k.jsonl", "math.jsonl", "hawp.jsonl", "gsm8k_c.jsonl", "math_c.jsonl",
-              "hawp_c.jsonl", "hawp_d.jsonl", "merged.jsonl", "split.json",
+# Each corpus by the ingest --format that reads it.
+_FORMATS = {"gsm8k": "gsm8k", "math": "math", "hawp": "hawp",
+            "imqa_en": "indimathqa-en", "imqa_hi": "indimathqa-hi"}
+_ARTIFACTS = [*(f"{name}.jsonl" for name in _FORMATS), *(f"{name}_c.jsonl" for name in _FORMATS),
+              "hawp_d.jsonl", "paired.jsonl", "merged.jsonl", "split.json",
               "curriculum.json", *_STAGES.values(), "grades.jsonl", "report.txt",
               "report.csv"]
 
@@ -118,30 +147,41 @@ _ARTIFACTS = ["gsm8k.jsonl", "math.jsonl", "hawp.jsonl", "gsm8k_c.jsonl", "math_
 @given(inputs=_chain_inputs())
 def test_cli_chain_equals_library_chain(tmp_path_factory, inputs):
     given_dir = tmp_path_factory.mktemp("given")
-    for name in ("gsm8k", "math", "hawp"):
-        _write_jsonl(given_dir / f"{name}.jsonl", inputs[name])
-    notes = given_dir / "notes.tsv"
-    notes.write_text("".join(f"{pid}\t{d.value}\n" for pid, d in inputs["notes"].items()),
-                     encoding="utf-8")
+    imqa = inputs["indimathqa"]
+    records = {"gsm8k": inputs["gsm8k"], "math": inputs["math"], "hawp": inputs["hawp"],
+               "imqa_en": imqa["records"]["en"], "imqa_hi": imqa["records"]["hi"]}
+    for name in _FORMATS:
+        _write_jsonl(given_dir / f"{name}.jsonl", records[name])
+    notes = {"hawp": inputs["notes"], "imqa_en": imqa["notes"]["en"],
+             "imqa_hi": imqa["notes"]["hi"]}
+    for name, labels in notes.items():
+        (given_dir / f"{name}.tsv").write_text(
+            "".join(f"{pid}\t{d.value}\n" for pid, d in labels.items()), encoding="utf-8")
     seed, cumulative = inputs["seed"], inputs["cumulative"]
 
     lib = tmp_path_factory.mktemp("library")
     manifests = {"gsm8k": ingest_gsm8k(given_dir / "gsm8k.jsonl"),
                  "math": ingest_math(given_dir / "math.jsonl"),
-                 "hawp": ingest_hawp(given_dir / "hawp.jsonl")}
+                 "hawp": ingest_hawp(given_dir / "hawp.jsonl"),
+                 "imqa_en": ingest_indimathqa(given_dir / "imqa_en.jsonl", Language.ENGLISH),
+                 "imqa_hi": ingest_indimathqa(given_dir / "imqa_hi.jsonl", Language.HINDI)}
     for name, manifest in manifests.items():
         save_manifest(manifest, lib / f"{name}.jsonl")
     classified = {
         "gsm8k": classify.rank_bottom_k(manifests["gsm8k"], inputs["bottom_k"]),
         "math": classify.apply_math_levels(manifests["math"]),
-        "hawp": classify.apply_annotations(manifests["hawp"],
-                                           classify.read_annotations(notes)).manifest}
+        **{name: classify.apply_annotations(
+            manifests[name], classify.read_annotations(given_dir / f"{name}.tsv")).manifest
+           for name in notes}}
     for name, manifest in classified.items():
         save_manifest(manifest, lib / f"{name}_c.jsonl")
     decomposed = decompose.apply_decomposition(classified["hawp"])
     save_manifest(decomposed.manifest, lib / "hawp_d.jsonl")
+    key = curriculum.PairKey.BY_ID if imqa["key"] == "byid" else curriculum.PairKey.BY_INDEX
+    paired = curriculum.pair_bilingual(classified["imqa_en"], classified["imqa_hi"], key)
+    save_manifest(paired, lib / "paired.jsonl")
     merged = curriculum.merge_sources(
-        [classified["gsm8k"], classified["math"], decomposed.manifest]).manifest
+        [classified["gsm8k"], classified["math"], decomposed.manifest, paired]).manifest
     save_manifest(merged, lib / "merged.jsonl")
     assignment = curriculum.split(merged, seed=seed)
     curriculum.save_split(assignment, lib / "split.json")
@@ -162,18 +202,21 @@ def test_cli_chain_equals_library_chain(tmp_path_factory, inputs):
     write_text_atomic(lib / "report.csv", report.to_csv())
 
     out = tmp_path_factory.mktemp("cli")
-    for name in ("gsm8k", "math", "hawp"):
-        _run("ingest", "--format", name, "--in", given_dir / f"{name}.jsonl",
+    for name, layout in _FORMATS.items():
+        _run("ingest", "--format", layout, "--in", given_dir / f"{name}.jsonl",
              "--out", out / f"{name}.jsonl")
     _run("classify", "--in", out / "gsm8k.jsonl", "--score",
          "--bottom-k", inputs["bottom_k"], "--out", out / "gsm8k_c.jsonl")
     _run("classify", "--in", out / "math.jsonl", "--math-levels", "--out", out / "math_c.jsonl")
-    _run("classify", "--in", out / "hawp.jsonl", "--annotations", notes,
-         "--out", out / "hawp_c.jsonl")
+    for name in notes:
+        _run("classify", "--in", out / f"{name}.jsonl", "--annotations",
+             given_dir / f"{name}.tsv", "--out", out / f"{name}_c.jsonl")
     assert _run("decompose", "--in", out / "hawp_c.jsonl",
                 "--out", out / "hawp_d.jsonl") == _printed(decomposed.summary("decompose"))
+    _run("curriculum", "pair", "--en", out / "imqa_en_c.jsonl", "--hi", out / "imqa_hi_c.jsonl",
+         "--key", imqa["key"], "--out", out / "paired.jsonl")
     _run("curriculum", "merge", "--in", out / "gsm8k_c.jsonl", out / "math_c.jsonl",
-         out / "hawp_d.jsonl", "--out", out / "merged.jsonl")
+         out / "hawp_d.jsonl", out / "paired.jsonl", "--out", out / "merged.jsonl")
     _run("curriculum", "split", "--in", out / "merged.jsonl", "--seed", seed,
          "--out", out / "split.json")
     _run("curriculum", "build", "--in", out / "merged.jsonl", "--split", out / "split.json",

@@ -33,9 +33,10 @@ MANIFEST_CHECKSUM = {
     "merged.jsonl": "sha256:7c0b0710c7ffb705f61917a6acd2a6de7ecaf09e05b8a9d4b96bc16194534fde",
 }
 
-# Stage lines, the text each stage prints before its line, and the report
-# table, in order; nothing in it depends on the checkout.
-STDOUT_SHA256 = "07eed0c55fcac6508969d6cb55dbabbb59f300d4281dba7394886acfda350021"
+# One stage line per stage command, each after the text its command prints
+# (the report table goes to report.txt only), in order; nothing in it depends
+# on the checkout.
+STDOUT_SHA256 = "35a36497868542aacf92259e84b2d1878d3477e8cf0762dd598d86f763e054a9"
 
 
 @pytest.fixture(scope="module")

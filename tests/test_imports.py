@@ -46,6 +46,13 @@ def test_module_level_imports_are_acyclic():
     assert top[LEAF] == set()
 
 
+def test_pipeline_runs_the_chain_only_through_cli():
+    # The demo chain is a table of stage commands that cli parses and runs, so
+    # pipeline calls no stage module of its own.
+    top, _ = _import_graph()
+    assert top["pipeline"] == {"cli"}
+
+
 def test_only_cli_imports_inside_functions():
     # cli imports each stage module in the handler that runs it, so a stage
     # process loads only what it needs; nothing else defers an import.

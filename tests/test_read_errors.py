@@ -48,7 +48,7 @@ def valid(tmp_path_factory):
         "manifest": demo / "merged.jsonl",
         "grades": demo / "grades.jsonl",
         "predictions": DEMO_DATA_DIR / "predictions.tsv",
-        "annotations": DEMO_DATA_DIR / "annotations.tsv",
+        "annotations": DEMO_DATA_DIR / "annotations_en.tsv",
         "gsm8k": DEMO_DATA_DIR / "gsm8k.jsonl",
         "math": DEMO_DATA_DIR / "math.jsonl",
         "hawp": DEMO_DATA_DIR / "hawp.jsonl",
