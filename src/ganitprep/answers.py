@@ -37,47 +37,44 @@ class AnswerKind(Enum):
     EXPRESSION = "Expression"
 
 
-_INT_RE = re.compile(r"[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)$")
-_DECIMAL_RE = re.compile(r"[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)\.\d+$")
-_SLASH_FRACTION_RE = re.compile(r"([-+]?\d+)\s*/\s*(-?\d+)$")
-_MIXED_RE = re.compile(r"(\d+)\s*\+\s*(\d+)\s*/\s*(\d+)$")
-_LATEX_FRACTION_RE = re.compile(
-    r"([-+]?)\\[dt]?frac\s*\{\s*(-?\d+)\s*\}\s*\{\s*(-?\d+)\s*\}$"
+# Each number form once: \frac{a}{b}, a + b/c, a/b, and an integer or
+# terminating decimal with thousands commas or none.
+_FORMS = (
+    r"(?P<sign>[-+]?)\\[dt]?frac\s*\{\s*(?P<fnum>-?\d+)\s*\}\s*\{\s*(?P<fden>-?\d+)\s*\}"
+    r"|(?P<whole>\d+)\s*\+\s*(?P<mnum>\d+)\s*/\s*(?P<mden>\d+)"
+    r"|(?P<num>[-+]?\d+)\s*/\s*(?P<den>-?\d+)"
+    r"|(?P<decimal>[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)"
 )
-_DIGIT_RE = re.compile(r"\d")
+_NUMBER_RE = re.compile(_FORMS)
+# A number in running text is a whole one: no digit, ",", "." or "/" comes
+# right before it, and after it comes no digit, nor a ",", "." or "/" that
+# joins it to more digits ("12." may end a sentence, "12,34,567" is no number).
+NUMBER_IN_TEXT_RE = re.compile(rf"(?<![\d,./])(?:{_FORMS})(?!\d|[,./]\d)")
 _WS_RE = re.compile(r"\s+")
 
 
 def as_fraction(text: str) -> Fraction | None:
     """Parse ``text`` as an exact rational, or return None.
 
-    Accepts integers (with thousands commas), terminating decimals,
-    ``a/b`` and ``\\frac{a}{b}`` forms. Text with no digit is rejected
-    before any form is tried; integers and decimals are built from ints,
-    not by parsing the string a second time in ``Fraction``.
+    Accepts one number form: an integer or terminating decimal (thousands
+    commas allowed), ``a/b``, ``a + b/c`` or ``\\frac{a}{b}``. Integers and
+    decimals are built from ints, not by parsing the string a second time
+    in ``Fraction``.
     """
-    s = text.strip()
-    if _DIGIT_RE.search(s) is None:
+    m = _NUMBER_RE.fullmatch(text.strip())
+    if m is None:
         return None
-    if _INT_RE.fullmatch(s):
-        return Fraction(int(s.replace(",", "")))
-    if _DECIMAL_RE.fullmatch(s):
-        whole, _, frac = s.replace(",", "").partition(".")
+    if m["decimal"]:
+        whole, _, frac = m["decimal"].replace(",", "").partition(".")
         return Fraction(int(whole + frac), 10 ** len(frac))
-    m = _SLASH_FRACTION_RE.fullmatch(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        return Fraction(num, den) if den != 0 else None
-    m = _MIXED_RE.fullmatch(s)
-    if m:
-        whole, num, den = (int(m.group(i)) for i in (1, 2, 3))
-        return whole + Fraction(num, den) if den != 0 else None
-    m = _LATEX_FRACTION_RE.fullmatch(s)
-    if m:
-        sign = -1 if m.group(1) == "-" else 1
-        num, den = int(m.group(2)), int(m.group(3))
-        return sign * Fraction(num, den) if den != 0 else None
-    return None
+    if m["den"]:
+        whole, num, den = 0, int(m["num"]), int(m["den"])
+    elif m["mden"]:
+        whole, num, den = int(m["whole"]), int(m["mnum"]), int(m["mden"])
+    else:
+        whole, num, den = 0, int(m["fnum"]), int(m["fden"])
+        num = -num if m["sign"] == "-" else num
+    return whole + Fraction(num, den) if den != 0 else None
 
 
 def format_exact(value: Fraction | int) -> str:

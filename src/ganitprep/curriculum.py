@@ -29,7 +29,6 @@ from ganitprep.corpus import (
     Language,
     Problem,
     RecordRules,
-    Source,
     SourceFormat,
     canonical_json,
     passes_review,

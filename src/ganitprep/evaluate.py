@@ -3,8 +3,9 @@
 Extraction searches model output in priority order: a LaTeX ``\\boxed{...}``
 (last one wins), then the last line beginning "Final Answer" or its fixed
 Hindi equivalents as a word of their own, then the last "#### " marker
-line, then the last standalone number anywhere. Devanagari digits are
-mapped to ASCII before parsing and thousands commas are stripped.
+line, then the last whole number in the text, read by the same grammar as
+``answers.as_fraction``, so no part of a grouped number is read. Devanagari
+digits are mapped to ASCII before parsing and thousands commas are stripped.
 
 Grading compares exact rationals first and falls back to a symmetric
 relative tolerance of 1e-6 for numeric pairs; expressions grade by
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ganitprep.answers import (
+    NUMBER_IN_TEXT_RE,
     AnswerKind,
     AnswerValue,
     as_fraction,
@@ -59,11 +61,6 @@ _MARKER_LINE_RE = re.compile(
 # The bare marker also means "north" (उत्तर प्रदेश, उत्तर दिशा).
 _HOMOGRAPH_MARKER = "उत्तर"
 _HASH_LINE_RE = re.compile(r"^\s*####\s+(.*)$")
-_ANY_NUMBER_RE = re.compile(
-    r"[-+]?\\[dt]?frac\s*\{\s*-?\d+\s*\}\s*\{\s*-?\d+\s*\}"
-    r"|[-+]?\d+\s*/\s*\d+"
-    r"|[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
-)
 _TOKEN_TRIM = ".,;:!?()[]{}%₹$€"
 _BOXED_RE = re.compile(r"\\boxed\s*\{")
 _BRACE_RE = re.compile(r"[{}]")
@@ -178,7 +175,7 @@ def _extract(mapped: str) -> AnswerValue | None:
                 return value
             break
 
-    matches = list(_ANY_NUMBER_RE.finditer(mapped))
+    matches = list(NUMBER_IN_TEXT_RE.finditer(mapped))
     if matches:
         return parse_value(matches[-1].group(0))
     return None

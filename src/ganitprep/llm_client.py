@@ -41,13 +41,13 @@ from ganitprep.corpus import (
     replace_records,
 )
 from ganitprep.errors import MALFORMED, PipelineError, check_fields, json_object_file, naming
-from ganitprep.structure import PromptName, PromptTemplate, render_prompt
+from ganitprep.structure import TRAINING_CONFIG, PromptName, PromptTemplate, render_prompt
 
 
-# Sampling settings sent with every request; the same values as the sampling
-# entries of ``structure.TRAINING_CONFIG``.
-SAMPLING_PARAMS = {"sampling": True, "top_k": 40, "temperature": 0.8, "top_p": 0.90,
-                   "max_length": 4096}
+# Sampling settings sent with every request: the training configuration's
+# rows but ``epochs``, each value read as the JSON literal it is written as.
+SAMPLING_PARAMS = {key: json.loads(value) for key, value in TRAINING_CONFIG
+                   if key != "epochs"}
 
 
 @dataclass(frozen=True)

@@ -786,6 +786,21 @@ class TestDemo:
         for name, before in snapshots.items():
             assert (out_dir / name).read_bytes() == before, name
 
+    def test_demo_bytes_do_not_depend_on_hash_seed_or_time_zone(self, tmp_path):
+        # Re-runs write byte-identical files: two interpreters that differ in
+        # string hashing and local time write the same directory. Both read
+        # the same fixtures, so their mtimes, and each created_at, agree.
+        src = str(Path(ganitprep.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        written = []
+        for seed, zone in (("0", "UTC"), ("123", "Asia/Kolkata")):
+            out_dir = tmp_path / f"demo-{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "TZ": zone, "PYTHONPATH": pythonpath}
+            subprocess.run([sys.executable, "-m", "ganitprep.cli", "demo", "--out", str(out_dir)],
+                           capture_output=True, encoding="utf-8", env=env, timeout=120, check=True)
+            written.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+        assert written[0] and written[0] == written[1]
+
 
 def _modules_after(code: str) -> set[str]:
     """Names in ``sys.modules`` once ``code`` has run in a fresh interpreter."""

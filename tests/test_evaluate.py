@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep.answers import AnswerKind, AnswerValue, map_devanagari_digits
+from ganitprep.answers import (
+    AnswerKind,
+    AnswerValue,
+    as_fraction,
+    format_exact,
+    map_devanagari_digits,
+    parse_value,
+)
 from ganitprep.corpus import Difficulty, Language, Source
 from ganitprep.errors import PipelineError
 from ganitprep.evaluate import (
@@ -119,6 +126,99 @@ class TestExtractAnswer:
     ])
     def test_marker_followed_by_no_word_still_counts(self, text, expected):
         assert extract_answer(f"{text}\nthen 7") == AnswerValue.from_rational(expected)
+
+
+class TestLastNumberFallback:
+    """With no boxed answer and no marker line, the last whole number is read.
+
+    A number glued to a digit, or to a ``,``, ``.`` or ``/`` that joins it to
+    more digits, is part of a longer run that no form reads, so it is no
+    answer: the fallback never returns a fragment of a grouped number.
+    """
+
+    @pytest.mark.parametrize("text", [
+        "The answer is 12,34,567.", "price 1,2345", "answer 1.5.2", "value 3/4/5",
+        "due 12/05/2024", "point (3,4)",
+    ])
+    def test_part_of_a_longer_run_is_unparseable(self, text):
+        assert extract_answer(text) is None
+
+    @pytest.mark.parametrize("text,expected", [
+        ("x = 3 + 1/3", Fraction(10, 3)),  # as "#### 3 + 1/3" reads
+        ("we get 10-3", 3),
+        ("3/-4 ok", Fraction(-3, 4)),
+        ("so 1,234,567 apples", 1234567),
+        ("Total: 1, 2, 3", 3),
+    ])
+    def test_whole_number_is_read(self, text, expected):
+        assert extract_answer(text) == AnswerValue.from_rational(expected)
+
+
+_DIGITS = "0123456789०१२३४५६७८९"
+_RUN_WORDS = st.one_of(st.sampled_from(["so", "the", "answer", "is", "कुल", "सेब", "हैं",
+                                        "उत्तर", "Final Answer"]),
+                       st.text(alphabet="abxyzकखगािीु", min_size=1, max_size=6))
+
+
+@st.composite
+def _texts_around_one_run(draw):
+    """(text, run): words around one run of digits joined by single ",", "." or "/"."""
+    groups = draw(st.lists(st.text(alphabet=_DIGITS, min_size=1, max_size=4),
+                           min_size=1, max_size=5))
+    run = groups[0] + "".join(draw(st.sampled_from(",./")) + group for group in groups[1:])
+    before, after = (draw(st.lists(_RUN_WORDS, max_size=4)) for _ in range(2))
+    return " ".join([*before, run, *after]), run
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts_around_one_run())
+def test_fallback_reads_a_run_whole_or_not_at_all(case):
+    text, run = case
+    value = extract_answer(text)
+    if value is not None and value.kind is AnswerKind.RATIONAL:
+        assert value.rational == as_fraction(map_devanagari_digits(run))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions())
+def test_fallback_reads_every_rendered_rational(value):
+    text = f"so the result is {format_exact(value)} in all"
+    assert extract_answer(text) == AnswerValue.from_rational(value)
+
+
+# The reference for the fallback: these forms matched anywhere, even inside a
+# longer run of digits. On texts of space-separated tokens with no "+" between
+# two numbers no run is longer than its number, so the fallback must agree.
+_SPEC_ANY_NUMBER_RE = re.compile(
+    r"[-+]?\\[dt]?frac\s*\{\s*-?\d+\s*\}\s*\{\s*-?\d+\s*\}"
+    r"|[-+]?\d+\s*/\s*\d+"
+    r"|[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
+)
+
+
+def _spec_fallback(text):
+    matches = list(_SPEC_ANY_NUMBER_RE.finditer(text))
+    return parse_value(matches[-1].group(0)) if matches else None
+
+
+_naturals = st.integers(min_value=0, max_value=10**9)
+_whole = st.one_of(_naturals.map(str), _naturals.map("{:,}".format))
+_plain_numbers = st.one_of(
+    _whole, st.tuples(_whole, st.from_regex(r"[0-9]{1,6}", fullmatch=True)).map(".".join),
+    st.builds("\\{}frac{{{}{}}}{{{}{}}}".format, st.sampled_from(["", "d", "t"]),
+              st.sampled_from(["", "-"]), _naturals, st.sampled_from(["", "-"]), _naturals))
+_numbers = st.one_of(
+    st.tuples(st.sampled_from(["", "-", "+"]), _plain_numbers).map("".join),
+    # A "+" before a/b after a number would spell the mixed form a + b/c.
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), _naturals, _naturals))
+_tokens = st.one_of(_numbers, st.sampled_from(["so", "we", "get", "apples", "कुल", "सेब",
+                                               "=", "(", ")"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_tokens, max_size=12).map(" ".join))
+def test_fallback_equals_spec_on_space_separated_numbers(text):
+    assert extract_answer(text) == _spec_fallback(text)
 
 
 _rationals = st.builds(

@@ -53,6 +53,40 @@ def test_pipeline_runs_the_chain_only_through_cli():
     assert top["pipeline"] == {"cli"}
 
 
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    Imports inside a function or class, under ``if TYPE_CHECKING``, or from
+    ``__future__`` are not counted.
+    """
+    inner = {id(node) for scope in ast.walk(tree)
+             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             or (isinstance(scope, ast.If) and getattr(scope.test, "id", None) == "TYPE_CHECKING")
+             for node in ast.walk(scope)}
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in inner
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_module_level_import_is_used():
+    unused = {(name, imported) for name in MODULES
+              for imported in _unused_imports(
+                  ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")))}
+    assert unused == set()
+
+
+def test_unused_import_check_sees_dead_imports():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, re as regex\n"
+                     "from typing import TYPE_CHECKING\n"
+                     "if TYPE_CHECKING:\n    from pathlib import Path\n"
+                     "def f():\n    import json\n    return os.sep\n")
+    assert _unused_imports(tree) == {"regex"}
+
+
 def test_only_cli_imports_inside_functions():
     # cli imports each stage module in the handler that runs it, so a stage
     # process loads only what it needs; nothing else defers an import.
@@ -61,10 +95,11 @@ def test_only_cli_imports_inside_functions():
 
 
 
-# Where a JSON text may be decoded: the two shared readers, and the HTTP
-# provider's parse of a reply, which is no file.
+# Where a JSON text may be decoded: the two shared readers, and two texts
+# that are no file: the HTTP provider's parse of a reply, and llm_client's
+# module-level read of the training configuration's sampling values.
 JSON_DECODE_SITES = {("errors", "json_object_file"), ("errors", "numbered_lines"),
-                     ("llm_client", "HttpProvider.generate")}
+                     ("llm_client", "HttpProvider.generate"), ("llm_client", "")}
 
 
 def _json_decode_sites() -> set[tuple[str, str]]:
