@@ -5,7 +5,11 @@ A value is one of two kinds:
 * ``RATIONAL``: an exact ``fractions.Fraction``. Integers, terminating
   decimals and simple ``a/b`` fractions all normalize here, so
   ``from_decimal("0.5")`` equals ``from_rational(Fraction(1, 2))``.
-* ``EXPRESSION``: anything symbolic, stored as normalized text.
+* ``EXPRESSION``: anything symbolic, stored as cleaned text.
+
+Every candidate answer (a ``\\boxed{}`` body, the rest of a "Final Answer"
+or "####" line, the last number of a text, the result a solution line
+states) is read by ``parse_value``: one cleaning rule, one number grammar.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ def map_devanagari_digits(text: str) -> str:
     Text that holds none of them (all English text, most Hindi text) is
     returned as it is, without the per-character table lookup.
     """
-    if _DEVANAGARI_DIGIT_RE.search(text) is None:
+    if text.isascii() or _DEVANAGARI_DIGIT_RE.search(text) is None:
         return text
     return text.translate(_DEVANAGARI_DIGITS)
 
@@ -46,11 +50,12 @@ _FORMS = (
     r"|(?P<decimal>[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)"
 )
 _NUMBER_RE = re.compile(_FORMS)
-# A number in running text is a whole one: no digit, ",", "." or "/" comes
-# right before it, and after it comes no digit, nor a ",", "." or "/" that
-# joins it to more digits ("12." may end a sentence, "12,34,567" is no number).
-NUMBER_IN_TEXT_RE = re.compile(rf"(?<![\d,./])(?:{_FORMS})(?!\d|[,./]\d)")
-_WS_RE = re.compile(r"\s+")
+# A number in running text is a whole one: no digit, ",", "." or "/" right
+# before it (a spaced "/" is ``last_number``'s check), and after it no digit,
+# nor a ",", "." or "/", spaced or not, that joins it to more digits ("12." may
+# end a sentence; "12,34,567" and "3 / 4 / 5" are no numbers). The first
+# look-ahead lets the search skip to a sign, backslash or digit, where forms start.
+_NUMBER_IN_TEXT_RE = re.compile(rf"(?=[-+\\\d])(?<![\d,./])(?:{_FORMS})(?!\d|[,.]\d|\s*/\s*\d)")
 
 
 def as_fraction(text: str) -> Fraction | None:
@@ -59,14 +64,17 @@ def as_fraction(text: str) -> Fraction | None:
     Accepts one number form: an integer or terminating decimal (thousands
     commas allowed), ``a/b``, ``a + b/c`` or ``\\frac{a}{b}``. Integers and
     decimals are built from ints, not by parsing the string a second time
-    in ``Fraction``.
+    in ``Fraction``; a bare digit run, the commonest answer, skips the forms.
     """
-    m = _NUMBER_RE.fullmatch(text.strip())
+    s = text.strip()
+    if s.isdecimal():  # what the decimal form's \d+ alone matches
+        return Fraction(int(s))
+    m = _NUMBER_RE.fullmatch(s)
     if m is None:
         return None
     if m["decimal"]:
         whole, _, frac = m["decimal"].replace(",", "").partition(".")
-        return Fraction(int(whole + frac), 10 ** len(frac))
+        return Fraction(int(whole + frac), 10 ** len(frac)) if frac else Fraction(int(whole))
     if m["den"]:
         whole, num, den = 0, int(m["num"]), int(m["den"])
     elif m["mden"]:
@@ -117,19 +125,21 @@ def format_exact(value: Fraction | int) -> str:
     return f"{whole} + {part.numerator}/{part.denominator}"
 
 
-def normalize_expression(text: str) -> str:
-    """Collapse whitespace and strip LaTeX wrappers (\\boxed, \\( \\), $)."""
-    s = text.strip()
-    while True:
-        prev = s
-        if s.startswith("\\boxed{") and s.endswith("}"):
-            s = s[len("\\boxed{"):-1].strip()
-        for open_, close in (("\\(", "\\)"), ("\\[", "\\]"), ("$", "$")):
-            if s.startswith(open_) and s.endswith(close) and len(s) > len(open_) + len(close) - 1:
+_WRAPPERS = (("\\boxed{", "}"), ("\\(", "\\)"), ("\\[", "\\]"), ("$", "$"))
+_CLOSERS = ("।", *(close for _, close in _WRAPPERS))
+
+
+def clean_answer(text: str) -> str:
+    """``text`` with its ``\\boxed{}``, ``$…$``, ``\\(…\\)`` and ``\\[…\\]`` wrappers, a
+    trailing ``।`` and the space beside them stripped until none is left, and
+    each run of whitespace made one space: the one cleaning rule for an answer."""
+    s, prev = text.strip(), None
+    while s != prev and s.endswith(_CLOSERS):
+        prev, s = s, s.removesuffix("।").rstrip()
+        for open_, close in _WRAPPERS:
+            if s.startswith(open_) and s.endswith(close) and len(s) >= len(open_) + len(close):
                 s = s[len(open_):-len(close)].strip()
-        if s == prev:
-            break
-    return _WS_RE.sub(" ", s).strip()
+    return " ".join(s.split())
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +170,7 @@ class AnswerValue:
 
     @classmethod
     def from_expression(cls, text: str) -> "AnswerValue":
-        return cls(kind=AnswerKind.EXPRESSION, expression=normalize_expression(text))
+        return cls(kind=AnswerKind.EXPRESSION, expression=clean_answer(text))
 
     def render(self) -> str:
         if self.kind is AnswerKind.RATIONAL:
@@ -186,28 +196,30 @@ class AnswerValue:
         return cls.from_expression(data["expression"])
 
 
-def parse_candidate(candidate: str) -> Fraction | str | None:
-    """The exact rational a candidate answer spells, else its cleaned text.
+def parse_value(candidate: str, prose_number=None) -> AnswerValue | None:
+    """Read a candidate answer: the one rule that every reader goes through.
 
-    None when nothing is left after cleaning. A number may end in one
-    sentence period ("14661." is 14661).
+    Devanagari digits are mapped and the text cleaned by ``clean_answer``;
+    None when nothing is left. A number, perhaps ending a sentence ("14661."
+    is 14661), is a Rational; other text goes to ``prose_number``, if passed,
+    and else is an Expression of the cleaned text, not cleaned again.
     """
-    s = normalize_expression(map_devanagari_digits(candidate)).rstrip("।").rstrip()
+    s = clean_answer(map_devanagari_digits(candidate))
     if not s:
         return None
-    if s.endswith("."):
-        frac = as_fraction(s[:-1])
-        if frac is not None:
-            return frac
-    frac = as_fraction(s)
-    return s if frac is None else frac
+    value = as_fraction(s[:-1] if s.endswith(".") else s)
+    if value is None and prose_number is not None:
+        value = prose_number(s)
+    if value is None:
+        return AnswerValue(AnswerKind.EXPRESSION, expression=s)
+    return AnswerValue(AnswerKind.RATIONAL, rational=value)
 
 
-def parse_value(candidate: str) -> AnswerValue | None:
-    """Parse a candidate answer string into a value, numeric when possible."""
-    parsed = parse_candidate(candidate)
-    if parsed is None:
-        return None
-    if isinstance(parsed, str):
-        return AnswerValue.from_expression(parsed)
-    return AnswerValue.from_rational(parsed)
+def last_number(text: str) -> str | None:
+    """The last whole number in running text, or None: a match that a "/" with
+    space around it joins to digits before it is part of a longer run."""
+    for match in reversed(list(_NUMBER_IN_TEXT_RE.finditer(text))):
+        before = text[:match.start()].rstrip()
+        if not (before.endswith("/") and before[:-1].rstrip()[-1:].isdecimal()):
+            return match[0]
+    return None

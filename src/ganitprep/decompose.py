@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from ganitprep.answers import as_fraction, format_exact, map_devanagari_digits
+from ganitprep.answers import format_exact, map_devanagari_digits, parse_value
 from ganitprep.common import StageSummary
 from ganitprep.corpus import (
     CorpusManifest,
@@ -168,8 +168,9 @@ def render_trace(trace: DecompositionTrace, language: Language = Language.ENGLIS
 
 # An operand starts where no digit, comma or point comes before it, so
 # "1,234" and "12.5" are read whole (and refused) rather than as "234" and "5".
+# The stated result is the rest of the line, if it holds a digit and no "=".
 _CALC_LINE_RE = re.compile(
-    r"(?<![\d,.])(\d[\d,.]*)\s*([×x*÷/])\s*(\d[\d,.]*)\s*=\s*([0-9.,/ ]+?)[.,]?\s*$"
+    r"(?<![\d,.])(\d[\d,.]*)\s*([×x*÷/])\s*(\d[\d,.]*)\s*=\s*(?!.*=)(.*\d.*)$"
 )
 _MUL_SYMBOLS = {"×", "x", "*"}
 
@@ -185,8 +186,9 @@ def extract_operands(problem: Problem) -> OperandPair | None:
     """Find the operand pair for a Mul/Div problem.
 
     Explicit ``extras["operand_a"/"operand_b"]`` win; otherwise the last
-    line of the raw solution matching ``<int> <op> <int> = <number>`` is
-    used, with Devanagari digits accepted, and the number it states is kept.
+    line of the raw solution matching ``<int> <op> <int> = <result>``, with
+    a digit in the result, is used, with Devanagari digits accepted, and the
+    result it states is kept as written.
     Returns None when an explicit operand is not a JSON integer, when
     nothing matches, or when the line's operator disagrees with the
     problem's tag; raises PipelineError when the line's operand is not a
@@ -268,7 +270,7 @@ def _decomposed_solution(problem: Problem) -> str:
     except PipelineError as exc:
         raise PipelineError(f"decomposition failed: {exc}") from None
     stated, exact = pair.stated, format_exact(trace.total)
-    # Most lines state the result as it renders; only another spelling is parsed.
-    if stated is not None and stated != exact and as_fraction(stated) != trace.total:
+    # Most lines state the result as it renders; only another spelling is read.
+    if stated not in (None, exact) and parse_value(stated).rational != trace.total:
         raise PipelineError(f"stated result {stated} is not the exact {exact}")
     return render_trace(trace, problem.language)

@@ -3,13 +3,14 @@
 Extraction searches model output in priority order: a LaTeX ``\\boxed{...}``
 (last one wins), then the last line beginning "Final Answer" or its fixed
 Hindi equivalents as a word of their own, then the last "#### " marker
-line, then the last whole number in the text, read by the same grammar as
-``answers.as_fraction``, so no part of a grouped number is read. Devanagari
-digits are mapped to ASCII before parsing and thousands commas are stripped.
+line, then the last whole number in the text (a run of digits joined by
+",", "." or "/", spaced or not, is read whole or not at all). Each is read
+by ``answers.parse_value``, one cleaning rule and one number grammar; a
+marker line that is prose gives its last number.
 
 Grading compares exact rationals first and falls back to a symmetric
 relative tolerance of 1e-6 for numeric pairs; expressions grade by
-normalized text equality. Mixed kinds are Incorrect.
+cleaned text equality. Mixed kinds are Incorrect.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ganitprep.answers import (
-    NUMBER_IN_TEXT_RE,
     AnswerKind,
     AnswerValue,
     as_fraction,
+    last_number,
     map_devanagari_digits,
-    parse_candidate,
     parse_value,
 )
 from ganitprep.common import write_lines_atomic
@@ -116,17 +116,6 @@ def _prose_tail_number(text: str) -> Fraction | None:
     return last
 
 
-def _value_from_line(remainder: str) -> AnswerValue | None:
-    # ``remainder`` comes from digit-mapped text, so it needs no mapping here.
-    parsed = parse_candidate(remainder)
-    if isinstance(parsed, str):
-        tail = _prose_tail_number(remainder)
-        if tail is None:
-            return AnswerValue.from_expression(parsed)
-        parsed = tail
-    return None if parsed is None else AnswerValue.from_rational(parsed)
-
-
 def _marker_starts_prose(line: str, match: re.Match) -> bool:
     """Whether a word goes on where the marker ends, so the line states no answer.
 
@@ -144,8 +133,6 @@ def extract_answer(text: str) -> AnswerValue | None:
     Markers for both languages are always recognized. Text whose answer is a
     number past ``int()``'s digit limit has no readable answer.
     """
-    if not text or not text.strip():
-        return None
     try:
         return _extract(map_devanagari_digits(text))
     except ValueError:  # the digit limit of int()
@@ -162,7 +149,7 @@ def _extract(mapped: str) -> AnswerValue | None:
     for line in reversed(lines):
         match = _MARKER_LINE_RE.match(line)
         if match and not _marker_starts_prose(line, match):
-            value = _value_from_line(match["value"])
+            value = parse_value(match["value"], _prose_tail_number)
             if value is not None:
                 return value
             break
@@ -175,10 +162,8 @@ def _extract(mapped: str) -> AnswerValue | None:
                 return value
             break
 
-    matches = list(NUMBER_IN_TEXT_RE.finditer(mapped))
-    if matches:
-        return parse_value(matches[-1].group(0))
-    return None
+    number = last_number(mapped)
+    return None if number is None else parse_value(number)
 
 
 def grade(predicted: AnswerValue | None, reference: AnswerValue) -> Verdict:

@@ -953,6 +953,16 @@ def test_number_past_int_digit_limit_grades_unparseable(tmp_path, capsys, output
         ("p2", "Incorrect", {"kind": "Rational", "rational": "5/1"})]
 
 
+def test_answer_of_empty_wrappers_grades_unparseable(tmp_path, capsys):
+    # "$$" before the sentence end is cleaned to nothing: no answer, not a fault.
+    manifest_path, pred, out = tmp_path / "m.jsonl", tmp_path / "pred.tsv", tmp_path / "g"
+    save_manifest(make_manifest([make_problem("p0", raw_solution="#### 4")]), manifest_path)
+    pred.write_text("p0\tअंतिम उत्तर: $$।\n", encoding="utf-8")
+    assert main(["evaluate", "grade", "--pred", str(pred), "--manifest", str(manifest_path),
+                 "--model", "m", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("graded=1 correct=0 unparseable=1\n")
+
+
 def test_repeated_grade_exits_1(demo_dir, tmp_path, capsys):
     grades, out = demo_dir / "grades.jsonl", tmp_path / "report.txt"
     assert main(["evaluate", "report", "--grades", str(grades), str(grades),

@@ -241,6 +241,14 @@ class TestApplyDecomposition:
         (Operation.MUL, "1000 × 5 = 5,000", 5000),
         (Operation.DIV, "10 / 4 = 5/2", Fraction(5, 2)),
         (Operation.DIV, "७ ÷ २ = ३.५", Fraction(7, 2)),
+        # The stated result is read as any answer is: each spelling of the value.
+        (Operation.DIV, "10 ÷ 3 = 3 + 1/3", Fraction(10, 3)),
+        (Operation.DIV, "10 ÷ 4 = \\frac{5}{2}", Fraction(5, 2)),
+        (Operation.MUL, "12 × 4 = ४८।", 48),
+        (Operation.MUL, "12 × 4 = $48$", 48),
+        (Operation.MUL, "12 × 4 = +48", 48),
+        # A result with no digit states none: the line before it is read.
+        (Operation.MUL, "5 × 3 = 15\n5 × 3 = fifteen", 15),
     ])
     def test_stated_exact_result_rewritten(self, operation, line, exact):
         outcome = apply_decomposition(make_manifest([_hawp_problem("p", operation, line)]))
@@ -274,10 +282,19 @@ class TestApplyDecomposition:
           for line in ("कुल = 1,234 × 5 = 6,170", "12.5 × 4 = 50")),
         (_hawp_problem("p-bad", Operation.MUL, "Total 12 × 4 = 50"),
          "stated result 50 is not the exact 48"),
+        (_hawp_problem("p-bad", Operation.MUL, "12 × 4 = -48"),
+         "stated result -48 is not the exact 48"),
+        # The last line states a wrong result; the line before it is not read instead.
+        (_hawp_problem("p-bad", Operation.MUL, "5 × 3 = 15\n12 × 4 = -48"),
+         "stated result -48 is not the exact 48"),
+        # "a b/c" is no form the answer grammar reads, so it states no value.
+        (_hawp_problem("p-bad", Operation.DIV, "10 ÷ 3 = 3 1/3"),
+         "stated result 3 1/3 is not the exact 3 + 1/3"),
         (_hawp_problem("p-bad", Operation.MUL, f"12 × 4 = {'9' * 5000}"), _int_error("9" * 5000)),
     ], ids=["zero-divisor", "operand-at-limit", "negative-extras", "infinite-extras",
             "float-extras", "bool-extras", "string-extras", "thousands-comma",
-            "decimal-point", "wrong-result", "result-past-digit-limit"])
+            "decimal-point", "wrong-result", "negative-result", "last-line-wrong",
+            "mixed-with-space", "result-past-digit-limit"])
     def test_undecomposable_flagged_and_kept(self, problem, reason):
         manifest = make_manifest([_hawp_problem("p-ok", Operation.MUL, "5 × 3 = 15"),
                                   problem])
@@ -285,6 +302,28 @@ class TestApplyDecomposition:
         assert (outcome.rewritten, outcome.skipped) == (1, 1)
         assert outcome.flagged == {"p-bad": reason}
         assert outcome.manifest.by_id("p-bad") == problem
+
+
+_TO_DEVANAGARI = str.maketrans("0123456789", "०१२३४५६७८९")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Operation.MUL, Operation.DIV]), st.integers(0, 10**9),
+       st.integers(1, 10**4), st.sampled_from(list(Language)), st.booleans(), st.booleans(),
+       st.booleans())
+def test_decompose_accepts_the_result_it_would_write(operation, a, b, language, as_frac,
+                                                    devanagari, danda):
+    # Quotients that do not terminate included: format_exact writes them "q + r/b".
+    mul = operation is Operation.MUL
+    exact = Fraction(a * b) if mul else Fraction(a, b)
+    stated = (f"\\frac{{{exact.numerator}}}{{{exact.denominator}}}" if as_frac
+              else format_exact(exact))
+    line = f"{a} {'×' if mul else '÷'} {b} = {stated}{'।' if danda else ''}"
+    problem = make_problem("p", language=language, source=Source.HAWP, operation=operation,
+                           raw_solution=line.translate(_TO_DEVANAGARI) if devanagari else line)
+    outcome = apply_decomposition(make_manifest([problem]))
+    assert (outcome.rewritten, outcome.flagged) == (1, {})
+    assert f" {format_exact(exact)}" in outcome.manifest.by_id("p").raw_solution
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
@@ -112,6 +112,21 @@ class TestExtractAnswer:
         assert extract_answer("#### 14661.") == AnswerValue.from_rational(14661)
 
     @pytest.mark.parametrize("text,expected", [
+        ("#### $5$।", AnswerValue.from_rational(5)),
+        ("Final Answer: \\(0\\)।", AnswerValue.from_rational(0)),
+        ("\\boxed{$7.$ ।}", AnswerValue.from_rational(7)),
+        ("उत्तर: \\[x^2 + 1\\] ।", AnswerValue.from_expression("x^2 + 1")),
+        ("Final Answer: \\(5 apples\\)", AnswerValue.from_rational(5)),  # prose, once cleaned
+    ])
+    def test_wrappers_and_sentence_end_are_cleaned_by_one_rule(self, text, expected):
+        assert extract_answer(text) == expected
+
+    @pytest.mark.parametrize("text", ["Final Answer: $$।", "#### \\(\\)।", "\\boxed{$$।}",
+                                      "#### ।  ।"])
+    def test_nothing_left_after_cleaning_is_no_answer(self, text):
+        assert extract_answer(text) is None
+
+    @pytest.mark.parametrize("text,expected", [
         ("उत्तर प्रदेश के 5 शहरों में 4 स्कूल हैं।\nकुल = 20", 20),  # "north", a word of its own
         ("उत्तरी भाग में 7 पेड़ हैं\nकुल 30", 30),  # a vowel sign goes on with the word
         ("Final Answers vary: 3\nso total 20", 20),
@@ -139,6 +154,7 @@ class TestLastNumberFallback:
     @pytest.mark.parametrize("text", [
         "The answer is 12,34,567.", "price 1,2345", "answer 1.5.2", "value 3/4/5",
         "due 12/05/2024", "point (3,4)",
+        "value 3 / 4 / 5", "due 12 / 05 / 2024", "value 3 /4/ 5",  # a spaced "/" joins too
     ])
     def test_part_of_a_longer_run_is_unparseable(self, text):
         assert extract_answer(text) is None
@@ -149,6 +165,10 @@ class TestLastNumberFallback:
         ("3/-4 ok", Fraction(-3, 4)),
         ("so 1,234,567 apples", 1234567),
         ("Total: 1, 2, 3", 3),
+        ("#### 3 / 4", Fraction(3, 4)),
+        ("so 3 / 4 in all", Fraction(3, 4)),
+        ("ratio 3 / 4 then 7", 7),
+        ("total 7, then 3 / 4 / 5", 7),  # the run is skipped whole
     ])
     def test_whole_number_is_read(self, text, expected):
         assert extract_answer(text) == AnswerValue.from_rational(expected)
@@ -162,10 +182,12 @@ _RUN_WORDS = st.one_of(st.sampled_from(["so", "the", "answer", "is", "कुल"
 
 @st.composite
 def _texts_around_one_run(draw):
-    """(text, run): words around one run of digits joined by single ",", "." or "/"."""
+    """(text, run): words around one run of digits joined by single ",", "." or "/",
+    a "/" perhaps with space on either side."""
     groups = draw(st.lists(st.text(alphabet=_DIGITS, min_size=1, max_size=4),
                            min_size=1, max_size=5))
-    run = groups[0] + "".join(draw(st.sampled_from(",./")) + group for group in groups[1:])
+    joins = st.sampled_from([",", ".", "/", " / ", " /", "/ ", "  /\t"])
+    run = groups[0] + "".join(draw(joins) + group for group in groups[1:])
     before, after = (draw(st.lists(_RUN_WORDS, max_size=4)) for _ in range(2))
     return " ".join([*before, run, *after]), run
 
@@ -184,6 +206,43 @@ def test_fallback_reads_a_run_whole_or_not_at_all(case):
 def test_fallback_reads_every_rendered_rational(value):
     text = f"so the result is {format_exact(value)} in all"
     assert extract_answer(text) == AnswerValue.from_rational(value)
+
+
+_WRAPPERS = [("\\boxed{", "}"), ("$", "$"), ("\\(", "\\)"), ("\\[", "\\]")]
+_ANSWER_MARKERS = ["Final Answer: ", "अंतिम उत्तर: ", "#### "]
+
+
+@st.composite
+def _wrapped_answers(draw):
+    """(value, text): a rendered rational, perhaps ending a sentence, under up to three
+    wrappers, each perhaps followed by "।" or space, behind an answer marker."""
+    value = draw(st.fractions(min_value=0))
+    text = format_exact(value) + draw(st.sampled_from(["", "."]))
+    for open_, close in draw(st.lists(st.sampled_from(_WRAPPERS), max_size=3)):
+        text = open_ + text + close + draw(st.sampled_from(["", "।", " ", " । ", "।।"]))
+    return value, draw(st.sampled_from(_ANSWER_MARKERS)) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wrapped_answers())
+@example((Fraction(0), "Final Answer: \\(0\\)।"))
+def test_wrapped_answer_reads_its_value(case):
+    value, text = case
+    assert extract_answer(text) == AnswerValue.from_rational(value)
+
+
+_ANSWER_PIECES = st.sampled_from([*(mark for pair in _WRAPPERS for mark in pair), "{", "।", ".",
+                                  " ", "\n", "5", "१", "/", "x", *_ANSWER_MARKERS, "उत्तर"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.lists(_ANSWER_PIECES, max_size=12).map("".join)))
+@example("Final Answer: $$।")
+@example("#### \\(\\)।")
+@example("\\boxed{$$।}")
+def test_extract_answer_never_raises(text):
+    value = extract_answer(text)
+    assert value is None or isinstance(value, AnswerValue)
 
 
 # The reference for the fallback: these forms matched anywhere, even inside a

@@ -1,7 +1,9 @@
 """Each per-record fast path equals the plain form it stands in for.
 
-Every property states the spec expression inline: ``Fraction(str)`` for
-``as_fraction``, ``str.translate`` for ``map_devanagari_digits``, the
+Every property states the spec expression inline: ``Fraction(str)`` and
+the number forms read by one pattern for ``as_fraction``, the same forms
+without the start-character look-ahead for running text,
+``str.translate`` for ``map_devanagari_digits``, the
 Unicode category rule for ``_is_word``, one ``str.count`` per word over
 the full word lists for the feature scorer, and a rescan from every marker
 for ``_last_boxed``.
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep import classify
+from ganitprep import answers, classify
 from ganitprep.answers import as_fraction, format_exact, map_devanagari_digits
 from ganitprep.classify import CRITERIA, DEFAULT_WEIGHTS, rank_bottom_k, score_complexity
 from ganitprep.corpus import Difficulty, Language
@@ -51,6 +53,54 @@ def _number_strings(draw):
 @given(_number_strings())
 def test_as_fraction_equals_fraction_of_string(s):
     assert as_fraction(s) == Fraction(s.strip().replace(",", ""))
+
+
+# The number forms as one pattern, matched whole and read group by group:
+# the spec that the bare-digit fast path and the integer shortcut stand in for.
+_SPEC_FORMS = (
+    r"(?P<sign>[-+]?)\\[dt]?frac\s*\{\s*(?P<fnum>-?\d+)\s*\}\s*\{\s*(?P<fden>-?\d+)\s*\}"
+    r"|(?P<whole>\d+)\s*\+\s*(?P<mnum>\d+)\s*/\s*(?P<mden>\d+)"
+    r"|(?P<num>[-+]?\d+)\s*/\s*(?P<den>-?\d+)"
+    r"|(?P<decimal>[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)"
+)
+_SPEC_NUMBER_RE = re.compile(_SPEC_FORMS)
+_SPEC_NUMBER_IN_TEXT_RE = re.compile(rf"(?<![\d,./])(?:{_SPEC_FORMS})(?!\d|[,.]\d|\s*/\s*\d)")
+
+
+def _spec_as_fraction(text):
+    m = _SPEC_NUMBER_RE.fullmatch(text.strip())
+    if m is None:
+        return None
+    if m["decimal"]:
+        whole, _, frac = m["decimal"].replace(",", "").partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    if m["den"]:
+        whole, num, den = 0, int(m["num"]), int(m["den"])
+    elif m["mden"]:
+        whole, num, den = int(m["whole"]), int(m["mnum"]), int(m["mden"])
+    else:
+        whole, num, den = 0, int(m["fnum"]), int(m["fden"])
+        num = -num if m["sign"] == "-" else num
+    return whole + Fraction(num, den) if den != 0 else None
+
+
+_number_texts = st.lists(st.sampled_from(
+    ["0", "7", "12", "345", "١", "२", "０", "²", ",", ",000", ".", ".5", "/", " / ", "+", " + ", "-",
+     " ", "\t", "\\frac{3}{4}", "\\dfrac{12}{-5}", "\\frac{", "\\tfrac", "}{", "{", "}", "x",
+     "ab", "।"]), max_size=10).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_number_texts)
+def test_as_fraction_equals_the_forms_read_whole(text):
+    assert as_fraction(text) == _spec_as_fraction(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_number_texts)
+def test_numbers_in_text_equal_the_forms_without_the_look_ahead(text):
+    spans = [m.span() for m in answers._NUMBER_IN_TEXT_RE.finditer(text)]
+    assert spans == [m.span() for m in _SPEC_NUMBER_IN_TEXT_RE.finditer(text)]
 
 
 @settings(max_examples=300, deadline=None)
