@@ -15,6 +15,7 @@ states) is read by ``parse_value``: one cleaning rule, one number grammar.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -51,11 +52,15 @@ _FORMS = (
 )
 _NUMBER_RE = re.compile(_FORMS)
 # A number in running text is a whole one: no digit, ",", "." or "/" right
-# before it (a spaced "/" is ``last_number``'s check), and after it no digit,
-# nor a ",", "." or "/", spaced or not, that joins it to more digits ("12." may
-# end a sentence; "12,34,567" and "3 / 4 / 5" are no numbers). The first
-# look-ahead lets the search skip to a sign, backslash or digit, where forms start.
-_NUMBER_IN_TEXT_RE = re.compile(rf"(?=[-+\\\d])(?<![\d,./])(?:{_FORMS})(?!\d|[,.]\d|\s*/\s*\d)")
+# before it (a spaced "/" is ``last_number``'s check), and after it no digit, nor
+# a "," or "." before a digit, nor a "/", spaced or not, before a sign, digit or
+# backslash ("12." may end a sentence; "12,34,567", "3 / 4 / 5" and "12/+4" are
+# no numbers). The first look-ahead lets the search skip to a sign, backslash or
+# digit, where forms start. Its one group is the number, so ``split`` is the one
+# scan of a text: gap, number, gap, ..., number, gap.
+_NUMBER_IN_TEXT_RE = re.compile(r"(?=[-+\\\d])(?<![\d,./])(" + re.sub(r"\?P<\w+>", "?:", _FORMS)
+                                + r")(?!\d|[,.]\d|\s*/\s*[-+\\\d])")
+_PUNCTUATION = ".,;:!?()[]{}%₹$€"  # what may stand around a word or number of prose
 
 
 def as_fraction(text: str) -> Fraction | None:
@@ -196,30 +201,61 @@ class AnswerValue:
         return cls.from_expression(data["expression"])
 
 
-def parse_value(candidate: str, prose_number=None) -> AnswerValue | None:
+def parse_value(candidate: str) -> AnswerValue | None:
     """Read a candidate answer: the one rule that every reader goes through.
 
     Devanagari digits are mapped and the text cleaned by ``clean_answer``;
-    None when nothing is left. A number, perhaps ending a sentence ("14661."
-    is 14661), is a Rational; other text goes to ``prose_number``, if passed,
-    and else is an Expression of the cleaned text, not cleaned again.
+    None when nothing is left. A number is a Rational, and so is the last
+    number of a prose sentence ("14661." and "543 multiplied by 27 equals
+    14661." are 14661); other text is an Expression of the cleaned text, not
+    cleaned again.
     """
     s = clean_answer(map_devanagari_digits(candidate))
     if not s:
         return None
-    value = as_fraction(s[:-1] if s.endswith(".") else s)
-    if value is None and prose_number is not None:
-        value = prose_number(s)
+    value = as_fraction(s)
+    if value is None:
+        parts = _NUMBER_IN_TEXT_RE.split(s)
+        value = as_fraction(parts[-2]) if len(parts) > 1 and _is_prose(parts[::2]) else None
     if value is None:
         return AnswerValue(AnswerKind.EXPRESSION, expression=s)
     return AnswerValue(AnswerKind.RATIONAL, rational=value)
 
 
 def last_number(text: str) -> str | None:
-    """The last whole number in running text, or None: a match that a "/" with
-    space around it joins to digits before it is part of a longer run."""
-    for match in reversed(list(_NUMBER_IN_TEXT_RE.finditer(text))):
-        before = text[:match.start()].rstrip()
-        if not (before.endswith("/") and before[:-1].rstrip()[-1:].isdecimal()):
-            return match[0]
+    """The last whole number in running text, or None: a number that a "/",
+    spaced or before a sign, joins to digits before it is part of a longer run."""
+    parts = _NUMBER_IN_TEXT_RE.split(text)
+    for i in range(len(parts) - 2, 0, -2):  # each number, the last first
+        head = parts[i - 1].rstrip().rstrip("+-").rstrip()
+        if not (head.endswith("/") and head[:-1].rstrip()[-1:].isdecimal()):
+            return parts[i]
     return None
+
+
+def _is_word(token: str) -> bool:
+    # Letters plus combining marks; isalpha() alone rejects Devanagari matras,
+    # but is a sound fast yes: it holds only when every character is a letter.
+    return token.isalpha() or all(unicodedata.category(ch)[0] in ("L", "M")
+                                  for ch in token)
+
+
+def _is_prose(gaps: list[str]) -> bool:
+    """Whether the numbers between these gaps make a prose sentence: each gap holds
+    only words within punctuation, no word touches a number ("x2", "3rd"), and a
+    word stands between any two numbers ("7, 3" and "2 1/2" are lists)."""
+    sentence = "0".join(gaps)  # each number one token, 0
+    if sentence.count("0") >= len(gaps):  # a 0 left in a gap, as any digit, is no number
+        return False
+    words = 1  # since the last number
+    for token in sentence.replace("।", " ").split():
+        word = token.strip(_PUNCTUATION)
+        if word == "0":
+            if not words:
+                return False
+            words = 0
+        elif word:
+            if not _is_word(word):
+                return False
+            words += 1
+    return True

@@ -5,8 +5,8 @@ Extraction searches model output in priority order: a LaTeX ``\\boxed{...}``
 Hindi equivalents as a word of their own, then the last "#### " marker
 line, then the last whole number in the text (a run of digits joined by
 ",", "." or "/", spaced or not, is read whole or not at all). Each is read
-by ``answers.parse_value``, one cleaning rule and one number grammar; a
-marker line that is prose gives its last number.
+by ``answers.parse_value``: a number, else the last number of a prose
+sentence ("10 divided by 3 equals 3 + 1/3." is 10/3), else an Expression.
 
 Grading compares exact rationals first and falls back to a symmetric
 relative tolerance of 1e-6 for numeric pairs; expressions grade by
@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from ganitprep.answers import (
     AnswerKind,
     AnswerValue,
-    as_fraction,
     last_number,
     map_devanagari_digits,
     parse_value,
@@ -60,8 +59,7 @@ _MARKER_LINE_RE = re.compile(
 )
 # The bare marker also means "north" (उत्तर प्रदेश, उत्तर दिशा).
 _HOMOGRAPH_MARKER = "उत्तर"
-_HASH_LINE_RE = re.compile(r"^\s*####\s+(.*)$")
-_TOKEN_TRIM = ".,;:!?()[]{}%₹$€"
+_HASH_LINE_RE = re.compile(r"^\s*(?P<marker>####)\s+(?P<value>.*)$")
 _BOXED_RE = re.compile(r"\\boxed\s*\{")
 _BRACE_RE = re.compile(r"[{}]")
 
@@ -86,34 +84,6 @@ def _last_boxed(text: str) -> str | None:
         return None
     begin = max(closed)
     return text[begin + 1:closed[begin]]
-
-
-def _is_word(token: str) -> bool:
-    # Letters plus combining marks; isalpha() alone rejects Devanagari matras,
-    # but is a sound fast yes: it holds only when every character is a letter.
-    return token.isalpha() or all(unicodedata.category(ch)[0] in ("L", "M")
-                                  for ch in token)
-
-
-def _prose_tail_number(text: str) -> Fraction | None:
-    """Last number of a prose sentence, or None if the text is not prose.
-
-    Prose means every token is either a plain word or a number, so
-    "543 multiplied by 27 equals 14661." yields 14661 while
-    "100y^2 - 44x^2 = 275" yields None and stays an expression.
-    """
-    last: Fraction | None = None
-    for raw in text.replace("।", " ").split():
-        token = raw.strip(_TOKEN_TRIM)
-        if not token:
-            continue
-        value = as_fraction(token)
-        if value is not None:
-            last = value
-            continue
-        if not _is_word(token):
-            return None
-    return last
 
 
 def _marker_starts_prose(line: str, match: re.Match) -> bool:
@@ -146,21 +116,14 @@ def _extract(mapped: str) -> AnswerValue | None:
             return parse_value(boxed)
 
     lines = mapped.splitlines()
-    for line in reversed(lines):
-        match = _MARKER_LINE_RE.match(line)
-        if match and not _marker_starts_prose(line, match):
-            value = parse_value(match["value"], _prose_tail_number)
-            if value is not None:
-                return value
-            break
-
-    for line in reversed(lines):
-        match = _HASH_LINE_RE.match(line)
-        if match:
-            value = parse_value(match.group(1))
-            if value is not None:
-                return value
-            break
+    for pattern in (_MARKER_LINE_RE, _HASH_LINE_RE):
+        for line in reversed(lines):
+            match = pattern.match(line)
+            if match and not _marker_starts_prose(line, match):
+                value = parse_value(match["value"])
+                if value is not None:
+                    return value
+                break
 
     number = last_number(mapped)
     return None if number is None else parse_value(number)

@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
-from ganitprep.answers import format_exact
+from ganitprep.answers import AnswerValue, format_exact
 from ganitprep.corpus import Language, Operation, Source
 from ganitprep.decompose import (
     apply_decomposition,
@@ -16,6 +16,7 @@ from ganitprep.decompose import (
     render_trace,
 )
 from ganitprep.errors import PipelineError
+from ganitprep.evaluate import Verdict, extract_answer, grade
 
 
 class TestDecomposeMul:
@@ -247,6 +248,8 @@ class TestApplyDecomposition:
         (Operation.MUL, "12 × 4 = ४८।", 48),
         (Operation.MUL, "12 × 4 = $48$", 48),
         (Operation.MUL, "12 × 4 = +48", 48),
+        (Operation.MUL, "12 × 4 = 48 सेब", 48),  # prose, read as any answer is
+        (Operation.MUL, "12 × 4 = 48,", 48),
         # A result with no digit states none: the line before it is read.
         (Operation.MUL, "5 × 3 = 15\n5 × 3 = fifteen", 15),
     ])
@@ -324,6 +327,22 @@ def test_decompose_accepts_the_result_it_would_write(operation, a, b, language, 
     outcome = apply_decomposition(make_manifest([problem]))
     assert (outcome.rewritten, outcome.flagged) == (1, {})
     assert f" {format_exact(exact)}" in outcome.manifest.by_id("p").raw_solution
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Operation.MUL, Operation.DIV]), st.integers(0, 10**6 - 1),
+       st.integers(1, 10**4 - 1), st.sampled_from(list(Language)))
+@example(Operation.DIV, 10, 3, Language.ENGLISH)
+@example(Operation.DIV, 22, 7, Language.HINDI)
+def test_decomposed_solution_grades_its_exact_result(operation, a, b, language):
+    # A quotient that does not terminate ends "... equals 3 + 1/3.": still the value.
+    mul = operation is Operation.MUL
+    exact = Fraction(a * b) if mul else Fraction(a, b)
+    reference = extract_answer(render_trace((decompose_mul if mul else decompose_div)(a, b),
+                                            language))
+    assert reference == AnswerValue.from_rational(exact)
+    boxed = f"\\boxed{{{exact.numerator}/{exact.denominator}}}"
+    assert grade(extract_answer(boxed), reference) is Verdict.CORRECT
 
 
 @settings(max_examples=200, deadline=None)

@@ -142,6 +142,23 @@ class TestExtractAnswer:
     def test_marker_followed_by_no_word_still_counts(self, text, expected):
         assert extract_answer(f"{text}\nthen 7") == AnswerValue.from_rational(expected)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("#### 18 dollars", 18), ("\\boxed{18 dollars}", 18), ("Final Answer: ₹500", 500),
+        ("अंतिम उत्तर: 10 भागा 3 बराबर 3 + 1/3 है।", Fraction(10, 3)),
+        ("Final Answer: 5 apples (3 eaten) and 7 left.", 7),
+    ])
+    def test_any_answer_that_is_prose_reads_its_last_number(self, text, expected):
+        assert extract_answer(text) == AnswerValue.from_rational(expected)
+
+    @pytest.mark.parametrize("text", [
+        "Final Answer: (7, 3)", "Final Answer: 7, 3", "उत्तर: 2 1/2",  # no word between: a list
+        "Final Answer: area is x2", "Final Answer: 3rd",  # a word touches the number
+        "Final Answer: 3 / 4 / 5 apples", "\\boxed{100y^2 - 44x^2 = 275}",
+        "Final Answer: .5 apples",  # not 5: a digit outside every number makes no prose
+    ])
+    def test_answer_that_is_no_prose_is_an_expression(self, text):
+        assert extract_answer(text).kind is AnswerKind.EXPRESSION
+
 
 class TestLastNumberFallback:
     """With no boxed answer and no marker line, the last whole number is read.
@@ -155,6 +172,7 @@ class TestLastNumberFallback:
         "The answer is 12,34,567.", "price 1,2345", "answer 1.5.2", "value 3/4/5",
         "due 12/05/2024", "point (3,4)",
         "value 3 / 4 / 5", "due 12 / 05 / 2024", "value 3 /4/ 5",  # a spaced "/" joins too
+        "so 12 / +4", "so 12/+4", "12 / \\frac{1}{2} + .",  # so does a "/" before a sign or "\\"
     ])
     def test_part_of_a_longer_run_is_unparseable(self, text):
         assert extract_answer(text) is None
@@ -206,6 +224,18 @@ def test_fallback_reads_a_run_whole_or_not_at_all(case):
 def test_fallback_reads_every_rendered_rational(value):
     text = f"so the result is {format_exact(value)} in all"
     assert extract_answer(text) == AnswerValue.from_rational(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(_RUN_WORDS, min_size=1, max_size=3), st.fractions()),
+                min_size=1, max_size=4),
+       st.lists(_RUN_WORDS, max_size=3), st.sampled_from(["", ".", "।", " ।"]))
+@example([(["equals"], Fraction(10, 3))], [], ".")
+def test_prose_sentence_reads_its_last_number(clauses, tail, end):
+    # Words, then a rendered rational ("3 + 1/3" included), clause after clause.
+    text = " ".join(" ".join([*words, format_exact(value)]) for words, value in clauses)
+    text = " ".join([text, *tail]) + end
+    assert extract_answer(f"Final Answer: {text}") == AnswerValue.from_rational(clauses[-1][1])
 
 
 _WRAPPERS = [("\\boxed{", "}"), ("$", "$"), ("\\(", "\\)"), ("\\[", "\\]")]

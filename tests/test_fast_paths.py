@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from conftest import make_manifest, make_problem
 from ganitprep import answers, classify
-from ganitprep.answers import as_fraction, format_exact, map_devanagari_digits
+from ganitprep.answers import _is_word, as_fraction, format_exact, map_devanagari_digits
 from ganitprep.classify import CRITERIA, DEFAULT_WEIGHTS, rank_bottom_k, score_complexity
 from ganitprep.corpus import Difficulty, Language
-from ganitprep.evaluate import _is_word, _last_boxed, extract_answer
+from ganitprep.evaluate import _last_boxed, extract_answer
 
 # Ten-digit runs of Unicode Nd scripts: ASCII, Devanagari, Arabic-Indic,
 # Bengali, fullwidth.
@@ -64,7 +64,8 @@ _SPEC_FORMS = (
     r"|(?P<decimal>[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)"
 )
 _SPEC_NUMBER_RE = re.compile(_SPEC_FORMS)
-_SPEC_NUMBER_IN_TEXT_RE = re.compile(rf"(?<![\d,./])(?:{_SPEC_FORMS})(?!\d|[,.]\d|\s*/\s*\d)")
+_SPEC_NUMBER_IN_TEXT_RE = re.compile(
+    rf"(?<![\d,./])(?:{_SPEC_FORMS})(?!\d|[,.]\d|\s*/\s*[-+\\\d])")
 
 
 def _spec_as_fraction(text):
@@ -215,6 +216,15 @@ def test_last_boxed_equals_rescan(text):
 def test_extract_answer_on_many_unclosed_boxes_is_linear():
     # A rescan from each of 20,000 unclosed markers takes minutes.
     text = "\\boxed{" * 20_000
+    started = time.perf_counter()
+    assert extract_answer(text) is None
+    assert time.perf_counter() - started < 1
+
+
+def test_extract_answer_on_many_slash_runs_is_linear():
+    # Checking each rejected run against all the text before it is quadratic:
+    # this text took 3.4 s that way on a 2-core host, and twice the text 4.7 times as long.
+    text = "3 / 4 / 5 x " * 64_000
     started = time.perf_counter()
     assert extract_answer(text) is None
     assert time.perf_counter() - started < 1

@@ -239,3 +239,14 @@ def test_line_files_go_through_the_line_writer():
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "write_text_atomic"
                and any(map(_is_newline_join, [*node.args, *(k.value for k in node.keywords)]))}
     assert callers == set()
+
+
+def test_only_answers_names_the_number_grammar():
+    # Every other module reads numbers through ``parse_value`` and ``last_number``,
+    # so the number forms and the scan of running text have one home.
+    grammar = {"as_fraction", "_NUMBER_IN_TEXT_RE"}
+    namers = {name for name, node in _package_nodes()
+              if (isinstance(node, ast.Name) and node.id in grammar)
+              or (isinstance(node, ast.Attribute) and node.attr in grammar)
+              or (isinstance(node, ast.alias) and node.name in grammar)}
+    assert namers <= {"answers"}
