@@ -10,6 +10,7 @@ corrupted files at load time.
 import tempfile
 from pathlib import Path
 
+from ganitprep.cli import DEMO_PLAN
 from ganitprep.corpus import (
     ingest_gsm8k,
     ingest_hawp,
@@ -18,11 +19,11 @@ from ganitprep.corpus import (
     save_manifest,
 )
 from ganitprep.errors import PipelineError
-from ganitprep.pipeline import DEMO_DATA_DIR
 
-gsm8k = ingest_gsm8k(DEMO_DATA_DIR / "gsm8k.jsonl")
-math = ingest_math(DEMO_DATA_DIR / "math.jsonl")
-hawp = ingest_hawp(DEMO_DATA_DIR / "hawp.jsonl")
+fixtures = DEMO_PLAN.parent  # the bundled corpora sit beside the demo plan
+gsm8k = ingest_gsm8k(fixtures / "gsm8k.jsonl")
+math = ingest_math(fixtures / "math.jsonl")
+hawp = ingest_hawp(fixtures / "hawp.jsonl")
 
 print("=== ingested corpora ===")
 for name, manifest in (("grade-school", gsm8k), ("competition", math),

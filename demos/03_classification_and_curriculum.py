@@ -5,21 +5,27 @@ Difficulty arrives three ways: published levels map deterministically,
 unleveled corpora are scored on five criteria and cut bottom-k, and curated
 sets carry human annotations. The split is stratified and pair-co-assigned;
 the two training stages chain checkpoints SFT_easy -> SFT_easy+medium.
-``ganitprep.pipeline.run`` does all of it over the bundled corpora, running
-the stage commands; this script reads back what they wrote and prints it.
+``ganitprep run --out DIR`` does all of it over the bundled corpora, running
+the stage commands of the bundled plan; this script runs it, reads back what
+it wrote and prints it.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
 from ganitprep.classify import score_complexity
+from ganitprep.cli import main
 from ganitprep.corpus import load_manifest
 from ganitprep.curriculum import load_curriculum, load_split
-from ganitprep.pipeline import run
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp)
-    run(out)
+    with contextlib.redirect_stdout(io.StringIO()):  # the stage lines
+        status = main(["run", "--out", str(out)])
+    if status:
+        raise SystemExit(status)
     merged = load_manifest(out / "merged.jsonl")
     split = load_split(out / "split.json")
     curriculum = load_curriculum(out / "curriculum.json")

@@ -54,12 +54,15 @@ _NUMBER_RE = re.compile(_FORMS)
 # A number in running text is a whole one: no digit, ",", "." or "/" right
 # before it (a spaced "/" is ``last_number``'s check), and after it no digit, nor
 # a "," or "." before a digit, nor a "/", spaced or not, before a sign, digit or
-# backslash ("12." may end a sentence; "12,34,567", "3 / 4 / 5" and "12/+4" are
-# no numbers). The first look-ahead lets the search skip to a sign, backslash or
-# digit, where forms start. Its one group is the number, so ``split`` is the one
-# scan of a text: gap, number, gap, ..., number, gap.
+# backslash, nor an ellipsis after its last digit ("12." may end a sentence;
+# "12,34,567", "3 / 4 / 5" and "12/+4" are no numbers, and the digits of
+# "0.333..." go on, so it states no value). The first look-ahead lets the
+# search skip to a sign, backslash or digit, where forms start. Its one group
+# is the number, so ``split`` is the one scan of a text: gap, number, gap, ...,
+# number, gap.
 _NUMBER_IN_TEXT_RE = re.compile(r"(?=[-+\\\d])(?<![\d,./])(" + re.sub(r"\?P<\w+>", "?:", _FORMS)
-                                + r")(?!\d|[,.]\d|\s*/\s*[-+\\\d])")
+                                + r")(?!\d|[,.]\d|\s*/\s*[-+\\\d]|(?<=\d)(?:\.\.\.|…))")
+_TRUNCATED_RE = re.compile(r"\d(?:\.\.\.|…)")  # digits that an ellipsis says go on
 _PUNCTUATION = ".,;:!?()[]{}%₹$€"  # what may stand around a word or number of prose
 
 
@@ -224,8 +227,11 @@ def parse_value(candidate: str) -> AnswerValue | None:
 
 def last_number(text: str) -> str | None:
     """The last whole number in running text, or None: a number that a "/",
-    spaced or before a sign, joins to digits before it is part of a longer run."""
+    spaced or before a sign, joins to digits before it is part of a longer run,
+    and none is read before a truncated one ("12, then 0.333..." states no value)."""
     parts = _NUMBER_IN_TEXT_RE.split(text)
+    if _TRUNCATED_RE.search(parts[-1]):
+        return None
     for i in range(len(parts) - 2, 0, -2):  # each number, the last first
         head = parts[i - 1].rstrip().rstrip("+-").rstrip()
         if not (head.endswith("/") and head[:-1].rstrip()[-1:].isdecimal()):

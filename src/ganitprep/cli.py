@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 stage failure, 2 usage error. Every handler
 returns the :class:`StageSummary` of its stage, and :func:`main` alone prints
 it: its text, then the line ``stage=<name> in=<n> out=<n> flagged=<n>``.
+``run`` runs a plan, a file of labelled stage commands, in one process: each
+command through its handler, its summary named by its label. The bundled
+plan, :data:`DEMO_PLAN`, is the demo chain over the fixtures beside it.
 A :class:`PipelineError` (every refusal; the readers convert what a ``from_dict``
 raises on a malformed object) or an ``OSError`` (the file system) prints a single
 machine-parseable ``error="..."`` line on stderr; any other exception is a bug.
@@ -32,7 +35,10 @@ from ganitprep.corpus import (
     save_manifest,
     write_manifest,
 )
-from ganitprep.errors import PipelineError, json_object_file, naming
+from ganitprep.errors import PipelineError, json_object_file, naming, numbered_lines
+
+# The demo chain; its directory holds the fixtures it reads.
+DEMO_PLAN = Path(__file__).parent / "data" / "demo" / "plan.txt"
 
 
 def _parse_language(value: str) -> Language:
@@ -224,13 +230,49 @@ def _cmd_kappa(args) -> StageSummary:
 
 
 # ---------------------------------------------------------------------------
-# demo
+# run
 
 
-def _cmd_demo(args) -> tuple[StageSummary, ...]:
-    from ganitprep import pipeline
+def _cmd_run(args) -> list[StageSummary]:
+    """Parse every line of the plan, then run each command by its handler, its
+    summary named by the line's label; a refusal or failure names the line."""
+    import contextlib
+    import dataclasses
+    import io
+    import re
+    import shlex
+    import tempfile
 
-    return pipeline.run(args.out_dir)
+    parser, commands = build_parser(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        places = {"data": str(Path(args.plan).parent), "out": args.out, "tmp": tmp}
+        for lineno, line, _ in numbered_lines(args.plan):
+            where, usage = f"{args.plan}:{lineno}", io.StringIO()
+            try:
+                words = [re.sub(r"\{([^{}]*)\}", lambda m: places[m[1]], word)
+                         for word in shlex.split(line, comments=True)]
+                if not words:  # a comment
+                    continue
+                with contextlib.redirect_stderr(usage):
+                    command = parser.parse_args(words[1:])
+            except KeyError as exc:
+                raise PipelineError(f"{where}: unknown placeholder {{{exc.args[0]}}}") from exc
+            except ValueError as exc:  # a quote left open
+                raise PipelineError(f"{where}: {exc}") from exc
+            except SystemExit:
+                reason = usage.getvalue().strip().rpartition("\n")[2]  # argparse's last line
+                raise PipelineError(f"{where}: not a stage command: {reason}") from None
+            if command.func is _cmd_run:
+                raise PipelineError(f"{where}: a plan cannot run a plan")
+            commands.append((where, words[0], command))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        stages = []
+        for where, label, command in commands:
+            try:
+                stages.append(dataclasses.replace(command.func(command), name=label))
+            except (PipelineError, OSError) as exc:
+                raise PipelineError(f"{where}: {exc}") from exc
+    return stages
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("demo", help="run the bundled end-to-end demonstration")
-    p.add_argument("--out", dest="out_dir", default="demo_out",
-                   help="output directory (default demo_out)")
-    p.set_defaults(func=_cmd_demo)
+    p = sub.add_parser("run", help="run a plan of stage commands, the bundled demo "
+                                   "chain by default")
+    p.add_argument("plan", nargs="?", default=str(DEMO_PLAN),
+                   help="plan file: a label and a stage command per line")
+    p.add_argument("--out", required=True, help="output directory, {out} in the plan")
+    p.set_defaults(func=_cmd_run)
 
     return parser
 

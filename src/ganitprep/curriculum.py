@@ -182,28 +182,53 @@ def _stratum_seed(seed: int, label: tuple[str, ...]) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
+def _lineage_root(problem_id: str, seed_ids: dict[str, str]) -> str:
+    """The first record on ``problem_id``'s ``seed_id`` chain with no seed of its
+    own, a seed missing from the manifest included, or the least id of a cycle."""
+    path: dict[str, int] = {}  # id -> position on the chain
+    while problem_id in seed_ids and problem_id not in path:
+        path[problem_id] = len(path)
+        problem_id = seed_ids[problem_id]
+    return min(list(path)[path[problem_id]:]) if problem_id in path else problem_id
+
+
 def split(manifest: Iterable[Problem], seed: int, ratio: float = 0.70) -> SplitAssignment:
-    """Stratified, pair-co-assigned train/test split.
+    """Stratified train/test split that keeps each lineage on one side: a
+    translation pair, else the root of a ``seed_id`` chain, else the record.
 
     Deterministic given (manifest, seed, ratio); the train share per
-    stratum is round(ratio * size) up to the pairing constraint. The records
-    are read once, keeping each one's id and the enum values of its stratum.
+    stratum is round(ratio * size) up to the lineage constraint. The records
+    are read once, keeping each one's id, the enum values of its stratum and
+    its seed; a lineage takes the stratum of its root records.
     """
     if not 0 < ratio < 1:
         raise PipelineError(f"ratio must be in (0, 1), got {ratio}")
     labels: dict[str, tuple[str, str, str]] = {}  # id -> (source, difficulty, language)
     shared: dict[tuple[str, str, str], tuple[str, str, str]] = {}  # one tuple per label
-    groups: dict[str, tuple[str, ...]] = {}  # pair key -> member ids
+    groups: dict[str, tuple[str, ...]] = {}  # lineage key -> its root records' ids
+    seed_ids: dict[str, str] = {}  # id -> seed id, for each unpaired record with a seed
     for problem in manifest:
         label = (problem.source.value, problem.difficulty.value, problem.language.value)
         labels[problem.id] = shared.setdefault(label, label)
-        key = problem.pair_id or f"solo:{problem.id}"
-        groups[key] = groups.get(key, ()) + (problem.id,)
+        seed_id = problem.extras.get("seed_id")
+        if seed_id and type(seed_id) is str and not problem.pair_id:
+            seed_ids[problem.id] = seed_id
+        else:
+            key = problem.pair_id or f"solo:{problem.id}"
+            groups[key] = groups.get(key, ()) + (problem.id,)
+
+    descendants: dict[str, tuple[str, ...]] = {}  # lineage key -> the records with a seed
+    key_of = {pid: key for key, members in groups.items() for pid in members} if seed_ids else {}
+    for problem_id in seed_ids:
+        root = _lineage_root(problem_id, seed_ids)
+        key = key_of.get(root) or f"solo:{root}"
+        descendants[key] = descendants.get(key, ()) + (problem_id,)
 
     by_stratum: dict[tuple[str, ...], list[str]] = {}
-    for key, members in groups.items():
-        source, difficulty, _ = labels[members[0]]
-        languages = ",".join(sorted(labels[pid][2] for pid in members))
+    for key in groups.keys() | descendants.keys():
+        roots = groups.get(key) or descendants[key]  # a missing seed or a cycle: all
+        source, difficulty, _ = labels[roots[0]]
+        languages = ",".join(sorted(labels[pid][2] for pid in roots))
         by_stratum.setdefault((source, difficulty, languages), []).append(key)
 
     assignments: dict[str, Assign] = {}
@@ -214,7 +239,7 @@ def split(manifest: Iterable[Problem], seed: int, ratio: float = 0.70) -> SplitA
         n_train = int(len(keys) * ratio + 0.5)
         for position, key in enumerate(keys):
             verdict = Assign.TRAIN if position < n_train else Assign.TEST
-            for problem_id in groups[key]:
+            for problem_id in groups.get(key, ()) + descendants.get(key, ()):
                 assignments[problem_id] = verdict
 
     strata: dict[tuple[str, str, str], list[int]] = {}

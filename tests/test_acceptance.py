@@ -28,7 +28,6 @@ from ganitprep.evaluate import (
     fleiss_kappa,
     grade,
 )
-from ganitprep.pipeline import run
 from ganitprep.structure import (
     FINE_TUNE_BODY,
     PromptName,
@@ -191,7 +190,7 @@ def test_c05_split_properties(tmp_path):
 
 
 def test_c06_curriculum_invariants(tmp_path):
-    run(tmp_path / "demo")
+    assert main(["run", "--out", str(tmp_path / "demo")]) == 0
     manifest = load_manifest(tmp_path / "demo" / "merged.jsonl")
     assignment = split(manifest, seed=42)
     checks = []
@@ -363,7 +362,7 @@ def test_c11_accuracy_report_layout():
 
 def test_c12_pipeline_performance(tmp_path):
     start = time.perf_counter()
-    rc = main(["demo", "--out", str(tmp_path / "demo_out")])
+    rc = main(["run", "--out", str(tmp_path / "demo_out")])
     assert rc == 0
     rng = random.Random(8)
     problems = []

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 
 import ganitprep
 from conftest import make_manifest, make_problem, write_jsonl, write_record_lines
-from ganitprep.cli import build_parser, main
+from ganitprep.cli import DEMO_PLAN, build_parser, main
 from ganitprep.corpus import Difficulty, Language, Source, load_manifest, save_manifest
+from ganitprep.errors import numbered_lines
 
 
 _SOLUTION = {"data_identification": "2 and 2", "problem_analysis": "a sum",
@@ -392,7 +394,7 @@ class TestEvaluateAndAugmentCommands:
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("demo")
-    assert main(["demo", "--out", str(out_dir)]) == 0
+    assert main(["run", "--out", str(out_dir)]) == 0
     return out_dir
 
 
@@ -684,7 +686,7 @@ def test_bad_counts_file_names_path_and_line(tmp_path, capsys, text, message):
 
 
 # Every command that writes the file its --out names, with inputs it accepts;
-# `demo --out` names a directory instead.
+# `run --out` names a directory instead.
 _WRITERS = {
     "ingest": ["ingest", "--format", "gsm8k", "--in", "{data}/gsm8k.jsonl"],
     "classify": ["classify", "--in", "{merged}", "--math-levels"],
@@ -715,7 +717,6 @@ _WRITERS = {
 @pytest.mark.parametrize("command", list(_WRITERS))
 def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys,
                                                       command, out):
-    from ganitprep.pipeline import DEMO_DATA_DIR
     from ganitprep.structure import StructuredSolution, render_structured
 
     (tmp_path / "solution.txt").write_text(
@@ -729,7 +730,7 @@ def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys
                       tmp_path / f"{name}.jsonl")
     out = out.format(tmp=tmp_path)
     argv = [*_WRITERS[command], "--out", out]
-    assert main([arg.format(data=DEMO_DATA_DIR, demo=demo_dir, tmp=tmp_path,
+    assert main([arg.format(data=DEMO_PLAN.parent, demo=demo_dir, tmp=tmp_path,
                             merged=demo_dir / "merged.jsonl") for arg in argv]) == 1
     message = _single_error(capsys)
     if out.endswith("out.txt"):
@@ -743,7 +744,7 @@ def test_out_path_that_names_no_writable_file_exits_1(demo_dir, tmp_path, capsys
 class TestDemo:
     def test_demo_runs_clean(self, tmp_path, capsys, caplog):
         out_dir = tmp_path / "demo"
-        rc = main(["demo", "--out", str(out_dir)])
+        rc = main(["run", "--out", str(out_dir)])
         assert rc == 0
         # A flagged problem is reported in its stage's summary, not on stderr.
         captured = capsys.readouterr()
@@ -758,13 +759,12 @@ class TestDemo:
             assert (out_dir / artifact).exists()
 
     def test_stage_table_names_every_fixture(self):
-        # Each fixture a row reads exists, and each bundled fixture is read
-        # by some row, so none is left over.
-        from ganitprep.pipeline import DEMO_DATA_DIR, STAGES
-
-        named = {arg.removeprefix("{data}/") for _, command in STAGES
-                 for arg in command.split() if arg.startswith("{data}/")}
-        assert named == {path.name for path in DEMO_DATA_DIR.iterdir()}
+        # Each fixture a line of the plan reads exists, and each bundled
+        # fixture is read by some line, so none is left over.
+        named = {arg.removeprefix("{data}/")
+                 for _, line, _ in numbered_lines(DEMO_PLAN)
+                 for arg in shlex.split(line, comments=True) if arg.startswith("{data}/")}
+        assert named == {path.name for path in DEMO_PLAN.parent.iterdir()} - {DEMO_PLAN.name}
 
     def test_demo_writes_exactly_its_artifacts(self, demo_dir):
         # The per-corpus files the chain passes between stages are not left behind.
@@ -775,14 +775,14 @@ class TestDemo:
 
     def test_demo_idempotent(self, tmp_path):
         out_dir = tmp_path / "demo"
-        assert main(["demo", "--out", str(out_dir)]) == 0
+        assert main(["run", "--out", str(out_dir)]) == 0
         snapshots = {
             name: (out_dir / name).read_bytes()
             for name in ("merged.jsonl", "split.json", "curriculum.json",
                          "train_SFT_easy.jsonl", "train_SFT_easy_medium.jsonl",
                          "report.txt", "grades.jsonl")
         }
-        assert main(["demo", "--out", str(out_dir)]) == 0
+        assert main(["run", "--out", str(out_dir)]) == 0
         for name, before in snapshots.items():
             assert (out_dir / name).read_bytes() == before, name
 
@@ -796,10 +796,59 @@ class TestDemo:
         for seed, zone in (("0", "UTC"), ("123", "Asia/Kolkata")):
             out_dir = tmp_path / f"demo-{seed}"
             env = {**os.environ, "PYTHONHASHSEED": seed, "TZ": zone, "PYTHONPATH": pythonpath}
-            subprocess.run([sys.executable, "-m", "ganitprep.cli", "demo", "--out", str(out_dir)],
+            subprocess.run([sys.executable, "-m", "ganitprep.cli", "run", "--out", str(out_dir)],
                            capture_output=True, encoding="utf-8", env=env, timeout=120, check=True)
             written.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
         assert written[0] and written[0] == written[1]
+
+
+class TestRunPlan:
+    """``ganitprep run PLAN``: each line is parsed before any runs."""
+
+    STAGE = "ingest --format gsm8k --in {data}/gsm8k.jsonl --out {out}/gsm8k.jsonl"
+
+    def _run(self, tmp_path, *lines):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return plan, main(["run", str(plan), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("b ingest --format nope --in x --out y", "not a stage command: "),
+        ("b run --out x", "a plan cannot run a plan"),
+        ("b decompose --in {tmp}/x --out {outdir}/y", "unknown placeholder {outdir}"),
+        ("b ingest --format gsm8k --in 'x --out y", "No closing quotation"),
+        ("b", "not a stage command: "),
+    ], ids=["not-a-command", "nested-run", "unknown-placeholder", "open-quote", "label-only"])
+    def test_bad_line_exits_1_naming_it_and_writes_nothing(self, tmp_path, capsys, bad,
+                                                           reason):
+        # Line 1 is a stage that would run, and line 2 a comment.
+        plan, rc = self._run(tmp_path, "a " + self.STAGE, "# a comment", bad)
+        assert rc == 1
+        message = _single_error(capsys)
+        assert message.startswith(f"{plan}:3: {reason}")
+        assert {path.name for path in tmp_path.iterdir()} == {"plan.txt"}
+
+    def test_failing_stage_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "gsm8k.jsonl").write_text('{"question": "Q", "answer": "#### 1"}\n',
+                                              encoding="utf-8")
+        plan, rc = self._run(tmp_path, "a " + self.STAGE,
+                             "b classify --in {out}/gsm8k.jsonl --annotations {data}/notes.tsv "
+                             "--out {out}/c.jsonl")
+        assert rc == 1
+        assert _single_error(capsys).startswith(f"{plan}:2: [Errno 2] ")
+        assert (tmp_path / "out" / "gsm8k.jsonl").exists()
+
+    def test_copied_plan_reads_its_own_directory(self, tmp_path, demo_dir):
+        # {data} is the plan's directory, so a copy of the bundled fixtures
+        # with their plan runs the demo chain from anywhere.
+        fixtures = tmp_path / "my fixtures"
+        shutil.copytree(DEMO_PLAN.parent, fixtures)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(fixtures / DEMO_PLAN.name), "--out", str(out_dir)]) == 0
+        written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert set(written) == {path.name for path in demo_dir.iterdir()}
+        for name in set(written) - {"hawp_decomposed.jsonl", "merged.jsonl"}:  # created_at
+            assert written[name] == (demo_dir / name).read_bytes(), name
 
 
 def _modules_after(code: str) -> set[str]:
@@ -861,7 +910,7 @@ CLI_OPTIONS = {
     "evaluate grade": "--pred --manifest --model --out",
     "evaluate report": "--grades --manifest --out",
     "kappa": "--counts",
-    "demo": "--out",
+    "run": "--out",
 }
 
 
@@ -872,19 +921,20 @@ def test_option_census():
     assert len(pairs) == 51
 
 
-@pytest.mark.parametrize("argv", [
-    ["decompose", "--in", "m", "--out", "o", "--ops", "add"],
-    ["decompose", "--in", "m", "--out", "o", "--lang", "en"],
-    ["evaluate", "report", "--grades", "g", "--manifest", "m", "--format", "csv"],
-    ["augment", "--in", "m", "--target", "1", "--config", "c", "--out", "o",
-     "--template", "augment"],
-    ["demo", "--out", "d", "--config", "c"],
-    ["structure", "render", "--in=s.json"],
+@pytest.mark.parametrize("argv, refused", [
+    (["decompose", "--in", "m", "--out", "o", "--ops", "add"], "--ops"),
+    (["decompose", "--in", "m", "--out", "o", "--lang", "en"], "--lang"),
+    (["evaluate", "report", "--grades", "g", "--manifest", "m", "--format", "csv"], "--format"),
+    (["augment", "--in", "m", "--target", "1", "--config", "c", "--out", "o",
+      "--template", "augment"], "--template"),
+    (["run", "--out", "d", "--config", "c"], "--config"),  # the demo chain
+    (["structure", "render", "--in=s.json"], "render"),
+    (["demo", "--out", "d"], "'demo'"),
 ], ids=["decompose-ops", "decompose-lang", "report-format", "augment-template",
-        "demo-config", "structure-render"])
-def test_removed_option_exits_2(capsys, argv):
+        "demo-config", "structure-render", "demo"])
+def test_removed_option_exits_2(capsys, argv, refused):
     assert main(argv) == 2
-    assert argv[-2] in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
@@ -901,7 +951,7 @@ def test_llm_client_import_leaves_urllib_request_unloaded():
 
 # Every CLI stage process pays for what it imports; each handler loads its own.
 _STAGE_MODULES = {"ganitprep.classify", "ganitprep.curriculum", "ganitprep.decompose",
-                  "ganitprep.evaluate", "ganitprep.llm_client", "ganitprep.pipeline"}
+                  "ganitprep.evaluate", "ganitprep.llm_client"}
 
 
 def test_package_import_loads_no_submodule():
@@ -912,6 +962,7 @@ def test_package_import_loads_no_submodule():
 def test_parser_leaves_stage_modules_unloaded():
     loaded = _modules_after("import ganitprep.cli; ganitprep.cli.build_parser()")
     assert loaded & _STAGE_MODULES == set()
+    assert "shlex" not in loaded  # only `run` reads a plan
 
 
 def test_curriculum_import_leaves_llm_client_unloaded():

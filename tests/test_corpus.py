@@ -27,7 +27,7 @@ from ganitprep.corpus import (
     records_checksum,
     save_manifest,
 )
-from ganitprep.cli import build_parser
+from ganitprep.cli import DEMO_PLAN, build_parser
 from ganitprep.common import canonical_json, write_lines_atomic
 from ganitprep.curriculum import (
     STAGE_EASY,
@@ -43,7 +43,6 @@ from ganitprep.curriculum import (
 from ganitprep.errors import PipelineError
 from ganitprep.evaluate import GradeRecord, Verdict, save_grades
 from ganitprep.llm_client import prompt_digest, write_mock_fixture
-from ganitprep.pipeline import DEMO_DATA_DIR
 from ganitprep.structure import (
     SECTION_FIELDS,
     StructuredSolution,
@@ -227,7 +226,7 @@ _FIXTURE_READERS = {
 
 @pytest.mark.parametrize("name", sorted(_FIXTURE_CHECKSUMS))
 def test_demo_fixture_checksum(name):
-    manifest = _FIXTURE_READERS[name](DEMO_DATA_DIR / f"{name}.jsonl")
+    manifest = _FIXTURE_READERS[name](DEMO_PLAN.parent / f"{name}.jsonl")
     assert manifest.checksum == _FIXTURE_CHECKSUMS[name]
 
 
@@ -836,7 +835,7 @@ def _text_writer(kind, in_dir, out_dir):
             "--manifest", in_dir / "m.jsonl", "--out", out)
     if kind == "demo_report":
         return [out_dir / "report.txt", out_dir / "report.csv"], lambda: _run_cli(
-            "demo", "--out", out_dir)
+            "run", "--out", out_dir)
     return [out_dir / f"{prompt_digest('p')}.txt"], lambda: write_mock_fixture(
         out_dir, "p", "reply")
 
@@ -859,7 +858,9 @@ class TestAtomicTextWriters:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="rename refused"):
+        # `run` raises a stage's failure with the stage's plan line in front.
+        failure = PipelineError if kind == "demo_report" else OSError
+        with pytest.raises(failure, match="rename refused"):
             write()
         assert [t.read_text(encoding="utf-8") for t in targets] == ["previous\n"] * len(targets)
         assert not [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")]

@@ -218,6 +218,76 @@ class TestSplit:
         save_split(assignment, path)
         assert load_split(path) == assignment
 
+    def test_synthetic_variants_follow_their_seed(self):
+        # One variant of each of 20 problems: each lands with its seed, and
+        # the seeds land where they land without their variants.
+        seeds = _mono(20, Language.ENGLISH, source=Source.GSM8K)
+        variants = [make_problem(f"syn-{i}", source=Source.SYNTHETIC,
+                                 difficulty=Difficulty.EASY, extras={"seed_id": seed.id})
+                    for i, seed in enumerate(seeds)]
+        together = split(make_manifest(seeds + variants), seed=7).assignments
+        alone = split(make_manifest(seeds), seed=7).assignments
+        assert [together[v.id] for v in variants] == [together[s.id] for s in seeds]
+        assert {s.id: together[s.id] for s in seeds} == alone
+
+    @pytest.mark.parametrize("seed_id", [None, "", 5, ["p00000-en"]])
+    def test_seed_id_that_names_no_record_is_no_seed(self, seed_id):
+        # Such records are split one by one, not joined into one lineage.
+        problems = [make_problem(f"syn-{i}", source=Source.SYNTHETIC,
+                                 extras={"seed_id": seed_id}) for i in range(40)]
+        assert split(make_manifest(problems), seed=7) == split(
+            make_manifest([replace(p, extras={}) for p in problems]), seed=7)
+
+
+_DIFFICULTIES = (Difficulty.EASY, Difficulty.MEDIUM, Difficulty.HARD)
+
+
+@st.composite
+def _lineage_manifests(draw):
+    """Solo records, translation pairs, and synthetic records whose seed is any
+    record, another synthetic one (chains and cycles) or a missing id."""
+    problems = [make_problem(f"r{i}", draw(st.sampled_from(Language)),
+                             difficulty=draw(st.sampled_from(_DIFFICULTIES)))
+                for i in range(draw(st.integers(0, 8)))]
+    for i in range(draw(st.integers(0, 4))):
+        difficulty = draw(st.sampled_from(_DIFFICULTIES))
+        problems += [make_problem(f"p{i}-{language.name}", language, source=Source.INDIMATHQA,
+                                  difficulty=difficulty, pair_id=f"pair-{i}")
+                     for language in Language]
+    synthetic = [f"s{i}" for i in range(draw(st.integers(0, 12)))]
+    seeds = [problem.id for problem in problems] + synthetic + ["missing-0", "missing-1"]
+    problems += [make_problem(pid, draw(st.sampled_from(Language)), source=Source.SYNTHETIC,
+                              difficulty=draw(st.sampled_from(_DIFFICULTIES)),
+                              extras={"seed_id": draw(st.sampled_from(seeds))})
+                 for pid in synthetic]
+    return make_manifest(draw(st.permutations(problems)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lineage_manifests(), st.integers(0, 3))
+def test_no_lineage_straddles_the_split(manifest, seed):
+    # A lineage is what pair and seed links join, found here by union-find.
+    parent = {}
+
+    def root(node):
+        while parent.get(node, node) != node:
+            node = parent[node]
+        return node
+
+    for problem in manifest:
+        links = [f"pair:{problem.pair_id}"] if problem.pair_id else []
+        links += [problem.extras["seed_id"]] if "seed_id" in problem.extras else []
+        for link in links:
+            a, b = root(problem.id), root(link)
+            if a != b:
+                parent[a] = b
+    assignments = split(manifest, seed=seed).assignments
+    sides = {}
+    for problem in manifest:
+        sides.setdefault(root(problem.id), set()).add(assignments[problem.id])
+    assert set(assignments) == {problem.id for problem in manifest}
+    assert all(len(side) == 1 for side in sides.values())
+
 
 def _classified_corpus():
     problems = []

@@ -1,4 +1,4 @@
-"""Byte oracle for ``ganitprep demo``: sha256 pins of everything it writes,
+"""Byte oracle for ``ganitprep run``, the bundled demo chain: sha256 pins of everything it writes,
 its stdout included.
 
 The pins hold any change to the pipeline's per-record paths (extraction,
@@ -42,7 +42,7 @@ STDOUT_SHA256 = "35a36497868542aacf92259e84b2d1878d3477e8cf0762dd598d86f763e054a
 @pytest.fixture(scope="module")
 def demo_out(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("demo-digest")
-    assert main(["demo", "--out", str(out_dir)]) == 0
+    assert main(["run", "--out", str(out_dir)]) == 0
     return out_dir
 
 
@@ -59,5 +59,5 @@ def test_manifest_checksum_pinned(demo_out, name):
 
 
 def test_stdout_pinned(tmp_path, capsys):
-    assert main(["demo", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == STDOUT_SHA256

@@ -159,6 +159,15 @@ class TestExtractAnswer:
     def test_answer_that_is_no_prose_is_an_expression(self, text):
         assert extract_answer(text).kind is AnswerKind.EXPRESSION
 
+    @pytest.mark.parametrize("text", [
+        "Final Answer: 0.333...", "The answer is 3.3333...", "#### 7...", "\\boxed{0.333...}",
+        "उत्तर: ०.६६६…", "so it is about 0.6666…", "Final Answer: 1/3...", "so 12, then 0.333...",
+    ])
+    def test_truncated_repeating_decimal_reads_no_rational(self, text):
+        # The ellipsis says the digits go on, so the text states no value.
+        value = extract_answer(text)
+        assert value is None or value.kind is AnswerKind.EXPRESSION
+
 
 class TestLastNumberFallback:
     """With no boxed answer and no marker line, the last whole number is read.
@@ -308,6 +317,22 @@ _tokens = st.one_of(_numbers, st.sampled_from(["so", "we", "get", "apples", "क
 @given(st.lists(_tokens, max_size=12).map(" ".join))
 def test_fallback_equals_spec_on_space_separated_numbers(text):
     assert extract_answer(text) == _spec_fallback(text)
+
+
+# A decimal or a/b whose digits an ellipsis says go on.
+_truncated_numbers = st.one_of(
+    st.tuples(st.sampled_from(["", "-"]), _whole,
+              st.from_regex(r"(\.[0-9]{1,6})?", fullmatch=True)).map("".join),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), _naturals, _naturals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "Final Answer: ", "#### ", "The answer is ", "उत्तर: ", "\\boxed{",
+                        "so it is about ", "so 12 and then ", "#### 3 and "]),
+       _truncated_numbers, st.sampled_from(["...", "…", "...."]))
+def test_text_ending_in_a_truncated_number_reads_no_rational(prefix, number, ellipsis):
+    value = extract_answer(prefix + number + ellipsis + "}" * prefix.startswith("\\boxed"))
+    assert value is None or value.kind is AnswerKind.EXPRESSION
 
 
 _rationals = st.builds(

@@ -65,7 +65,7 @@ _SPEC_FORMS = (
 )
 _SPEC_NUMBER_RE = re.compile(_SPEC_FORMS)
 _SPEC_NUMBER_IN_TEXT_RE = re.compile(
-    rf"(?<![\d,./])(?:{_SPEC_FORMS})(?!\d|[,.]\d|\s*/\s*[-+\\\d])")
+    rf"(?<![\d,./])(?:{_SPEC_FORMS})(?!\d|[,.]\d|\s*/\s*[-+\\\d]|(?<=\d)(?:\.\.\.|…))")
 
 
 def _spec_as_fraction(text):
@@ -88,7 +88,7 @@ def _spec_as_fraction(text):
 _number_texts = st.lists(st.sampled_from(
     ["0", "7", "12", "345", "١", "२", "０", "²", ",", ",000", ".", ".5", "/", " / ", "+", " + ", "-",
      " ", "\t", "\\frac{3}{4}", "\\dfrac{12}{-5}", "\\frac{", "\\tfrac", "}{", "{", "}", "x",
-     "ab", "।"]), max_size=10).map("".join)
+     "ab", "।", "...", "…"]), max_size=10).map("".join)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -46,13 +46,6 @@ def test_module_level_imports_are_acyclic():
     assert top[LEAF] == set()
 
 
-def test_pipeline_runs_the_chain_only_through_cli():
-    # The demo chain is a table of stage commands that cli parses and runs, so
-    # pipeline calls no stage module of its own.
-    top, _ = _import_graph()
-    assert top["pipeline"] == {"cli"}
-
-
 def _unused_imports(tree: ast.Module) -> set[str]:
     """Names bound by module-level imports that the module never reads.
 

@@ -15,9 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ganitprep import llm_client
-from ganitprep.cli import main
+from ganitprep.cli import DEMO_PLAN, main
 from ganitprep.corpus import load_manifest
-from ganitprep.pipeline import DEMO_DATA_DIR
 
 # A value of every JSON type, to put in place of one of another type.
 JSON_VALUES = (None, True, 0, 1.5, "x", [], {}, ["x"], {"x": 1})
@@ -29,7 +28,7 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     demo = root / "demo"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["demo", "--out", str(demo)]) == 0
+        assert main(["run", "--out", str(demo)]) == 0
     texts = {
         "client config": json.dumps({"kind": "http", "endpoint": "http://example.test",
                                      "concurrency": 2, "retry": {"max_attempts": 2}}),
@@ -47,11 +46,11 @@ def valid(tmp_path_factory):
         "curriculum": demo / "curriculum.json",
         "manifest": demo / "merged.jsonl",
         "grades": demo / "grades.jsonl",
-        "predictions": DEMO_DATA_DIR / "predictions.tsv",
-        "annotations": DEMO_DATA_DIR / "annotations_en.tsv",
-        "gsm8k": DEMO_DATA_DIR / "gsm8k.jsonl",
-        "math": DEMO_DATA_DIR / "math.jsonl",
-        "hawp": DEMO_DATA_DIR / "hawp.jsonl",
+        "predictions": DEMO_PLAN.parent / "predictions.tsv",
+        "annotations": DEMO_PLAN.parent / "annotations_en.tsv",
+        "gsm8k": DEMO_PLAN.parent / "gsm8k.jsonl",
+        "math": DEMO_PLAN.parent / "math.jsonl",
+        "hawp": DEMO_PLAN.parent / "hawp.jsonl",
     }
     return files
 
